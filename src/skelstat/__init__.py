@@ -12,7 +12,6 @@ from .core import (
     MetricsReport,
     ParseError,
     PoseDetection,
-    ScoredFrame,
     SdomReport,
     SkelstatError,
     Split,
@@ -32,7 +31,6 @@ __all__ = [
     "MetricsReport",
     "ParseError",
     "PoseDetection",
-    "ScoredFrame",
     "SdomReport",
     "SkelstatError",
     "Split",

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     DataError,
     EmbeddingPrior,
-    EmbeddingRecord,
     FeatureType,
     FeatureWindow,
     MeanTensor,
@@ -93,6 +92,29 @@ def sdom(delta_a: float, delta_n: float) -> float:
     return delta_a - delta_n
 
 
+def windows_by_split(windows: Sequence[FeatureWindow]) -> Dict[Split, List[FeatureWindow]]:
+    """Windows grouped by split, every split present, in ``Split`` order."""
+    by_split: Dict[Split, List[FeatureWindow]] = {s: [] for s in Split}
+    for window in windows:
+        by_split[window.split].append(window)
+    return by_split
+
+
+def _sdom_from_means(
+    mu_tn: MeanTensor, mu_vn: MeanTensor, mu_va: MeanTensor, feature_type: FeatureType
+) -> SdomReport:
+    """S-DoM of the train-normal, val-normal and val-anomalous means."""
+    delta_n = delta(mu_tn, mu_vn)
+    delta_a = delta(mu_tn, mu_va)
+    return SdomReport(
+        delta_n=delta_n,
+        delta_a=delta_a,
+        sdom=sdom(delta_a, delta_n),
+        feature_type=feature_type,
+        counts=(mu_tn.sample_count, mu_vn.sample_count, mu_va.sample_count),
+    )
+
+
 def sdom_report(
     train_normal: Sequence[FeatureWindow],
     val_normal: Sequence[FeatureWindow],
@@ -107,17 +129,8 @@ def sdom_report(
     ):
         if not split:
             raise DataError(f"{name} split is empty")
-    mu_tn = mean_tensor(train_normal)
-    mu_vn = mean_tensor(val_normal)
-    mu_va = mean_tensor(val_anomalous)
-    delta_n = delta(mu_tn, mu_vn)
-    delta_a = delta(mu_tn, mu_va)
-    return SdomReport(
-        delta_n=delta_n,
-        delta_a=delta_a,
-        sdom=sdom(delta_a, delta_n),
-        feature_type=feature_type,
-        counts=(len(train_normal), len(val_normal), len(val_anomalous)),
+    return _sdom_from_means(
+        mean_tensor(train_normal), mean_tensor(val_normal), mean_tensor(val_anomalous), feature_type
     )
 
 
@@ -142,22 +155,22 @@ def distances_to_mean(
 
 
 def latent_distances(
-    records: Sequence[EmbeddingRecord],
+    vectors: np.ndarray,
+    splits: np.ndarray,
     prior: EmbeddingPrior,
 ) -> Dict[Split, DistanceSeries]:
-    """Euclidean distance of each embedding to the latent prior mean,
-    grouped by split."""
+    """Euclidean distance of each embedding row to the latent prior mean,
+    grouped by split token (``Split`` value); splits with no rows are left out."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    splits = np.asarray(splits)
     dim = prior.mu_normal.size
-    grouped: Dict[Split, List[float]] = {}
-    for record in records:
-        if record.vector.size != dim:
-            raise DataError(
-                f"embedding dimension {record.vector.size} does not match prior {dim}"
-            )
-        grouped.setdefault(record.split, []).append(
-            float(np.linalg.norm(record.vector - prior.mu_normal))
-        )
+    if vectors.ndim != 2 or vectors.shape[1] != dim:
+        raise DataError(f"embedding dimension does not match prior {dim}: got shape {vectors.shape}")
+    diff = vectors - prior.mu_normal
+    # a batched row dot product: the same bits as np.linalg.norm of each row
+    distances = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
     return {
-        split: DistanceSeries(values=np.array(values), split=split, tag="latent")
-        for split, values in grouped.items()
+        split: DistanceSeries(values=distances[splits == split.value], split=split, tag="latent")
+        for split in Split
+        if (splits == split.value).any()
     }

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis import distances_to_mean, latent_distances, mean_tensor, sdom_report
+from .analysis import distances_to_mean, latent_distances, mean_tensor, sdom_report, windows_by_split
 from .core import DataError, FeatureType, SkelstatError, Split, WindowingConfig
 from .features import CenterPolicy, build_windows, serialize_windows
 from .ingest import (
@@ -35,7 +35,7 @@ from .ingest import (
     validate_bundle,
 )
 from .metrics import metrics_report, metrics_report_per_video, pr_curve, roc_curve
-from .stats import box_stats, difficulty_report, histogram, histogram_rows, parse_binning
+from .stats import Histogram, box_stats, difficulty_report, histogram, histogram_rows, parse_binning
 from .synth import (
     GroupConverge,
     PoseDeform,
@@ -70,7 +70,7 @@ def _json_text(obj) -> str:
 def _csv_text(header: List[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -111,22 +111,22 @@ def cmd_windows(args) -> int:
     return 0
 
 
-def _split_windows(windows):
-    by_split = {s: [] for s in Split}
-    for w in windows:
-        by_split[w.split].append(w)
-    return by_split
-
-
 def cmd_sdom(args) -> int:
     feature = _feature(args)
     windows = build_windows(_load_bundle(args), feature, _center_policy(args), args.truncate_social)
-    by_split = _split_windows(windows)
+    by_split = windows_by_split(windows)
     report = sdom_report(
         by_split[Split.TRAIN], by_split[Split.VAL_NORMAL], by_split[Split.VAL_ANOMALOUS], feature
     )
     atomic_write_text(Path(args.out) / "sdom.json", _json_text(report.to_dict()))
     return 0
+
+
+def _write_histogram(out: Path, tag: str, hist: Histogram) -> None:
+    atomic_write_text(
+        out / f"hist_{tag}_{hist.split}.csv",
+        _csv_text(["bin_left", "bin_right", "count", "split"], histogram_rows(hist)),
+    )
 
 
 def cmd_disthist(args) -> int:
@@ -136,15 +136,15 @@ def cmd_disthist(args) -> int:
         if args.feature:
             raise DataError("--embeddings and --feature are mutually exclusive")
         with open(args.embeddings, "r", encoding="utf-8") as fh:
-            records, prior = parse_embeddings(fh.read())
-        series_by_split = latent_distances(records, prior)
+            vectors, splits, _, prior = parse_embeddings(fh.read())
+        series_by_split = latent_distances(vectors, splits, prior)
         tag = "latent"
     else:
         feature = _feature(args)
         windows = build_windows(
             _load_bundle(args), feature, _center_policy(args), args.truncate_social
         )
-        by_split = _split_windows(windows)
+        by_split = windows_by_split(windows)
         if not by_split[Split.TRAIN]:
             raise DataError("no training windows; cannot compute the training mean")
         mu_tn = mean_tensor(by_split[Split.TRAIN])
@@ -157,11 +157,7 @@ def cmd_disthist(args) -> int:
     boxes = {}
     for split, series in sorted(series_by_split.items(), key=lambda kv: kv[0].value):
         boxes[split.value] = box_stats(series).to_dict()
-        hist = histogram(series, binning)
-        atomic_write_text(
-            out / f"hist_{tag}_{split.value}.csv",
-            _csv_text(["bin_left", "bin_right", "count", "split"], histogram_rows(hist)),
-        )
+        _write_histogram(out, tag, histogram(series, binning))
     atomic_write_text(out / f"box_{tag}.json", _json_text(boxes))
     return 0
 
@@ -174,25 +170,18 @@ def cmd_metrics(args) -> int:
     label_index = {(l.video_id, l.frame_index): l.label for l in labels}
     polarity = ScorePolarity(args.polarity)
     with open(args.scores, "r", encoding="utf-8") as fh:
-        samples = parse_scores(fh.read(), polarity, label_index)
+        frames = parse_scores(fh.read(), polarity, label_index)
     if args.per_video_average:
-        report, skipped = metrics_report_per_video(samples)
+        report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video)
         if skipped:
             logging.getLogger(__name__).warning("skipped single-class videos: %s", skipped)
+        roc, pr = roc_curve(frames.score, frames.positive), pr_curve(frames.score, frames.positive)
     else:
-        report = metrics_report(samples)
+        report, roc, pr = metrics_report(frames.score, frames.positive)
     out = Path(args.out)
     atomic_write_text(out / "metrics.json", _json_text(report.to_dict()))
-    atomic_write_text(
-        out / "roc.csv",
-        _csv_text(["threshold", "fpr", "tpr"], [(p.threshold, p.x, p.y) for p in roc_curve(samples)]),
-    )
-    atomic_write_text(
-        out / "pr.csv",
-        _csv_text(
-            ["threshold", "recall", "precision"], [(p.threshold, p.x, p.y) for p in pr_curve(samples)]
-        ),
-    )
+    atomic_write_text(out / "roc.csv", _csv_text(["threshold", "fpr", "tpr"], roc.tolist()))
+    atomic_write_text(out / "pr.csv", _csv_text(["threshold", "recall", "precision"], pr.tolist()))
     return 0
 
 
@@ -255,15 +244,8 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     atomic_write_text(out / "report.json", _json_text(report))
     for feature_value, entry in report["features"].items():
-        for split_value, hist in entry.get("histograms", {}).items():
-            rows = [
-                (hist["bin_edges"][i], hist["bin_edges"][i + 1], hist["counts"][i], split_value)
-                for i in range(len(hist["counts"]))
-            ]
-            atomic_write_text(
-                out / f"hist_{feature_value}_{split_value}.csv",
-                _csv_text(["bin_left", "bin_right", "count", "split"], rows),
-            )
+        for hist in entry.get("histograms", {}).values():
+            _write_histogram(out, feature_value, Histogram(**hist))
     return 0
 
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -139,8 +139,8 @@ class WindowingConfig:
             raise DataError(f"k must be >= 1, got {self.k}")
         if self.N < 1:
             raise DataError(f"N must be >= 1, got {self.N}")
-        if self.frame_width <= 0 or self.frame_height <= 0:
-            raise DataError("frame dimensions must be positive")
+        if not (0.0 < self.frame_width < math.inf and 0.0 < self.frame_height < math.inf):
+            raise DataError("frame dimensions must be finite and positive")
 
     @property
     def frame_center(self) -> Tuple[float, float]:
@@ -232,35 +232,6 @@ class SdomReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingRecord:
-    """One externally produced latent vector with its split tag."""
-
-    vector: np.ndarray
-    split: Split
-    source_window: Optional[str] = None
-
-    def __post_init__(self):
-        vector = np.asarray(self.vector, dtype=np.float64)
-        if vector.ndim != 1 or vector.size == 0:
-            raise DataError(f"embedding vector must be 1-D and non-empty, got shape {vector.shape}")
-        if not np.isfinite(vector).all():
-            raise DataError("embedding vector must be finite")
-        object.__setattr__(self, "vector", _freeze(vector))
-
-    def __eq__(self, other):
-        if not isinstance(other, EmbeddingRecord):
-            return NotImplemented
-        return (
-            self.split is other.split
-            and self.source_window == other.source_window
-            and np.array_equal(self.vector, other.vector)
-        )
-
-    def __hash__(self):
-        return hash((self.vector.tobytes(), self.split, self.source_window))
-
-
 @dataclass(frozen=True)
 class EmbeddingPrior:
     """Mean of the latent prior the external model maps normal data to."""
@@ -276,18 +247,14 @@ class EmbeddingPrior:
         object.__setattr__(self, "mu_normal", _freeze(mu))
 
 
-@dataclass(frozen=True)
-class ScoredFrame:
-    """Per-frame anomaly score; higher always means more anomalous."""
+class FrameScores(NamedTuple):
+    """Per-frame anomaly scores as columns, one row per labeled frame;
+    a higher score always means more anomalous."""
 
-    video_id: str
-    frame_index: int
-    score: float
-    label: Label
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise DataError(f"score must be finite, got {self.score}")
+    video: np.ndarray  # str video ids
+    frame: np.ndarray  # int64 frame indices
+    score: np.ndarray  # float64
+    positive: np.ndarray  # bool, True where the frame is labeled Anomalous
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     DataError,
     EmbeddingPrior,
-    EmbeddingRecord,
     FrameLabel,
+    FrameScores,
     Keypoint,
     Label,
     ParseError,
     PoseDetection,
-    ScoredFrame,
     Split,
     Tracklet,
     WindowingConfig,
@@ -49,8 +50,8 @@ class VideoMeta:
     def __post_init__(self):
         if self.split not in ("train", "val"):
             raise DataError(f"video split must be 'train' or 'val', got {self.split!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise DataError("video dimensions must be positive")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise DataError("video dimensions must be finite and positive")
 
 
 @dataclass
@@ -72,9 +73,6 @@ class DatasetBundle:
 
     def label_index(self) -> Dict[Tuple[str, int], Label]:
         return {(l.video_id, l.frame_index): l.label for l in self.labels}
-
-    def video_split(self, video_id: str) -> str:
-        return self.videos[video_id].split
 
 
 def _lines(stream) -> Iterable[str]:
@@ -197,8 +195,12 @@ def serialize_labels(labels: Iterable[FrameLabel]) -> str:
 _SPLIT_TOKENS = {s.value: s for s in Split}
 
 
-def parse_embeddings(stream) -> Tuple[List[EmbeddingRecord], EmbeddingPrior]:
-    """Parse the embedding file; the header carries the prior mean."""
+def parse_embeddings(stream) -> Tuple[np.ndarray, np.ndarray, List[Optional[str]], EmbeddingPrior]:
+    """Parse the embedding file; the header carries the prior mean.
+
+    Returns the (n, d) vectors, their split tokens (``Split`` values), the
+    source window ids (None where a line has none) and the prior.
+    """
     lines = iter(enumerate(_lines(stream), start=1))
     header = None
     for line_number, line in lines:
@@ -220,7 +222,7 @@ def parse_embeddings(stream) -> Tuple[List[EmbeddingRecord], EmbeddingPrior]:
     mu = [_parse_float(v, "prior value", line_number) for v in mu_fields]
     prior = EmbeddingPrior(mu)
 
-    records = []
+    vectors, splits, sources = [], [], []
     for line_number, line in lines:
         line = line.rstrip("\n")
         if not line.strip():
@@ -237,20 +239,23 @@ def parse_embeddings(stream) -> Tuple[List[EmbeddingRecord], EmbeddingPrior]:
         fields = parts[1].split(",")
         if len(fields) != dim:
             raise ParseError(f"vector has {len(fields)} values, expected {dim}", line_number)
-        vector = [_parse_float(v, "embedding value", line_number) for v in fields]
-        source = parts[2] if len(parts) == 3 else None
-        records.append(EmbeddingRecord(vector, _SPLIT_TOKENS[split_token], source))
-    return records, prior
+        vectors.append([_parse_float(v, "embedding value", line_number) for v in fields])
+        splits.append(split_token)
+        sources.append(parts[2] if len(parts) == 3 else None)
+    vectors = np.array(vectors, dtype=np.float64).reshape(len(splits), dim)
+    return vectors, np.array(splits, dtype=str), sources, prior
 
 
-def serialize_embeddings(records: Iterable[EmbeddingRecord], prior: EmbeddingPrior) -> str:
+def serialize_embeddings(
+    vectors: np.ndarray, splits: Sequence[str], sources: Sequence[Optional[str]], prior: EmbeddingPrior
+) -> str:
+    """Inverse of ``parse_embeddings``."""
     mu_text = ",".join(repr(float(v)) for v in prior.mu_normal)
     lines = [f"dim={prior.mu_normal.size} mu={mu_text}"]
-    for record in records:
-        vec_text = ",".join(repr(float(v)) for v in record.vector)
-        line = f"{record.split.value}\t{vec_text}"
-        if record.source_window is not None:
-            line += f"\t{record.source_window}"
+    for vector, split, source in zip(np.asarray(vectors).tolist(), splits, sources):
+        line = f"{split}\t" + ",".join(repr(float(v)) for v in vector)
+        if source is not None:
+            line += f"\t{source}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -259,14 +264,15 @@ def parse_scores(
     stream,
     polarity: ScorePolarity,
     labels: Mapping[Tuple[str, int], Label],
-) -> List[ScoredFrame]:
-    """Parse per-frame scores and join them against known frame labels.
+) -> FrameScores:
+    """Parse per-frame scores and join them against known frame labels,
+    sorted by (video, frame).
 
     Normality scores are negated so downstream metrics can always assume
     higher = more anomalous.
     """
     seen = set()
-    scored = []
+    rows = []
     for line_number, line in enumerate(_lines(stream), start=1):
         line = line.strip()
         if not line:
@@ -285,9 +291,15 @@ def parse_scores(
         seen.add(key)
         if polarity is ScorePolarity.NORMALITY:
             score = -score
-        scored.append(ScoredFrame(video_id, frame_index, score, labels[key]))
-    scored.sort(key=lambda s: (s.video_id, s.frame_index))
-    return scored
+        rows.append((video_id, frame_index, score, labels[key] is Label.ANOMALOUS))
+    rows.sort()
+    video, frame, score, positive = zip(*rows) if rows else ((), (), (), ())
+    return FrameScores(
+        video=np.array(video, dtype=str),
+        frame=np.array(frame, dtype=np.int64),
+        score=np.array(score, dtype=np.float64),
+        positive=np.array(positive, dtype=bool),
+    )
 
 
 def serialize_scores(rows: Iterable[Tuple[str, int, float]]) -> str:

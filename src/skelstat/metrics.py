@@ -1,38 +1,41 @@
 """Score evaluation: ROC, precision-recall, equal error rate.
 
+Scores are columns: ``scores`` (float64, higher = more anomalous) and
+``positive`` (bool, True for Anomalous frames). ``roc_curve`` and
+``pr_curve`` return ``(m, 3)`` arrays of (threshold, x, y) rows, read from
+one table of distinct thresholds; ``auc_roc``, ``eer`` and
+``error_rates`` read a ROC array and ``auc_pr`` a PR array.
+
 Tied scores are processed as one threshold group, which makes the
 trapezoidal AUC-ROC equal to the Mann-Whitney statistic with half-weight
 ties. AUC-PR uses the step-wise area (no interpolation of precision).
-The positive class is Anomalous throughout.
+Areas are summed left to right with ``np.cumsum``: pairwise summation
+(``np.sum``) would change the last bits of the reported values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DataError, FeatureWindow, FrameLabel, Label, MetricsReport, ScoredFrame
+from .core import DataError, FeatureWindow, FrameLabel, FrameScores, Label, MetricsReport
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    threshold: float
-    x: float  # fpr (ROC) or recall (PR)
-    y: float  # tpr (ROC) or precision (PR)
-
-
-def _threshold_counts(samples: Sequence[ScoredFrame]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+def _threshold_counts(scores, positive) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Distinct thresholds (descending) with cumulative TP/FP counts for the
     rule "predict positive when score >= threshold"."""
-    if not samples:
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(positive, dtype=bool)
+    if scores.ndim != 1 or scores.shape != positive.shape:
+        raise DataError(f"scores {scores.shape} and labels {positive.shape} must be matching 1-D columns")
+    if scores.size == 0:
         raise DataError("no samples to evaluate")
-    scores = np.array([s.score for s in samples], dtype=np.float64)
-    positive = np.array([s.label is Label.ANOMALOUS for s in samples], dtype=bool)
-    n_pos = int(positive.sum())
-    n_neg = len(samples) - n_pos
+    if not np.isfinite(scores).all():
+        raise DataError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = scores.size - n_pos
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
     positive = positive[order]
@@ -40,80 +43,50 @@ def _threshold_counts(samples: Sequence[ScoredFrame]) -> Tuple[np.ndarray, np.nd
     last = np.r_[distinct, len(scores) - 1]
     tp = np.cumsum(positive)[last]
     fp = (last + 1) - tp
-    return scores[last], tp.astype(np.int64), fp.astype(np.int64), n_pos, n_neg
+    return scores[last], tp, fp, n_pos, n_neg
 
 
-def roc_curve(samples: Sequence[ScoredFrame]) -> List[CurvePoint]:
-    """ROC points at every distinct threshold, from (0, 0) to (1, 1)."""
-    thresholds, tp, fp, n_pos, n_neg = _threshold_counts(samples)
+def roc_curve(scores, positive) -> np.ndarray:
+    """(threshold, fpr, tpr) rows at every distinct threshold, from
+    (inf, 0, 0) to (1, 1)."""
+    thresholds, tp, fp, n_pos, n_neg = _threshold_counts(scores, positive)
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs at least one positive and one negative sample")
-    points = [CurvePoint(math.inf, 0.0, 0.0)]
-    for t, tpc, fpc in zip(thresholds, tp, fp):
-        points.append(CurvePoint(float(t), fpc / n_neg, tpc / n_pos))
-    return points
+    return np.column_stack((np.r_[math.inf, thresholds], np.r_[0.0, fp / n_neg], np.r_[0.0, tp / n_pos]))
 
 
-def auc_roc(samples: Sequence[ScoredFrame]) -> float:
-    """Trapezoidal area under the ROC curve."""
-    points = roc_curve(samples)
-    area = 0.0
-    for prev, cur in zip(points, points[1:]):
-        area += (cur.x - prev.x) * (cur.y + prev.y) / 2.0
-    return area
+def auc_roc(roc: np.ndarray) -> float:
+    """Trapezoidal area under a ``roc_curve``."""
+    fpr, tpr = roc[:, 1], roc[:, 2]
+    return float(np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1])
 
 
-def pr_curve(samples: Sequence[ScoredFrame]) -> List[CurvePoint]:
-    """Precision/recall at every distinct threshold (recall on x)."""
-    thresholds, tp, fp, n_pos, _ = _threshold_counts(samples)
+def pr_curve(scores, positive) -> np.ndarray:
+    """(threshold, recall, precision) rows at every distinct threshold."""
+    thresholds, tp, fp, n_pos, _ = _threshold_counts(scores, positive)
     if n_pos == 0:
         raise DataError("PR curve needs at least one positive sample")
-    return [
-        CurvePoint(float(t), tpc / n_pos, tpc / (tpc + fpc))
-        for t, tpc, fpc in zip(thresholds, tp, fp)
-    ]
+    return np.column_stack((thresholds, tp / n_pos, tp / (tp + fp)))
 
 
-def auc_pr(samples: Sequence[ScoredFrame]) -> float:
-    """Step-wise area under the precision-recall curve."""
-    points = pr_curve(samples)
-    area = 0.0
-    prev_recall = 0.0
-    for point in points:
-        area += (point.x - prev_recall) * point.y
-        prev_recall = point.x
-    return area
+def auc_pr(pr: np.ndarray) -> float:
+    """Step-wise area under a ``pr_curve``."""
+    recall, precision = pr[:, 1], pr[:, 2]
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def _rate_curves(samples: Sequence[ScoredFrame]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FPR and FNR as functions of the threshold (descending), prefixed with
-    a virtual all-negative point one unit above the top score."""
-    thresholds, tp, fp, n_pos, n_neg = _threshold_counts(samples)
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("both classes are needed to trade off FPR against FNR")
-    fpr = np.r_[0.0, fp / n_neg]
-    fnr = np.r_[1.0, 1.0 - tp / n_pos]
-    thresholds = np.r_[thresholds[0] + 1.0, thresholds]
-    return thresholds, fpr, fnr
+def _rate_curves(roc: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FPR and FNR as functions of the threshold (descending), starting at
+    the ROC's all-negative point, placed one unit above the top score."""
+    thresholds = np.r_[roc[1, 0] + 1.0, roc[1:, 0]]
+    return thresholds, roc[:, 1], 1.0 - roc[:, 2]
 
 
-def error_rates(
-    samples: Sequence[ScoredFrame], threshold: float, interpolate: bool = False
-) -> Tuple[float, float]:
-    """(FPR, FNR) of the rule "positive when score >= threshold".
-
-    With ``interpolate`` the rates are read off the linearly interpolated
-    curves between adjacent distinct thresholds instead of direct counting.
-    """
-    if not interpolate:
-        n_pos = sum(1 for s in samples if s.label is Label.ANOMALOUS)
-        n_neg = len(samples) - n_pos
-        if n_pos == 0 or n_neg == 0:
-            raise DataError("both classes are needed to compute error rates")
-        fp = sum(1 for s in samples if s.score >= threshold and s.label is Label.NORMAL)
-        fn = sum(1 for s in samples if s.score < threshold and s.label is Label.ANOMALOUS)
-        return fp / n_neg, fn / n_pos
-    thresholds, fpr, fnr = _rate_curves(samples)
+def error_rates(roc: np.ndarray, threshold: float) -> Tuple[float, float]:
+    """(FPR, FNR) of the rule "positive when score >= threshold", read off
+    the linearly interpolated rate curves between adjacent distinct
+    thresholds of a ``roc_curve``."""
+    thresholds, fpr, fnr = _rate_curves(roc)
     if threshold >= thresholds[0]:
         return float(fpr[0]), float(fnr[0])
     if threshold <= thresholds[-1]:
@@ -128,8 +101,8 @@ def error_rates(
     )
 
 
-def eer(samples: Sequence[ScoredFrame]) -> Tuple[float, float]:
-    """Equal error rate and its threshold.
+def eer(roc: np.ndarray) -> Tuple[float, float]:
+    """Equal error rate and its threshold, from a ``roc_curve``.
 
     Both rates are linearly interpolated between adjacent distinct
     thresholds and the intersection point is returned; at that threshold
@@ -137,7 +110,7 @@ def eer(samples: Sequence[ScoredFrame]) -> Tuple[float, float]:
     threshold can differ by at most the FPR+FNR jump across the crossing
     (tied scores cannot be split by any threshold).
     """
-    thresholds, fpr, fnr = _rate_curves(samples)
+    thresholds, fpr, fnr = _rate_curves(roc)
     diff = fpr - fnr  # non-decreasing from -1 to +1
     j = int(np.searchsorted(diff >= 0, True))
     if diff[j] == 0.0:
@@ -153,74 +126,93 @@ def windows_to_frame_scores(
     labels: Iterable[FrameLabel],
     default_score: Optional[float] = None,
     drop_uncovered: bool = False,
-) -> Tuple[List[ScoredFrame], List[Tuple[str, int]]]:
+) -> Tuple[FrameScores, List[Tuple[str, int]]]:
     """Per-frame anomaly score = max over all windows covering the frame.
 
     Labeled frames no window covers get ``default_score`` (the least
-    anomalous observed window score when unset), or are dropped when
-    ``drop_uncovered`` is set. Returns (frames, uncovered frame keys).
+    anomalous covered frame's score when unset), or are dropped when
+    ``drop_uncovered`` is set. Returns the labeled frames' scores sorted by
+    (video, frame) and the uncovered frame keys.
     """
-    best: Dict[Tuple[str, int], float] = {}
-    for window, score in scored_windows:
-        if not math.isfinite(score):
-            raise DataError(f"non-finite window score {score}")
-        T = window.shape[0]
-        for frame in range(window.start_frame, window.start_frame + T):
-            key = (window.video_id, frame)
-            if key not in best or score > best[key]:
-                best[key] = score
+    scored_windows = list(scored_windows)
+    labels = sorted(labels, key=lambda l: (l.video_id, l.frame_index))
+    window_scores = np.array([score for _, score in scored_windows], dtype=np.float64)
+    if not np.isfinite(window_scores).all():
+        raise DataError(f"non-finite window score {window_scores[~np.isfinite(window_scores)][0]}")
+    starts = np.array([w.start_frame for w, _ in scored_windows], dtype=np.int64)
+    if (starts < 0).any():
+        raise DataError("window start frames must be non-negative")
+    lengths = np.array([w.shape[0] for w, _ in scored_windows], dtype=np.int64)
+    label_frames = np.array([l.frame_index for l in labels], dtype=np.int64)
+    videos = {w.video_id for w, _ in scored_windows} | {l.video_id for l in labels}
+    codes = {v: i for i, v in enumerate(sorted(videos))}
+    window_video = np.array([codes[w.video_id] for w, _ in scored_windows], dtype=np.int64)
+    label_video = np.array([codes[l.video_id] for l in labels], dtype=np.int64)
+
+    # one dense frame axis: a block per video, long enough for its windows and labels
+    extent = np.zeros(len(codes), dtype=np.int64)
+    np.maximum.at(extent, window_video, starts + lengths)
+    np.maximum.at(extent, label_video, label_frames + 1)
+    offset = np.cumsum(extent) - extent
+    frame_in_window = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    positions = np.repeat(offset[window_video] + starts, lengths) + frame_in_window
+    best = np.full(int(extent.sum()), -np.inf)  # -inf: no window covers the frame
+    np.maximum.at(best, positions, np.repeat(window_scores, lengths))
+
+    frame_best = best[offset[label_video] + label_frames]
+    covered = np.isfinite(frame_best)
     if default_score is None:
-        default_score = min(best.values()) if best else 0.0
-    frames: List[ScoredFrame] = []
-    uncovered: List[Tuple[str, int]] = []
-    for label in sorted(labels, key=lambda l: (l.video_id, l.frame_index)):
-        key = (label.video_id, label.frame_index)
-        if key in best:
-            frames.append(ScoredFrame(label.video_id, label.frame_index, best[key], label.label))
-        else:
-            uncovered.append(key)
-            if not drop_uncovered:
-                frames.append(
-                    ScoredFrame(label.video_id, label.frame_index, default_score, label.label)
-                )
+        observed = best[np.isfinite(best)]
+        default_score = observed.min() if observed.size else 0.0
+    uncovered = [(l.video_id, l.frame_index) for l, c in zip(labels, covered) if not c]
+    keep = covered if drop_uncovered else np.ones(len(labels), dtype=bool)
+    frames = FrameScores(
+        video=np.array([l.video_id for l in labels], dtype=str)[keep],
+        frame=label_frames[keep],
+        score=np.where(covered, frame_best, default_score)[keep],
+        positive=np.array([l.label is Label.ANOMALOUS for l in labels], dtype=bool)[keep],
+    )
     return frames, uncovered
 
 
-def metrics_report(samples: Sequence[ScoredFrame], uncovered_frames: int = 0) -> MetricsReport:
-    """AUC-ROC, AUC-PR and EER of one concatenated sample set."""
-    eer_rate, eer_threshold = eer(samples)
-    n_pos = sum(1 for s in samples if s.label is Label.ANOMALOUS)
-    return MetricsReport(
-        auc_roc=auc_roc(samples),
-        auc_pr=auc_pr(samples),
+def metrics_report(
+    scores, positive, uncovered_frames: int = 0
+) -> Tuple[MetricsReport, np.ndarray, np.ndarray]:
+    """AUC-ROC, AUC-PR and EER of one concatenated sample set, with the ROC
+    and PR arrays they were read from."""
+    roc = roc_curve(scores, positive)
+    pr = pr_curve(scores, positive)
+    eer_rate, eer_threshold = eer(roc)
+    n_pos = int(np.count_nonzero(positive))
+    report = MetricsReport(
+        auc_roc=auc_roc(roc),
+        auc_pr=auc_pr(pr),
         eer=eer_rate,
         eer_threshold=eer_threshold,
         n_pos=n_pos,
-        n_neg=len(samples) - n_pos,
+        n_neg=len(positive) - n_pos,
         uncovered_frames=uncovered_frames,
     )
+    return report, roc, pr
 
 
 def metrics_report_per_video(
-    samples: Sequence[ScoredFrame], uncovered_frames: int = 0
+    scores, positive, video, uncovered_frames: int = 0
 ) -> Tuple[MetricsReport, List[str]]:
     """Average the three metrics over videos instead of concatenating.
 
     Single-class videos cannot be scored and are skipped; their ids are
     returned alongside the averaged report.
     """
-    by_video: Dict[str, List[ScoredFrame]] = {}
-    for sample in samples:
-        by_video.setdefault(sample.video_id, []).append(sample)
+    scores, positive, video = np.asarray(scores), np.asarray(positive, dtype=bool), np.asarray(video)
     reports = []
     skipped = []
-    for video_id in sorted(by_video):
-        video_samples = by_video[video_id]
-        labels = {s.label for s in video_samples}
-        if len(labels) < 2:
+    for video_id in np.unique(video).tolist():
+        rows = video == video_id
+        if positive[rows].all() or not positive[rows].any():
             skipped.append(video_id)
             continue
-        reports.append(metrics_report(video_samples))
+        reports.append(metrics_report(scores[rows], positive[rows])[0])
     if not reports:
         raise DataError("no video has both classes; per-video averaging impossible")
     return (

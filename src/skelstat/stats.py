@@ -8,8 +8,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import DistanceSeries, distances_to_mean, mean_tensor, sdom_report
-from .core import BoxStats, DataError, FeatureType, FeatureWindow, Split
+from .analysis import DistanceSeries, _sdom_from_means, distances_to_mean, mean_tensor, windows_by_split
+from .core import BoxStats, DataError, FeatureType, Split
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle
 
@@ -167,10 +167,7 @@ def difficulty_report(
     sdom_by_feature: Dict[str, float] = {}
     for feature_type in feature_types:
         entry: dict = {"warnings": []}
-        windows = build_windows(bundle, feature_type, center, truncate_social)
-        by_split: Dict[Split, List[FeatureWindow]] = {s: [] for s in _SPLIT_ORDER}
-        for window in windows:
-            by_split[window.split].append(window)
+        by_split = windows_by_split(build_windows(bundle, feature_type, center, truncate_social))
         entry["counts"] = {s.value: len(by_split[s]) for s in _SPLIT_ORDER}
         empty = [s.value for s in _SPLIT_ORDER if not by_split[s]]
         if empty:
@@ -180,15 +177,10 @@ def difficulty_report(
         for split in _SPLIT_ORDER:
             if len(by_split[split]) < 2:
                 entry["warnings"].append(f"split {split.value} has a single window")
-        sr = sdom_report(
-            by_split[Split.TRAIN],
-            by_split[Split.VAL_NORMAL],
-            by_split[Split.VAL_ANOMALOUS],
-            feature_type,
-        )
+        mu_tn, mu_vn, mu_va = (mean_tensor(by_split[split]) for split in _SPLIT_ORDER)
+        sr = _sdom_from_means(mu_tn, mu_vn, mu_va, feature_type)
         entry["sdom"] = sr.to_dict()
         sdom_by_feature[feature_type.value] = sr.sdom
-        mu_tn = mean_tensor(by_split[Split.TRAIN])
         entry["box_stats"] = {}
         entry["histograms"] = {}
         for split in _SPLIT_ORDER:

@@ -289,5 +289,5 @@ def oracle_scores(
         raise DataError("distance oracle needs both training and validation windows")
     mu_tn = mean_tensor(train)
     series = distances_to_mean(val, mu_tn)
-    frames, _ = windows_to_frame_scores(list(zip(val, series.values.tolist())), labels)
-    return [(f.video_id, f.frame_index, f.score) for f in frames]
+    frames, _ = windows_to_frame_scores(list(zip(val, series.values)), labels)
+    return list(zip(frames.video.tolist(), frames.frame.tolist(), frames.score.tolist()))

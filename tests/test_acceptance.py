@@ -27,18 +27,17 @@ from skelstat.core import (
     Label,
     PoseDetection,
     Keypoint,
-    ScoredFrame,
     Split,
     Tracklet,
     WindowingConfig,
 )
 from skelstat.features import CenterPolicy, build_pose_windows, center_window
-from skelstat.metrics import auc_roc, eer, error_rates
+from skelstat.metrics import auc_roc, eer, error_rates, roc_curve
 from skelstat.synth import SynthSpec, TrajectoryShift, generate
 
 
 def _fixtures_with_ties(n_fixtures=100, seed=1234):
-    """Seeded score/label fixtures (n <= 200) with injected ties."""
+    """Seeded (scores, positive) fixtures (n <= 200) with injected ties."""
     rng = np.random.default_rng(seed)
     fixtures = []
     for _ in range(n_fixtures):
@@ -51,12 +50,7 @@ def _fixtures_with_ties(n_fixtures=100, seed=1234):
         scores = rng.normal(size=n) + labels * rng.uniform(0.0, 2.0)
         grid = int(rng.integers(2, 8))  # coarse grid injects ties
         scores = np.round(scores * grid) / grid
-        fixtures.append(
-            [
-                ScoredFrame("v", i, float(s), Label.ANOMALOUS if l else Label.NORMAL)
-                for i, (s, l) in enumerate(zip(scores, labels))
-            ]
-        )
+        fixtures.append((scores, labels))
     return fixtures
 
 
@@ -72,27 +66,26 @@ def test_01_sdom_arithmetic_reference_table():
 
 
 def test_02_auc_roc_pairwise_oracle_equivalence():
-    for samples in _fixtures_with_ties():
-        pos = np.array([s.score for s in samples if s.label is Label.ANOMALOUS])
-        neg = np.array([s.score for s in samples if s.label is Label.NORMAL])
+    for scores, positive in _fixtures_with_ties():
+        pos = scores[positive]
+        neg = scores[~positive]
         wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
         oracle = wins / (pos.size * neg.size)
-        assert abs(auc_roc(samples) - oracle) <= 1e-9
+        assert abs(auc_roc(roc_curve(scores, positive)) - oracle) <= 1e-9
 
 
 def test_03_eer_rate_balance_and_perfect_separation():
-    for samples in _fixtures_with_ties():
-        rate, threshold = eer(samples)
-        n_pos = sum(1 for s in samples if s.label is Label.ANOMALOUS)
-        n_neg = len(samples) - n_pos
-        fpr, fnr = error_rates(samples, threshold, interpolate=True)
+    for scores, positive in _fixtures_with_ties():
+        roc = roc_curve(scores, positive)
+        rate, threshold = eer(roc)
+        n_pos = int(positive.sum())
+        n_neg = len(scores) - n_pos
+        fpr, fnr = error_rates(roc, threshold)
         assert abs(fpr - fnr) <= 1.0 / (2.0 * min(n_pos, n_neg))
         assert 0.0 <= rate <= 1.0
     # perfectly separable scores give EER = 0 exactly
-    perfect = [
-        ScoredFrame("v", i, float(i >= 10), Label.ANOMALOUS if i >= 10 else Label.NORMAL)
-        for i in range(20)
-    ]
+    positive = np.arange(20) >= 10
+    perfect = roc_curve(positive.astype(float), positive)
     rate, threshold = eer(perfect)
     assert rate == 0.0
     assert error_rates(perfect, threshold) == (0.0, 0.0)

@@ -13,7 +13,6 @@ from skelstat.analysis import (
 from skelstat.core import (
     DataError,
     EmbeddingPrior,
-    EmbeddingRecord,
     FeatureType,
     FeatureWindow,
     Label,
@@ -222,29 +221,28 @@ class TestLatentDistances:
     def test_grouped_by_split_with_oracle(self):
         rng = np.random.default_rng(11)
         prior = EmbeddingPrior(rng.normal(size=4))
-        records = []
-        for split in (Split.TRAIN, Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS):
-            records.append(EmbeddingRecord(rng.normal(size=4), split))
-        out = latent_distances(records, prior)
+        vectors = rng.normal(size=(4, 4))
+        splits = np.array([s.value for s in (Split.TRAIN, Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)])
+        out = latent_distances(vectors, splits, prior)
         assert set(out) == {Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS}
         assert len(out[Split.TRAIN]) == 2
         for split, series in out.items():
             expected = [
-                np.linalg.norm(r.vector - prior.mu_normal)
-                for r in records
-                if r.split is split
+                np.linalg.norm(vector - prior.mu_normal)
+                for vector, s in zip(vectors, splits)
+                if s == split.value
             ]
             assert np.allclose(series.values, expected, atol=1e-12)
 
     def test_zero_vector_at_prior(self):
         prior = EmbeddingPrior(np.array([1.0, 2.0]))
-        out = latent_distances([EmbeddingRecord(np.array([1.0, 2.0]), Split.TRAIN)], prior)
+        out = latent_distances(np.array([[1.0, 2.0]]), np.array(["train"]), prior)
         assert out[Split.TRAIN].values[0] == 0.0
 
     def test_dimension_mismatch(self):
         prior = EmbeddingPrior(np.zeros(3))
         with pytest.raises(DataError, match="dimension"):
-            latent_distances([EmbeddingRecord(np.zeros(4), Split.TRAIN)], prior)
+            latent_distances(np.zeros((1, 4)), np.array(["train"]), prior)
 
 
 class TestDistanceSeries:

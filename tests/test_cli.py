@@ -153,6 +153,19 @@ class TestMetrics:
         assert report["eer"] == 0.0
         assert (out / "roc.csv").exists() and (out / "pr.csv").exists()
 
+    def test_curve_cells_are_numbers_and_runs_byte_identical(self, dataset, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert self.run_metrics(dataset, out_a, "scores_distance.csv") == 0
+        assert self.run_metrics(dataset, out_b, "scores_distance.csv") == 0
+        for name in ("roc.csv", "pr.csv"):
+            rows = (out_a / name).read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                cells = [float(cell) for cell in row.split(",")]
+                assert len(cells) == 3
+        for name in ("metrics.json", "roc.csv", "pr.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
     def test_random_oracle_mid_auc(self, dataset, tmp_path):
         out = tmp_path / "out"
         assert self.run_metrics(dataset, out, "scores_random.csv") == 0

@@ -12,7 +12,6 @@ from skelstat.core import (
     MeanTensor,
     MetricsReport,
     PoseDetection,
-    ScoredFrame,
     SdomReport,
     Split,
     Tracklet,
@@ -56,7 +55,18 @@ class TestWindowingConfig:
         cfg = WindowingConfig()
         assert (cfg.T, cfg.stride, cfg.k, cfg.N) == (24, 6, 17, 35)
 
-    @pytest.mark.parametrize("kw", [{"T": 1}, {"stride": 0}, {"k": 0}, {"N": 0}, {"frame_width": 0}])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"T": 1},
+            {"stride": 0},
+            {"k": 0},
+            {"N": 0},
+            {"frame_width": 0},
+            {"frame_width": float("nan")},
+            {"frame_height": float("inf")},
+        ],
+    )
     def test_invalid(self, kw):
         with pytest.raises(DataError):
             WindowingConfig(**kw)
@@ -127,12 +137,6 @@ class TestBoxStats:
         BoxStats(0.0, 1.0, 2.0, 3.0, 4.0)
         with pytest.raises(DataError):
             BoxStats(0.0, 2.0, 1.0, 3.0, 4.0)
-
-
-class TestScoredFrame:
-    def test_finite_score(self):
-        with pytest.raises(DataError):
-            ScoredFrame("v1", 0, float("nan"), Label.NORMAL)
 
 
 def test_mean_tensor_validation():

@@ -18,7 +18,7 @@ from skelstat.ingest import (
     serialize_tracklets,
     validate_bundle,
 )
-from skelstat.metrics import auc_roc
+from skelstat.metrics import auc_roc, roc_curve
 
 
 def kp_text(k, base=0.0):
@@ -102,10 +102,11 @@ class TestParseLabels:
 
 class TestParseEmbeddings:
     def test_basic(self):
-        records, prior = parse_embeddings("dim=4 mu=0,0,0,0\ntrain\t1,0,0,0\n")
-        assert len(records) == 1
+        vectors, splits, sources, prior = parse_embeddings("dim=4 mu=0,0,0,0\ntrain\t1,0,0,0\n")
+        assert vectors.shape == (1, 4)
         assert prior.mu_normal.size == 4
-        assert records[0].split is Split.TRAIN
+        assert splits.tolist() == [Split.TRAIN.value]
+        assert sources == [None]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParseError, match="3 values"):
@@ -121,24 +122,35 @@ class TestParseEmbeddings:
         lines = ["dim=3 mu=0.5,-0.5,1.0"]
         for split in splits:
             lines.append(f"{split.value}\t" + ",".join(repr(float(v)) for v in rng.normal(size=3)))
-        records, prior = parse_embeddings("\n".join(lines))
-        assert len(records) == 100
+        vectors, splits, sources, prior = parse_embeddings("\n".join(lines))
+        assert len(vectors) == 100
         for split, expected in ((Split.TRAIN, 50), (Split.VAL_NORMAL, 30), (Split.VAL_ANOMALOUS, 20)):
-            assert sum(1 for r in records if r.split is split) == expected
-        round_trip = serialize_embeddings(records, prior)
-        assert parse_embeddings(round_trip)[0] == records
+            assert sum(1 for s in splits if s == split.value) == expected
+        round_trip = serialize_embeddings(vectors, splits, sources, prior)
+        again = parse_embeddings(round_trip)
+        assert np.array_equal(again[0], vectors)
+        assert np.array_equal(again[1], splits)
+        assert again[2] == sources
 
 
 class TestParseScores:
     labels = {("v1", 0): Label.NORMAL, ("v1", 1): Label.ANOMALOUS}
 
     def test_normality_negated(self):
-        (frame,) = parse_scores("v1,0,0.9\n", ScorePolarity.NORMALITY, self.labels)
-        assert frame.score == -0.9
+        (score,) = parse_scores("v1,0,0.9\n", ScorePolarity.NORMALITY, self.labels).score
+        assert score == -0.9
 
     def test_anomaly_kept(self):
-        (frame,) = parse_scores("v1,0,0.9\n", ScorePolarity.ANOMALY, self.labels)
-        assert frame.score == 0.9
+        (score,) = parse_scores("v1,0,0.9\n", ScorePolarity.ANOMALY, self.labels).score
+        assert score == 0.9
+
+    def test_columns_sorted_by_video_and_frame(self):
+        labels = {("v2", 0): Label.NORMAL, ("v1", 3): Label.ANOMALOUS, ("v1", 1): Label.NORMAL}
+        frames = parse_scores("v2,0,0.1\nv1,3,0.3\nv1,1,0.2\n", ScorePolarity.ANOMALY, labels)
+        assert frames.video.tolist() == ["v1", "v1", "v2"]
+        assert frames.frame.tolist() == [1, 3, 0]
+        assert frames.score.tolist() == [0.2, 0.3, 0.1]
+        assert frames.positive.tolist() == [False, True, False]
 
     def test_unlabeled_frame(self):
         with pytest.raises(ParseError, match="unlabeled"):
@@ -155,7 +167,9 @@ class TestParseScores:
         normality_rows = [(v, f, -s) for v, f, s in anomaly_rows]
         as_anomaly = parse_scores(serialize_scores(anomaly_rows), ScorePolarity.ANOMALY, labels)
         as_normality = parse_scores(serialize_scores(normality_rows), ScorePolarity.NORMALITY, labels)
-        assert auc_roc(as_anomaly) == pytest.approx(auc_roc(as_normality), abs=1e-12)
+        assert auc_roc(roc_curve(as_anomaly.score, as_anomaly.positive)) == pytest.approx(
+            auc_roc(roc_curve(as_normality.score, as_normality.positive)), abs=1e-12
+        )
 
 
 class TestManifest:
@@ -166,6 +180,13 @@ class TestManifest:
     def test_bad_split(self):
         with pytest.raises(DataError):
             parse_manifest('{"v1": {"split": "test", "width": 10, "height": 10}}')
+
+    @pytest.mark.parametrize("size", ["NaN", "Infinity", "0", "-5"])
+    def test_non_finite_or_non_positive_size(self, size):
+        with pytest.raises(DataError, match="finite and positive"):
+            parse_manifest(f'{{"v1": {{"split": "val", "width": {size}, "height": 10}}}}')
+        with pytest.raises(DataError, match="finite and positive"):
+            parse_manifest(f'{{"v1": {{"split": "val", "width": 10, "height": {size}}}}}')
 
 
 class TestValidateBundle:

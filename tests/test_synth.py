@@ -4,8 +4,7 @@ import pytest
 from skelstat.core import DataError, FeatureType, Label, Split
 from skelstat.features import CenterPolicy, build_windows
 from skelstat.ingest import serialize_labels, serialize_tracklets
-from skelstat.metrics import auc_roc
-from skelstat.core import ScoredFrame
+from skelstat.metrics import auc_roc, roc_curve
 from skelstat.synth import (
     GroupConverge,
     PoseDeform,
@@ -139,19 +138,21 @@ class TestOracleScores:
         params.update(kw)
         return generate(SynthSpec(**params))
 
-    def as_frames(self, bundle, rows):
+    def roc(self, bundle, rows):
+        """ROC of oracle rows against the bundle's labels."""
         labels = {(l.video_id, l.frame_index): l.label for l in bundle.labels}
-        return [ScoredFrame(v, f, s, labels[(v, f)]) for v, f, s in rows]
+        scores = [s for _, _, s in rows]
+        return roc_curve(scores, [labels[(v, f)] is Label.ANOMALOUS for v, f, _ in rows])
 
     def test_perfect_oracle_auc_one(self):
         bundle = self.bundle()
-        frames = self.as_frames(bundle, oracle_scores(bundle, "perfect"))
-        assert auc_roc(frames) == 1.0
+        roc = self.roc(bundle, oracle_scores(bundle, "perfect"))
+        assert auc_roc(roc) == 1.0
 
     def test_random_oracle_near_half(self):
         bundle = self.bundle(frames_per_video=200)
-        frames = self.as_frames(bundle, oracle_scores(bundle, "random", seed=11))
-        assert 0.35 < auc_roc(frames) < 0.65
+        roc = self.roc(bundle, oracle_scores(bundle, "random", seed=11))
+        assert 0.35 < auc_roc(roc) < 0.65
 
     def test_random_oracle_seeded(self):
         bundle = self.bundle()
@@ -160,8 +161,8 @@ class TestOracleScores:
 
     def test_distance_oracle_detects_large_shift(self):
         bundle = self.bundle(frames_per_video=120, spawn_radius=10.0, drift_speed=0.2)
-        frames = self.as_frames(bundle, oracle_scores(bundle, "distance"))
-        assert auc_roc(frames) > 0.85
+        roc = self.roc(bundle, oracle_scores(bundle, "distance"))
+        assert auc_roc(roc) > 0.85
 
     def test_scores_cover_every_labeled_frame(self):
         bundle = self.bundle()
