@@ -100,21 +100,6 @@ def windows_by_split(windows: Sequence[FeatureWindow]) -> Dict[Split, List[Featu
     return by_split
 
 
-def _sdom_from_means(
-    mu_tn: MeanTensor, mu_vn: MeanTensor, mu_va: MeanTensor, feature_type: FeatureType
-) -> SdomReport:
-    """S-DoM of the train-normal, val-normal and val-anomalous means."""
-    delta_n = delta(mu_tn, mu_vn)
-    delta_a = delta(mu_tn, mu_va)
-    return SdomReport(
-        delta_n=delta_n,
-        delta_a=delta_a,
-        sdom=sdom(delta_a, delta_n),
-        feature_type=feature_type,
-        counts=(mu_tn.sample_count, mu_vn.sample_count, mu_va.sample_count),
-    )
-
-
 def sdom_report(
     train_normal: Sequence[FeatureWindow],
     val_normal: Sequence[FeatureWindow],
@@ -129,8 +114,17 @@ def sdom_report(
     ):
         if not split:
             raise DataError(f"{name} split is empty")
-    return _sdom_from_means(
-        mean_tensor(train_normal), mean_tensor(val_normal), mean_tensor(val_anomalous), feature_type
+    mu_tn = mean_tensor(train_normal)
+    mu_vn = mean_tensor(val_normal)
+    mu_va = mean_tensor(val_anomalous)
+    delta_n = delta(mu_tn, mu_vn)
+    delta_a = delta(mu_tn, mu_va)
+    return SdomReport(
+        delta_n=delta_n,
+        delta_a=delta_a,
+        sdom=sdom(delta_a, delta_n),
+        feature_type=feature_type,
+        counts=(len(train_normal), len(val_normal), len(val_anomalous)),
     )
 
 

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import DistanceSeries, _sdom_from_means, distances_to_mean, mean_tensor, windows_by_split
+from .analysis import DistanceSeries, distances_to_mean, mean_tensor, sdom_report, windows_by_split
 from .core import BoxStats, DataError, FeatureType, Split
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle
@@ -177,10 +177,15 @@ def difficulty_report(
         for split in _SPLIT_ORDER:
             if len(by_split[split]) < 2:
                 entry["warnings"].append(f"split {split.value} has a single window")
-        mu_tn, mu_vn, mu_va = (mean_tensor(by_split[split]) for split in _SPLIT_ORDER)
-        sr = _sdom_from_means(mu_tn, mu_vn, mu_va, feature_type)
+        sr = sdom_report(
+            by_split[Split.TRAIN],
+            by_split[Split.VAL_NORMAL],
+            by_split[Split.VAL_ANOMALOUS],
+            feature_type,
+        )
         entry["sdom"] = sr.to_dict()
         sdom_by_feature[feature_type.value] = sr.sdom
+        mu_tn = mean_tensor(by_split[Split.TRAIN])
         entry["box_stats"] = {}
         entry["histograms"] = {}
         for split in _SPLIT_ORDER:
