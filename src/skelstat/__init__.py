@@ -3,38 +3,34 @@
 from .core import (
     BoxStats,
     DataError,
+    Detections,
     FeatureType,
     FeatureWindow,
-    FrameLabel,
-    Keypoint,
     Label,
+    Labels,
     MeanTensor,
     MetricsReport,
     ParseError,
-    PoseDetection,
     SdomReport,
     SkelstatError,
     Split,
-    Tracklet,
     WindowingConfig,
 )
 
 __all__ = [
     "BoxStats",
     "DataError",
+    "Detections",
     "FeatureType",
     "FeatureWindow",
-    "FrameLabel",
-    "Keypoint",
     "Label",
+    "Labels",
     "MeanTensor",
     "MetricsReport",
     "ParseError",
-    "PoseDetection",
     "SdomReport",
     "SkelstatError",
     "Split",
-    "Tracklet",
     "WindowingConfig",
 ]
 

@@ -82,7 +82,6 @@ def _config_from_args(args) -> WindowingConfig:
         N=args.nodes,
         frame_width=args.width,
         frame_height=args.height,
-        hip_indices=(11, 12) if args.keypoints >= 13 else (0, 1),
     )
 
 
@@ -167,10 +166,9 @@ def cmd_metrics(args) -> int:
         parse_manifest(fh.read())  # validates the manifest is well-formed
     with open(args.labels, "r", encoding="utf-8") as fh:
         labels = parse_labels(fh.read())
-    label_index = {(l.video_id, l.frame_index): l.label for l in labels}
     polarity = ScorePolarity(args.polarity)
     with open(args.scores, "r", encoding="utf-8") as fh:
-        frames = parse_scores(fh.read(), polarity, label_index)
+        frames = parse_scores(fh.read(), polarity, labels)
     if args.per_video_average:
         report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video)
         if skipped:
@@ -223,7 +221,7 @@ def cmd_synth(args) -> int:
     )
     bundle = generate(spec)
     out = Path(args.out)
-    atomic_write_text(out / "tracklets.txt", serialize_tracklets(bundle.tracklets))
+    atomic_write_text(out / "tracklets.txt", serialize_tracklets(bundle.detections))
     atomic_write_text(out / "labels.csv", serialize_labels(bundle.labels))
     atomic_write_text(out / "manifest.json", serialize_manifest(bundle.videos))
     atomic_write_text(out / "synth_spec.json", _json_text(spec.to_dict()))

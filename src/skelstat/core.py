@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,73 +45,121 @@ class FeatureType(Enum):
     SOCIAL_TRAJECTORY = "social"
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """One detected joint in frame coordinates."""
-
-    x: float
-    y: float
-    confidence: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DataError(f"keypoint coordinates must be finite, got ({self.x}, {self.y})")
-        if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
-            raise DataError(f"keypoint confidence must be in [0, 1], got {self.confidence}")
+def _code(names) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """Sorted table of the distinct names and each name's code into it."""
+    table, codes = np.unique(np.array(names, dtype=object), return_inverse=True)
+    return tuple(table.tolist()), codes.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class PoseDetection:
-    """One person's keypoints in one frame of one video."""
-
-    video_id: str
-    frame_index: int
-    track_id: str
-    keypoints: Tuple[Keypoint, ...]
-
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise DataError(f"frame_index must be non-negative, got {self.frame_index}")
-        object.__setattr__(self, "keypoints", tuple(self.keypoints))
+def _bounds(new: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of n rows cut before each row where ``new`` is true."""
+    starts = np.flatnonzero(np.r_[True, new]) if n else np.zeros(0, dtype=np.int64)
+    return starts, np.r_[starts[1:], n] if n else starts
 
 
-@dataclass(frozen=True)
-class Tracklet:
-    """Time-ordered detections of one tracked person within one video."""
+class Detections(NamedTuple):
+    """Pose detections as columns, one row per (video, track, frame), sorted
+    by (video, track, frame). Video and track ids are codes into sorted name
+    tables, so code order is name order; a tracklet is a run of rows with
+    one (video, track) code pair."""
 
-    video_id: str
-    track_id: str
-    detections: Tuple[PoseDetection, ...]
+    video_ids: Tuple[str, ...]  # name table of the video codes
+    video: np.ndarray  # int64 codes into video_ids
+    track_ids: Tuple[str, ...]  # name table of the track codes
+    track: np.ndarray  # int64 codes into track_ids
+    frame: np.ndarray  # int64 frame indices
+    kp: np.ndarray  # (D, k, 3) float64 rows of (x, y, confidence)
+    line: np.ndarray  # int64 source line numbers, 0 for rows not read from text
 
-    def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
-        prev = -1
-        for det in self.detections:
-            if det.video_id != self.video_id or det.track_id != self.track_id:
-                raise DataError(
-                    f"detection ({det.video_id}, {det.track_id}) does not belong to "
-                    f"tracklet ({self.video_id}, {self.track_id})"
-                )
-            if det.frame_index <= prev:
-                raise DataError(
-                    f"tracklet ({self.video_id}, {self.track_id}): frame indices must be "
-                    f"strictly increasing at frame {det.frame_index}"
-                )
-            prev = det.frame_index
+    @classmethod
+    def from_columns(cls, video, track, frame, kp) -> "Detections":
+        """Sorted table from per-row video ids, track ids, frames and (D, k, 3)
+        keypoints; refuses non-finite values, confidences outside [0, 1],
+        negative frames and repeated (video, track, frame) triples."""
+        frame, kp = np.asarray(frame, dtype=np.int64), np.asarray(kp, dtype=np.float64)
+        if kp.ndim != 3 or kp.shape[2] != 3 or not len(video) == len(track) == len(frame) == len(kp):
+            raise DataError(f"detection columns must have one length and (D, k, 3) keypoints, got {kp.shape}")
+        if not np.isfinite(kp[:, :, :2]).all():
+            raise DataError("keypoint coordinates must be finite")
+        if not ((kp[:, :, 2] >= 0.0) & (kp[:, :, 2] <= 1.0)).all():
+            raise DataError("keypoint confidences must be in [0, 1]")
+        if (frame < 0).any():
+            raise DataError(f"frame_index must be non-negative, got {frame.min()}")
+        table = cls.sorted_rows(video, track, frame, kp, np.zeros(len(frame), dtype=np.int64))
+        repeat = table.first_repeat()
+        if repeat is not None:
+            raise DataError(repeat[0])
+        return table
 
-    def __len__(self):
-        return len(self.detections)
+    @classmethod
+    def sorted_rows(cls, video, track, frame, kp, line) -> "Detections":
+        """Code the ids and sort the rows by (video, track, frame, line),
+        without checking them."""
+        video_ids, video = _code(video)
+        track_ids, track = _code(track)
+        order = np.lexsort((line, frame, track, video))
+        return cls(video_ids, video[order], track_ids, track[order], frame[order], kp[order], line[order])
+
+    def first_repeat(self) -> Optional[Tuple[str, int]]:
+        """Message and source line of the first row, in line order, that
+        repeats the (video, track, frame) of an earlier row; None if none."""
+        same = (np.diff(self.video) == 0) & (np.diff(self.track) == 0) & (np.diff(self.frame) == 0)
+        if not same.any():
+            return None
+        rows = np.flatnonzero(same) + 1
+        i = rows[np.argmin(self.line[rows])]
+        video_id, track_id = self.video_ids[self.video[i]], self.track_ids[self.track[i]]
+        return f"duplicate detection for ({video_id}, {track_id}, frame {self.frame[i]})", int(self.line[i])
+
+    def take(self, rows: slice) -> "Detections":
+        """The table restricted to a slice of rows; name tables are shared."""
+        columns = ("video", "track", "frame", "kp", "line")
+        return self._replace(**{name: getattr(self, name)[rows] for name in columns})
+
+    def tracklet_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(starts, stops) row offsets of each tracklet."""
+        new = (np.diff(self.video) != 0) | (np.diff(self.track) != 0)
+        return _bounds(new, len(self.frame))
+
+    def run_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(starts, stops) of the maximal runs of consecutive frames within
+        each tracklet."""
+        new = (np.diff(self.video) != 0) | (np.diff(self.track) != 0) | (np.diff(self.frame) != 1)
+        return _bounds(new, len(self.frame))
+
+    def per_video(self) -> Dict[str, "Detections"]:
+        """The rows of each video that has detections, by video id."""
+        starts, stops = _bounds(np.diff(self.video) != 0, len(self.frame))
+        return {
+            self.video_ids[self.video[a]]: self.take(slice(a, b))
+            for a, b in zip(starts.tolist(), stops.tolist())
+        }
 
 
-@dataclass(frozen=True)
-class FrameLabel:
-    video_id: str
-    frame_index: int
-    label: Label
+class Labels(NamedTuple):
+    """Frame labels as columns, one row per labeled frame, sorted by
+    (video, frame)."""
 
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise DataError(f"frame_index must be non-negative, got {self.frame_index}")
+    video: np.ndarray  # str video ids
+    frame: np.ndarray  # int64 frame indices
+    positive: np.ndarray  # bool, True where the frame is labeled Anomalous
+
+    @classmethod
+    def from_columns(cls, video, frame, positive) -> "Labels":
+        """Labels sorted by (video, frame); refuses negative frames."""
+        video, frame = np.array(video, dtype=str), np.asarray(frame, dtype=np.int64)
+        if (frame < 0).any():
+            raise DataError(f"frame_index must be non-negative, got {frame.min()}")
+        order = np.lexsort((frame, video))
+        return cls(video[order], frame[order], np.asarray(positive, dtype=bool)[order])
+
+    def dense(self, video_id: str) -> np.ndarray:
+        """One video's labels by frame index: -1 unlabeled, 0 normal, 1
+        anomalous, up to its last labeled frame."""
+        lo, hi = (int(np.searchsorted(self.video, video_id, side)) for side in ("left", "right"))
+        out = np.full(int(self.frame[hi - 1]) + 1 if hi > lo else 0, -1, dtype=np.int8)
+        out[self.frame[lo:hi]] = self.positive[lo:hi]
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +167,8 @@ class WindowingConfig:
     """Window geometry plus the skeleton layout needed to build features.
 
     ``hip_indices`` names the (left, right) hip joints used for person
-    centers; defaults match the COCO-17 layout.
+    centers; unset, it is the COCO-17 pair (11, 12) when k >= 13 and the
+    first two joints otherwise.
     """
 
     T: int = 24
@@ -128,9 +177,11 @@ class WindowingConfig:
     N: int = 35
     frame_width: float = 856.0
     frame_height: float = 480.0
-    hip_indices: Tuple[int, int] = (11, 12)
+    hip_indices: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        if self.hip_indices is None:
+            object.__setattr__(self, "hip_indices", (11, 12) if self.k >= 13 else (0, 1))
         if self.T < 2:
             raise DataError(f"T must be >= 2, got {self.T}")
         if self.stride < 1:

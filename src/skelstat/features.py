@@ -12,19 +12,18 @@ from __future__ import annotations
 import logging
 from dataclasses import replace
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .core import (
     DataError,
+    Detections,
     FeatureType,
     FeatureWindow,
     Label,
     ParseError,
-    PoseDetection,
     Split,
-    Tracklet,
     WindowingConfig,
 )
 from .ingest import DatasetBundle
@@ -37,16 +36,13 @@ class CenterPolicy(Enum):
     FIRST_POSE_TO_FRAME_CENTER = "first_pose_to_frame_center"
 
 
-def person_center(detection: PoseDetection, hip_indices: Tuple[int, int] = (11, 12)) -> Tuple[float, float]:
-    """Arithmetic midpoint of the two hip keypoints' (x, y)."""
+def person_center(kp: np.ndarray, hip_indices: Tuple[int, int] = (11, 12)) -> np.ndarray:
+    """(D, 2) arithmetic midpoints of the two hip keypoints' (x, y) in
+    (D, k, >= 2) keypoint rows."""
     left, right = hip_indices
-    if max(left, right) >= len(detection.keypoints):
-        raise DataError(
-            f"hip indices {hip_indices} outside the {len(detection.keypoints)}-keypoint layout"
-        )
-    a = detection.keypoints[left]
-    b = detection.keypoints[right]
-    return ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+    if max(left, right) >= kp.shape[1]:
+        raise DataError(f"hip indices {hip_indices} outside the {kp.shape[1]}-keypoint layout")
+    return (kp[:, left, :2] + kp[:, right, :2]) / 2.0
 
 
 def window_starts(run_length: int, T: int, stride: int) -> range:
@@ -54,15 +50,6 @@ def window_starts(run_length: int, T: int, stride: int) -> range:
     if run_length < T:
         return range(0)
     return range(0, run_length - T + 1, stride)
-
-
-def _contiguous_runs(frames: np.ndarray) -> List[Tuple[int, int]]:
-    """(start, stop) index pairs of maximal runs of consecutive frame numbers."""
-    if frames.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(frames) != 1)[0] + 1
-    edges = [0, *breaks.tolist(), frames.size]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
 def center_window(
@@ -105,24 +92,23 @@ def center_window(
 
 
 def label_window(
-    labels: Mapping[Tuple[str, int], Label],
+    labels: np.ndarray,
     video_id: str,
     start: int,
     T: int,
     video_split: str,
 ) -> Label:
-    """Any-anomalous rule over [start, start+T); training frames are
-    implicitly Normal, unlabeled validation frames are an error."""
+    """Any-anomalous rule over [start, start+T) of one video's dense labels
+    (``Labels.dense``); training frames are implicitly Normal, unlabeled
+    validation frames are an error."""
     if video_split == "train":
         return Label.NORMAL
-    result = Label.NORMAL
-    for frame in range(start, start + T):
-        label = labels.get((video_id, frame))
-        if label is None:
-            raise DataError(f"unlabeled validation frame ({video_id}, {frame}) inside window")
-        if label is Label.ANOMALOUS:
-            result = Label.ANOMALOUS
-    return result
+    window = labels[start : start + T]
+    missing = np.flatnonzero(window < 0)
+    if missing.size or window.size < T:
+        frame = start + (int(missing[0]) if missing.size else window.size)
+        raise DataError(f"unlabeled validation frame ({video_id}, {frame}) inside window")
+    return Label.ANOMALOUS if window.any() else Label.NORMAL
 
 
 def _window_split(video_split: str, label: Label) -> Split:
@@ -131,26 +117,11 @@ def _window_split(video_split: str, label: Label) -> Split:
     return Split.VAL_ANOMALOUS if label is Label.ANOMALOUS else Split.VAL_NORMAL
 
 
-def _tracklet_arrays(tracklet: Tracklet, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    if tracklet.detections and len(tracklet.detections[0].keypoints) != k:
-        raise DataError(
-            f"tracklet ({tracklet.video_id}, {tracklet.track_id}) has "
-            f"{len(tracklet.detections[0].keypoints)} keypoints, configured k={k}"
-        )
-    frames = np.array([d.frame_index for d in tracklet.detections], dtype=np.int64)
-    coords = np.array(
-        [[(kp.x, kp.y) for kp in d.keypoints] for d in tracklet.detections],
-        dtype=np.float64,
-    ).reshape(len(tracklet.detections), k, 2)
-    return frames, coords
-
-
 def _windows_from_arrays(
-    frames: np.ndarray,
+    detections: Detections,
     coords: np.ndarray,
-    tracklet: Tracklet,
     cfg: WindowingConfig,
-    labels: Mapping[Tuple[str, int], Label],
+    labels: np.ndarray,
     center: CenterPolicy,
     video_split: str,
     anchor_indices: Optional[Tuple[int, int]],
@@ -158,19 +129,21 @@ def _windows_from_arrays(
     T, stride = cfg.T, cfg.stride
     k = coords.shape[1]
     windows = []
-    for a, b in _contiguous_runs(frames):
+    for a, b in zip(*(bounds.tolist() for bounds in detections.run_bounds())):
+        video_id = detections.video_ids[detections.video[a]]
+        track_id = detections.track_ids[detections.track[a]]
         for offset in window_starts(b - a, T, stride):
             i = a + offset
-            start_frame = int(frames[i])
+            start_frame = int(detections.frame[i])
             window_coords = center_window(coords[i : i + T], cfg, center, anchor_indices)
-            label = label_window(labels, tracklet.video_id, start_frame, T, video_split)
+            label = label_window(labels, video_id, start_frame, T, video_split)
             windows.append(
                 FeatureWindow(
                     coords=window_coords,
                     mask=np.ones((T, k), dtype=bool),
-                    video_id=tracklet.video_id,
+                    video_id=video_id,
                     start_frame=start_frame,
-                    track_ids=(tracklet.track_id,),
+                    track_ids=(track_id,),
                     label=label,
                     split=_window_split(video_split, label),
                 )
@@ -179,39 +152,32 @@ def _windows_from_arrays(
 
 
 def build_pose_windows(
-    tracklet: Tracklet,
+    detections: Detections,
     cfg: WindowingConfig,
-    labels: Mapping[Tuple[str, int], Label],
+    labels: np.ndarray,
     center: CenterPolicy = CenterPolicy.FIRST_POSE_TO_FRAME_CENTER,
     video_split: str = "val",
 ) -> List[FeatureWindow]:
-    """T x k x 2 windows over every contiguous T-frame run of the tracklet.
+    """T x k x 2 windows over every contiguous T-frame run of each tracklet
+    of one video's detections; ``labels`` is that video's dense labels.
 
     Gapped tracklets yield fewer windows; no interpolation is attempted.
     """
-    frames, coords = _tracklet_arrays(tracklet, cfg.k)
     return _windows_from_arrays(
-        frames, coords, tracklet, cfg, labels, center, video_split, cfg.hip_indices
+        detections, detections.kp[:, :, :2], cfg, labels, center, video_split, cfg.hip_indices
     )
 
 
 def build_trajectory_windows(
-    tracklet: Tracklet,
+    detections: Detections,
     cfg: WindowingConfig,
-    labels: Mapping[Tuple[str, int], Label],
+    labels: np.ndarray,
     center: CenterPolicy = CenterPolicy.FIRST_POSE_TO_FRAME_CENTER,
     video_split: str = "val",
 ) -> List[FeatureWindow]:
     """T x 1 x 2 windows of the hip-midpoint person center."""
-    frames, coords = _tracklet_arrays(tracklet, cfg.k)
-    left, right = cfg.hip_indices
-    if max(left, right) >= cfg.k:
-        raise DataError(f"hip indices {cfg.hip_indices} outside the {cfg.k}-keypoint layout")
-    centers = (coords[:, left, :] + coords[:, right, :]) / 2.0
-    centers = centers.reshape(-1, 1, 2)
-    return _windows_from_arrays(
-        frames, centers, tracklet, cfg, labels, center, video_split, (0, 0)
-    )
+    centers = person_center(detections.kp, cfg.hip_indices)[:, None, :]
+    return _windows_from_arrays(detections, centers, cfg, labels, center, video_split, (0, 0))
 
 
 def build_social_windows(
@@ -229,24 +195,24 @@ def build_social_windows(
     the N lowest ids with a warning.
     """
     cfg = cfg or bundle.config
-    labels = bundle.label_index()
     windows: List[FeatureWindow] = []
     T, stride, N = cfg.T, cfg.stride, cfg.N
 
-    by_video: Dict[str, Dict[str, Dict[int, Tuple[float, float]]]] = {}
-    for tracklet in bundle.tracklets:
-        track_map = by_video.setdefault(tracklet.video_id, {}).setdefault(tracklet.track_id, {})
-        for det in tracklet.detections:
-            track_map[det.frame_index] = person_center(det, cfg.hip_indices)
-    label_frames: Dict[str, List[int]] = {}
-    for (video_id, frame) in labels:
-        label_frames.setdefault(video_id, []).append(frame)
+    by_video: Dict[str, Dict[str, Dict[int, List[float]]]] = {}
+    for video_id, detections in bundle.detections.per_video().items():
+        centers = person_center(detections.kp, cfg.hip_indices).tolist()
+        frames = detections.frame.tolist()
+        by_video[video_id] = {
+            detections.track_ids[detections.track[a]]: dict(zip(frames[a:b], centers[a:b]))
+            for a, b in zip(*(bounds.tolist() for bounds in detections.tracklet_bounds()))
+        }
 
     for video_id in sorted(bundle.videos):
         video_split = bundle.videos[video_id].split
         tracks = by_video.get(video_id, {})
+        video_labels = bundle.labels.dense(video_id)
         frames_seen = [f for track in tracks.values() for f in track]
-        frames_seen += label_frames.get(video_id, [])
+        frames_seen += np.flatnonzero(video_labels >= 0).tolist()
         if not frames_seen:
             continue
         lo, hi = min(frames_seen), max(frames_seen)
@@ -279,7 +245,7 @@ def build_social_windows(
                         mask[t, slot] = True
             if center is not CenterPolicy.NONE:
                 coords = center_window(coords, cfg, center, mask=mask)
-            label = label_window(labels, video_id, start, T, video_split)
+            label = label_window(video_labels, video_id, start, T, video_split)
             windows.append(
                 FeatureWindow(
                     coords=coords,
@@ -308,15 +274,14 @@ def build_windows(
     if feature_type is FeatureType.SOCIAL_TRAJECTORY:
         return build_social_windows(bundle, bundle.config, CenterPolicy.NONE, truncate_social)
 
-    labels = bundle.label_index()
     builder = (
         build_pose_windows if feature_type is FeatureType.POSE else build_trajectory_windows
     )
     windows: List[FeatureWindow] = []
-    for tracklet in bundle.tracklets:
-        meta = bundle.videos[tracklet.video_id]
+    for video_id, detections in bundle.detections.per_video().items():
+        meta = bundle.videos[video_id]
         cfg = replace(bundle.config, frame_width=meta.width, frame_height=meta.height)
-        windows.extend(builder(tracklet, cfg, labels, center, meta.split))
+        windows.extend(builder(detections, cfg, bundle.labels.dense(video_id), center, meta.split))
     return sort_windows(windows)
 
 

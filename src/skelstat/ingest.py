@@ -21,15 +21,12 @@ import numpy as np
 
 from .core import (
     DataError,
+    Detections,
     EmbeddingPrior,
-    FrameLabel,
     FrameScores,
-    Keypoint,
-    Label,
+    Labels,
     ParseError,
-    PoseDetection,
     Split,
-    Tracklet,
     WindowingConfig,
 )
 
@@ -56,23 +53,22 @@ class VideoMeta:
 
 @dataclass
 class DatasetBundle:
-    """A fully assembled dataset: tracklets, labels, manifest, window config."""
+    """A fully assembled dataset: detections, labels, manifest, window config."""
 
-    tracklets: List[Tracklet]
-    labels: List[FrameLabel]
+    detections: Detections
+    labels: Labels
     videos: Dict[str, VideoMeta]
     config: WindowingConfig
 
     def __post_init__(self):
-        for tracklet in self.tracklets:
-            if tracklet.video_id not in self.videos:
-                raise DataError(f"tracklet video {tracklet.video_id!r} missing from manifest")
-        for lab in self.labels:
-            if lab.video_id not in self.videos:
-                raise DataError(f"label video {lab.video_id!r} missing from manifest")
-
-    def label_index(self) -> Dict[Tuple[str, int], Label]:
-        return {(l.video_id, l.frame_index): l.label for l in self.labels}
+        label_videos = np.unique(self.labels.video).tolist()
+        for kind, video_ids in (("tracklet", self.detections.video_ids), ("label", label_videos)):
+            missing = [v for v in video_ids if v not in self.videos]
+            if missing:
+                raise DataError(f"{kind} video {missing[0]!r} missing from manifest")
+        k = self.detections.kp.shape[1]
+        if k != self.config.k:
+            raise DataError(f"detections have {k} keypoints, configured k={self.config.k}")
 
 
 def _lines(stream) -> Iterable[str]:
@@ -93,77 +89,120 @@ def _parse_float(text: str, what: str, line_number: int) -> float:
     return value
 
 
+_MAX_INT = np.iinfo(np.int64).max
+
+
 def _parse_int(text: str, what: str, line_number: int) -> int:
+    """An integer that fits the int64 columns."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ParseError(f"invalid {what} {text!r}", line_number) from None
+    if value > _MAX_INT:
+        raise ParseError(f"{what} {value} too large", line_number)
+    return value
 
 
-def parse_tracklets(stream, k: int) -> List[Tracklet]:
-    """Parse the tracklet file, grouping detections into sorted tracklets.
+# Lines per parse block: bounds the per-field strings alive at once.
+_BLOCK_LINES = 2048
+_DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")  # leaves only field separators
+
+
+def _parse_detection(line: str, line_number: int, k: int) -> Tuple[str, int, str, List[float]]:
+    """One tracklet line as (video, frame, track, k*3 values), with the
+    first fault of the line raised as a ParseError."""
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_number)
+    video_id, frame_text, track_id, kp_text = parts
+    frame_index = _parse_int(frame_text, "frame index", line_number)
+    if frame_index < 0:
+        raise ParseError(f"negative frame index {frame_index}", line_number)
+    triples = kp_text.split(";")
+    if len(triples) != k:
+        raise ParseError(f"expected {k} keypoints, got {len(triples)}", line_number)
+    values = []
+    for triple in triples:
+        fields = triple.split(",")
+        if len(fields) != 3:
+            raise ParseError(f"keypoint must be 'x,y,c', got {triple!r}", line_number)
+        x = _parse_float(fields[0], "x coordinate", line_number)
+        y = _parse_float(fields[1], "y coordinate", line_number)
+        c = _parse_float(fields[2], "confidence", line_number)
+        if not 0.0 <= c <= 1.0:
+            raise ParseError(f"confidence {c} outside [0, 1]", line_number)
+        values += (x, y, c)
+    return video_id, frame_index, track_id, values
+
+
+def _parse_block(rows, k: int):
+    """(frames, (n, k, 3) keypoints) of split lines whose structure, numbers
+    and ranges all pass the array checks, else None."""
+    if any(len(r) != 4 for r in rows):
+        return None
+    kp_texts = "\t".join(r[3] for r in rows)
+    if kp_texts.translate(_DROP_NUMBER_CHARS) != "\t".join([",,;" * (k - 1) + ",,"] * len(rows)):
+        return None
+    try:
+        frames = np.array([int(r[1]) for r in rows], dtype=np.int64)
+        fields = kp_texts.replace("\t", ",").replace(";", ",").split(",")
+        kp = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(len(rows), k, 3)
+    except (ValueError, OverflowError):
+        return None
+    if (frames < 0).any() or not np.isfinite(kp).all() or not ((kp[:, :, 2] >= 0) & (kp[:, :, 2] <= 1)).all():
+        return None
+    return frames, kp
+
+
+def parse_tracklets(stream, k: int) -> Detections:
+    """Parse the tracklet file into a Detections table.
 
     Rejects malformed lines, keypoint counts other than ``k``, duplicate
-    (video, track, frame) triples and non-finite coordinates.
+    (video, track, frame) triples and non-finite coordinates; the error
+    names the first offending line. Lines are parsed in blocks: a block
+    that passes the array checks is converted whole, any other block line
+    by line.
     """
-    detections: Dict[Tuple[str, str], Dict[int, PoseDetection]] = {}
-    for line_number, line in enumerate(_lines(stream), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_number)
-        video_id, frame_text, track_id, kp_text = parts
-        frame_index = _parse_int(frame_text, "frame index", line_number)
-        if frame_index < 0:
-            raise ParseError(f"negative frame index {frame_index}", line_number)
-        triples = kp_text.split(";")
-        if len(triples) != k:
-            raise ParseError(f"expected {k} keypoints, got {len(triples)}", line_number)
-        keypoints = []
-        for triple in triples:
-            fields = triple.split(",")
-            if len(fields) != 3:
-                raise ParseError(f"keypoint must be 'x,y,c', got {triple!r}", line_number)
-            x = _parse_float(fields[0], "x coordinate", line_number)
-            y = _parse_float(fields[1], "y coordinate", line_number)
-            c = _parse_float(fields[2], "confidence", line_number)
-            if not 0.0 <= c <= 1.0:
-                raise ParseError(f"confidence {c} outside [0, 1]", line_number)
-            keypoints.append(Keypoint(x, y, c))
-        key = (video_id, track_id)
-        per_track = detections.setdefault(key, {})
-        if frame_index in per_track:
-            raise ParseError(
-                f"duplicate detection for ({video_id}, {track_id}, frame {frame_index})",
-                line_number,
-            )
-        per_track[frame_index] = PoseDetection(video_id, frame_index, track_id, tuple(keypoints))
-
-    tracklets = []
-    for (video_id, track_id) in sorted(detections):
-        per_track = detections[(video_id, track_id)]
-        ordered = tuple(per_track[f] for f in sorted(per_track))
-        tracklets.append(Tracklet(video_id, track_id, ordered))
-    return tracklets
+    lines = list(_lines(stream))
+    numbered = [(n, line.rstrip("\n")) for n, line in enumerate(lines, start=1) if line.strip()]
+    frame = np.empty(len(numbered), dtype=np.int64)
+    kp = np.empty((len(numbered), k, 3), dtype=np.float64)
+    videos, tracks = [], []
+    for a in range(0, len(numbered), _BLOCK_LINES):
+        block = numbered[a : a + _BLOCK_LINES]
+        rows = [text.split("\t") for _, text in block]
+        parsed = _parse_block(rows, k)
+        if parsed is None:
+            try:
+                rows = [_parse_detection(text, n, k) for n, text in block]
+            except ParseError as exc:
+                parse_tracklets(lines[: exc.line_number - 1], k)  # a repeat on an earlier line wins
+                raise
+            parsed = np.array([r[1] for r in rows]), np.reshape([r[3] for r in rows], (-1, k, 3))
+        frame[a : a + len(rows)], kp[a : a + len(rows)] = parsed
+        videos += [r[0] for r in rows]
+        tracks += [r[2] for r in rows]
+    table = Detections.sorted_rows(videos, tracks, frame, kp, np.array([n for n, _ in numbered]))
+    repeat = table.first_repeat()
+    if repeat is not None:
+        raise ParseError(*repeat)
+    return table
 
 
-def serialize_tracklets(tracklets: Iterable[Tracklet]) -> str:
-    lines = []
-    for tracklet in tracklets:
-        for det in tracklet.detections:
-            kp_text = ";".join(
-                f"{float(kp.x)!r},{float(kp.y)!r},{float(kp.confidence)!r}" for kp in det.keypoints
-            )
-            lines.append(f"{det.video_id}\t{det.frame_index}\t{det.track_id}\t{kp_text}")
+def serialize_tracklets(detections: Detections) -> str:
+    """The tracklet text of a table, one line per row in table order."""
+    d = detections
+    k = d.kp.shape[1]
+    template = "%s\t%d\t%s\t" + ";".join(["%r,%r,%r"] * k)
+    rows = zip(d.video.tolist(), d.frame.tolist(), d.track.tolist(), d.kp.reshape(-1, 3 * k).tolist())
+    lines = [template % (d.video_ids[v], frame, d.track_ids[t], *values) for v, frame, t, values in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_labels(stream) -> List[FrameLabel]:
-    """Parse the frame-label CSV; 0 maps to Normal, 1 to Anomalous."""
+def parse_labels(stream) -> Labels:
+    """Parse the frame-label CSV; 1 marks an Anomalous frame, 0 a Normal one."""
     seen = set()
-    labels = []
+    rows = []
     for line_number, line in enumerate(_lines(stream), start=1):
         line = line.strip()
         if not line:
@@ -179,16 +218,15 @@ def parse_labels(stream) -> List[FrameLabel]:
         if key in seen:
             raise ParseError(f"duplicate label for ({video_id}, frame {frame_index})", line_number)
         seen.add(key)
-        labels.append(FrameLabel(video_id, frame_index, Label.ANOMALOUS if parts[2] == "1" else Label.NORMAL))
-    labels.sort(key=lambda l: (l.video_id, l.frame_index))
-    return labels
+        if frame_index < 0:
+            raise DataError(f"frame_index must be non-negative, got {frame_index}")
+        rows.append((video_id, frame_index, parts[2] == "1"))
+    return Labels.from_columns(*(zip(*rows) if rows else ((), (), ())))
 
 
-def serialize_labels(labels: Iterable[FrameLabel]) -> str:
-    lines = [
-        f"{l.video_id},{l.frame_index},{1 if l.label is Label.ANOMALOUS else 0}"
-        for l in sorted(labels, key=lambda l: (l.video_id, l.frame_index))
-    ]
+def serialize_labels(labels: Labels) -> str:
+    rows = zip(labels.video.tolist(), labels.frame.tolist(), labels.positive.tolist())
+    lines = [f"{video_id},{frame_index},{int(positive)}" for video_id, frame_index, positive in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -260,17 +298,16 @@ def serialize_embeddings(
     return "\n".join(lines) + "\n"
 
 
-def parse_scores(
-    stream,
-    polarity: ScorePolarity,
-    labels: Mapping[Tuple[str, int], Label],
-) -> FrameScores:
+def parse_scores(stream, polarity: ScorePolarity, labels: Labels) -> FrameScores:
     """Parse per-frame scores and join them against known frame labels,
     sorted by (video, frame).
 
     Normality scores are negated so downstream metrics can always assume
     higher = more anomalous.
     """
+    positive_by_frame = dict(
+        zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist())
+    )
     seen = set()
     rows = []
     for line_number, line in enumerate(_lines(stream), start=1):
@@ -284,14 +321,14 @@ def parse_scores(
         frame_index = _parse_int(parts[1], "frame index", line_number)
         score = _parse_float(parts[2], "score", line_number)
         key = (video_id, frame_index)
-        if key not in labels:
+        if key not in positive_by_frame:
             raise ParseError(f"score for unlabeled frame ({video_id}, {frame_index})", line_number)
         if key in seen:
             raise ParseError(f"duplicate score for ({video_id}, frame {frame_index})", line_number)
         seen.add(key)
         if polarity is ScorePolarity.NORMALITY:
             score = -score
-        rows.append((video_id, frame_index, score, labels[key] is Label.ANOMALOUS))
+        rows.append((video_id, frame_index, score, positive_by_frame[key]))
     rows.sort()
     video, frame, score, positive = zip(*rows) if rows else ((), (), (), ())
     return FrameScores(
@@ -382,57 +419,35 @@ def validate_bundle(bundle: DatasetBundle) -> ValidationReport:
     """Cross-check tracklets, labels and manifest; anomalous labels inside
     the training split are fatal (the setting is unsupervised)."""
     report = ValidationReport()
-    by_video_tracklets: Dict[str, List[Tracklet]] = {}
-    for tracklet in bundle.tracklets:
-        by_video_tracklets.setdefault(tracklet.video_id, []).append(tracklet)
-    by_video_labels: Dict[str, List[FrameLabel]] = {}
-    for label in bundle.labels:
-        by_video_labels.setdefault(label.video_id, []).append(label)
-
+    labels = bundle.labels
+    by_video = bundle.detections.per_video()
     T = bundle.config.T
     for video_id in sorted(bundle.videos):
         meta = bundle.videos[video_id]
-        tracklets = by_video_tracklets.get(video_id, [])
-        labels = by_video_labels.get(video_id, [])
-        n_anomalous = sum(1 for l in labels if l.label is Label.ANOMALOUS)
+        dense = labels.dense(video_id)
+        labeled = np.flatnonzero(dense >= 0)
+        n_anomalous = int(np.count_nonzero(dense == 1))
         if meta.split == "train" and n_anomalous:
             report.fatal_errors.append(
                 f"training video {video_id!r} has {n_anomalous} anomalous-labeled frames"
             )
-        frames = [d.frame_index for t in tracklets for d in t.detections]
-        frame_range = (min(frames), max(frames)) if frames else None
-        gaps = 0
-        if labels:
-            labeled = {l.frame_index for l in labels}
-            lo, hi = min(labeled), max(labeled)
-            gaps = (hi - lo + 1) - len(labeled)
-            if gaps:
-                report.warnings.append(f"video {video_id!r}: {gaps} unlabeled frames inside label range")
-        eligible = 0
-        for tracklet in tracklets:
-            run = 1
-            prev = None
-            for det in tracklet.detections:
-                if prev is not None and det.frame_index == prev + 1:
-                    run += 1
-                else:
-                    if run >= T:
-                        eligible += run
-                    run = 1
-                prev = det.frame_index
-            if run >= T:
-                eligible += run
+        gaps = int(labeled[-1] - labeled[0] + 1) - labeled.size if labeled.size else 0
+        if gaps:
+            report.warnings.append(f"video {video_id!r}: {gaps} unlabeled frames inside label range")
+        detections = by_video.get(video_id, bundle.detections.take(slice(0)))
+        starts, stops = detections.run_bounds()
+        runs = stops - starts
         report.videos.append(
             VideoReport(
                 video_id=video_id,
                 split=meta.split,
-                n_tracklets=len(tracklets),
-                n_detections=sum(len(t) for t in tracklets),
-                frame_range=frame_range,
-                n_labeled=len(labels),
+                n_tracklets=len(detections.tracklet_bounds()[0]),
+                n_detections=detections.frame.size,
+                frame_range=(int(detections.frame.min()), int(detections.frame.max())) if runs.size else None,
+                n_labeled=labeled.size,
                 n_anomalous=n_anomalous,
                 label_gaps=gaps,
-                window_eligible_frames=eligible,
+                window_eligible_frames=int(runs[runs >= T].sum()),
             )
         )
     return report
@@ -448,7 +463,7 @@ def load_bundle(
     with open(manifest_path, "r", encoding="utf-8") as fh:
         videos = parse_manifest(fh.read())
     with open(tracklet_path, "r", encoding="utf-8") as fh:
-        tracklets = parse_tracklets(fh.read(), config.k)
+        detections = parse_tracklets(fh.read(), config.k)
     with open(label_path, "r", encoding="utf-8") as fh:
         labels = parse_labels(fh.read())
-    return DatasetBundle(tracklets=tracklets, labels=labels, videos=videos, config=config)
+    return DatasetBundle(detections=detections, labels=labels, videos=videos, config=config)

@@ -16,11 +16,11 @@ Areas are summed left to right with ``np.cumsum``: pairwise summation
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DataError, FeatureWindow, FrameLabel, FrameScores, Label, MetricsReport
+from .core import DataError, FeatureWindow, FrameScores, Labels, MetricsReport
 
 
 def _threshold_counts(scores, positive) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
@@ -123,7 +123,7 @@ def eer(roc: np.ndarray) -> Tuple[float, float]:
 
 def windows_to_frame_scores(
     scored_windows: Sequence[Tuple[FeatureWindow, float]],
-    labels: Iterable[FrameLabel],
+    labels: Labels,
     default_score: Optional[float] = None,
     drop_uncovered: bool = False,
 ) -> Tuple[FrameScores, List[Tuple[str, int]]]:
@@ -135,7 +135,6 @@ def windows_to_frame_scores(
     (video, frame) and the uncovered frame keys.
     """
     scored_windows = list(scored_windows)
-    labels = sorted(labels, key=lambda l: (l.video_id, l.frame_index))
     window_scores = np.array([score for _, score in scored_windows], dtype=np.float64)
     if not np.isfinite(window_scores).all():
         raise DataError(f"non-finite window score {window_scores[~np.isfinite(window_scores)][0]}")
@@ -143,34 +142,33 @@ def windows_to_frame_scores(
     if (starts < 0).any():
         raise DataError("window start frames must be non-negative")
     lengths = np.array([w.shape[0] for w, _ in scored_windows], dtype=np.int64)
-    label_frames = np.array([l.frame_index for l in labels], dtype=np.int64)
-    videos = {w.video_id for w, _ in scored_windows} | {l.video_id for l in labels}
-    codes = {v: i for i, v in enumerate(sorted(videos))}
-    window_video = np.array([codes[w.video_id] for w, _ in scored_windows], dtype=np.int64)
-    label_video = np.array([codes[l.video_id] for l in labels], dtype=np.int64)
+    window_names = np.array([w.video_id for w, _ in scored_windows], dtype=str)
+    names = np.unique(np.concatenate([labels.video, window_names]))
+    window_video = np.searchsorted(names, window_names)
+    label_video = np.searchsorted(names, labels.video)
 
     # one dense frame axis: a block per video, long enough for its windows and labels
-    extent = np.zeros(len(codes), dtype=np.int64)
+    extent = np.zeros(len(names), dtype=np.int64)
     np.maximum.at(extent, window_video, starts + lengths)
-    np.maximum.at(extent, label_video, label_frames + 1)
+    np.maximum.at(extent, label_video, labels.frame + 1)
     offset = np.cumsum(extent) - extent
     frame_in_window = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     positions = np.repeat(offset[window_video] + starts, lengths) + frame_in_window
     best = np.full(int(extent.sum()), -np.inf)  # -inf: no window covers the frame
     np.maximum.at(best, positions, np.repeat(window_scores, lengths))
 
-    frame_best = best[offset[label_video] + label_frames]
+    frame_best = best[offset[label_video] + labels.frame]
     covered = np.isfinite(frame_best)
     if default_score is None:
         observed = best[np.isfinite(best)]
         default_score = observed.min() if observed.size else 0.0
-    uncovered = [(l.video_id, l.frame_index) for l, c in zip(labels, covered) if not c]
-    keep = covered if drop_uncovered else np.ones(len(labels), dtype=bool)
+    uncovered = list(zip(labels.video[~covered].tolist(), labels.frame[~covered].tolist()))
+    keep = covered if drop_uncovered else np.ones(len(labels.frame), dtype=bool)
     frames = FrameScores(
-        video=np.array([l.video_id for l in labels], dtype=str)[keep],
-        frame=label_frames[keep],
+        video=labels.video[keep],
+        frame=labels.frame[keep],
         score=np.where(covered, frame_best, default_score)[keep],
-        positive=np.array([l.label is Label.ANOMALOUS for l in labels], dtype=bool)[keep],
+        positive=labels.positive[keep],
     )
     return frames, uncovered
 

@@ -16,17 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .analysis import distances_to_mean, mean_tensor
-from .core import (
-    DataError,
-    FeatureType,
-    FrameLabel,
-    Keypoint,
-    Label,
-    PoseDetection,
-    Split,
-    Tracklet,
-    WindowingConfig,
-)
+from .core import DataError, Detections, FeatureType, Labels, Split, WindowingConfig
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle, VideoMeta
 from .metrics import windows_to_frame_scores
@@ -104,10 +94,6 @@ class SynthSpec:
         if self.drift_speed < 0 or self.jitter_std < 0:
             raise DataError("motion parameters must be non-negative")
 
-    @property
-    def hip_indices(self) -> Tuple[int, int]:
-        return (11, 12) if self.k >= 13 else (0, 1)
-
     def config(self) -> WindowingConfig:
         return WindowingConfig(
             T=self.T,
@@ -116,7 +102,6 @@ class SynthSpec:
             N=max(self.N, self.persons_per_video),
             frame_width=self.frame_width,
             frame_height=self.frame_height,
-            hip_indices=self.hip_indices,
         )
 
     def to_dict(self) -> dict:
@@ -179,7 +164,7 @@ def generate(spec: SynthSpec) -> DatasetBundle:
     jitter, anomalous segments apply the configured modes, labels mark
     exactly the anomalous frames."""
     cfg = spec.config()
-    template = _skeleton_template(spec.k, spec.hip_indices)
+    template = _skeleton_template(spec.k, cfg.hip_indices)
     F, P = spec.frames_per_video, spec.persons_per_video
     t = np.arange(F, dtype=np.float64)
 
@@ -187,8 +172,8 @@ def generate(spec: SynthSpec) -> DatasetBundle:
     video_ids += [f"val{i:03d}" for i in range(spec.n_val_videos)]
     children = np.random.SeedSequence(spec.seed).spawn(len(video_ids))
 
-    tracklets: List[Tracklet] = []
-    labels: List[FrameLabel] = []
+    kp: List[np.ndarray] = []
+    positive: List[np.ndarray] = []
     videos: Dict[str, VideoMeta] = {}
     for video_id, child in zip(video_ids, children):
         is_val = video_id.startswith("val")
@@ -227,30 +212,22 @@ def generate(spec: SynthSpec) -> DatasetBundle:
                 elif isinstance(mode, PoseDeform):
                     joints[:, seg, :, :] += mode.amplitude * template[None, None, :, :]
 
-        for p in range(P):
-            track_id = f"p{p:02d}"
-            detections = tuple(
-                PoseDetection(
-                    video_id,
-                    frame,
-                    track_id,
-                    tuple(
-                        Keypoint(joints[p, frame, j, 0], joints[p, frame, j, 1], confidences[p, frame, j])
-                        for j in range(spec.k)
-                    ),
-                )
-                for frame in range(F)
-            )
-            tracklets.append(Tracklet(video_id, track_id, detections))
-
+        kp.append(np.concatenate([joints, confidences[..., None]], axis=3).reshape(P * F, spec.k, 3))
         if is_val:
-            for frame in range(F):
-                anomalous = segment is not None and segment[0] <= frame < segment[1]
-                labels.append(
-                    FrameLabel(video_id, frame, Label.ANOMALOUS if anomalous else Label.NORMAL)
-                )
+            lo, hi = segment or (0, 0)
+            positive.append((lo <= t) & (t < hi))
 
-    return DatasetBundle(tracklets=tracklets, labels=labels, videos=videos, config=cfg)
+    tracks = [f"p{p:02d}" for p in range(P)]
+    detections = Detections.from_columns(
+        video=[video_id for video_id in video_ids for _ in range(P * F)],
+        track=[track for _ in video_ids for track in tracks for _ in range(F)],
+        frame=np.tile(np.arange(F), len(video_ids) * P),
+        kp=np.concatenate(kp),
+    )
+    val_ids = video_ids[spec.n_train_videos :]
+    frames = np.tile(np.arange(F), len(val_ids))
+    labels = Labels.from_columns(np.repeat(val_ids, F), frames, np.concatenate(positive))
+    return DatasetBundle(detections=detections, labels=labels, videos=videos, config=cfg)
 
 
 ORACLE_MODES = ("perfect", "random", "distance")
@@ -270,15 +247,13 @@ def oracle_scores(
     """
     if mode not in ORACLE_MODES:
         raise DataError(f"unknown oracle mode {mode!r}; expected one of {ORACLE_MODES}")
-    labels = sorted(bundle.labels, key=lambda l: (l.video_id, l.frame_index))
-    if mode == "perfect":
-        return [
-            (l.video_id, l.frame_index, 1.0 if l.label is Label.ANOMALOUS else 0.0)
-            for l in labels
-        ]
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        return [(l.video_id, l.frame_index, float(rng.random())) for l in labels]
+    labels = bundle.labels
+    if mode != "distance":
+        if mode == "perfect":
+            scores = labels.positive.astype(np.float64)
+        else:
+            scores = np.random.default_rng(seed).random(len(labels.frame))
+        return list(zip(labels.video.tolist(), labels.frame.tolist(), scores.tolist()))
 
     # distance mode: uncentered trajectories keep absolute displacement, so
     # shifted segments stand out against the training mean

@@ -22,13 +22,11 @@ from skelstat.analysis import (
 )
 from skelstat.cli import main as cli_main
 from skelstat.core import (
+    Detections,
     FeatureType,
     FeatureWindow,
     Label,
-    PoseDetection,
-    Keypoint,
     Split,
-    Tracklet,
     WindowingConfig,
 )
 from skelstat.features import CenterPolicy, build_pose_windows, center_window
@@ -103,11 +101,10 @@ def test_04_window_count_law():
             cfg_cache[key] = WindowingConfig(
                 T=T, stride=stride, k=1, hip_indices=(0, 0), frame_width=100, frame_height=100
             )
-        detections = tuple(
-            PoseDetection("v", f, "t", (Keypoint(float(f), 0.0, 0.9),)) for f in range(L)
-        )
-        tracklet = Tracklet("v", "t", detections)
-        windows = build_pose_windows(tracklet, cfg_cache[key], {}, CenterPolicy.NONE, "train")
+        kp = [[(float(f), 0.0, 0.9)] for f in range(L)]
+        tracklet = Detections.from_columns(["v"] * L, ["t"] * L, list(range(L)), kp)
+        no_labels = np.zeros(0, dtype=np.int8)
+        windows = build_pose_windows(tracklet, cfg_cache[key], no_labels, CenterPolicy.NONE, "train")
         expected_starts = [s for s in range(0, L - T + 1, stride)] if L >= T else []
         assert [w.start_frame for w in windows] == expected_starts
         assert len(windows) == ((L - T) // stride + 1 if L >= T else 0)

@@ -4,56 +4,71 @@ import pytest
 from skelstat.core import (
     BoxStats,
     DataError,
+    Detections,
     FeatureType,
     FeatureWindow,
-    FrameLabel,
-    Keypoint,
     Label,
+    Labels,
     MeanTensor,
     MetricsReport,
-    PoseDetection,
     SdomReport,
     Split,
-    Tracklet,
     WindowingConfig,
 )
 
 
-def make_detection(frame, video="v1", track="t1", k=3):
-    return PoseDetection(video, frame, track, tuple(Keypoint(float(i), float(i), 0.9) for i in range(k)))
+def make_detections(frames, videos=None, tracks=None, k=3):
+    """One row per frame; every keypoint of a row is (i, i, 0.9)."""
+    n = len(frames)
+    kp = np.tile([[float(i), float(i), 0.9] for i in range(k)], (n, 1, 1))
+    return Detections.from_columns(videos or ["v1"] * n, tracks or ["t1"] * n, frames, kp)
 
 
 class TestKeypoint:
     def test_valid(self):
-        kp = Keypoint(-3.5, 10.0, 0.0)
-        assert kp.x == -3.5  # off-frame coordinates are allowed
+        det = Detections.from_columns(["v1"], ["t1"], [0], [[[-3.5, 10.0, 0.0]]])
+        assert det.kp[0, 0, 0] == -3.5  # off-frame coordinates are allowed
 
     @pytest.mark.parametrize("x,y,c", [(float("nan"), 0, 0.5), (0, float("inf"), 0.5), (0, 0, 1.5), (0, 0, -0.1)])
     def test_invalid(self, x, y, c):
         with pytest.raises(DataError):
-            Keypoint(x, y, c)
+            Detections.from_columns(["v1"], ["t1"], [0], [[[x, y, c]]])
 
 
 class TestTracklet:
     def test_strictly_increasing_frames(self):
-        with pytest.raises(DataError):
-            Tracklet("v1", "t1", (make_detection(5), make_detection(5)))
-        with pytest.raises(DataError):
-            Tracklet("v1", "t1", (make_detection(5), make_detection(3)))
+        with pytest.raises(DataError, match="duplicate"):
+            make_detections([5, 5])
+        with pytest.raises(DataError, match="non-negative"):
+            make_detections([0, -1])
+        # rows are sorted, so frames out of order are not an error
+        assert make_detections([5, 3]).frame.tolist() == [3, 5]
 
-    def test_foreign_detection_rejected(self):
-        with pytest.raises(DataError):
-            Tracklet("v1", "t1", (make_detection(0, video="v2"),))
+    def test_other_video_starts_new_tracklet(self):
+        det = make_detections([0, 0], videos=["v2", "v1"])
+        assert det.video_ids == ("v1", "v2")
+        assert [b.tolist() for b in det.tracklet_bounds()] == [[0, 1], [1, 2]]
 
     def test_len(self):
-        t = Tracklet("v1", "t1", (make_detection(0), make_detection(1)))
-        assert len(t) == 2
+        starts, stops = make_detections([0, 1]).tracklet_bounds()
+        assert (stops - starts).tolist() == [2]
+
+    def test_runs_break_at_gaps_and_tracks(self):
+        det = make_detections([0, 1, 3, 0, 1], tracks=["a", "a", "a", "b", "b"])
+        assert [b.tolist() for b in det.run_bounds()] == [[0, 2, 3], [2, 3, 5]]
+        empty = make_detections([])
+        assert [b.size for b in empty.run_bounds()] == [0, 0]
 
 
 class TestWindowingConfig:
     def test_defaults(self):
         cfg = WindowingConfig()
         assert (cfg.T, cfg.stride, cfg.k, cfg.N) == (24, 6, 17, 35)
+
+    def test_hip_fallback_for_small_layouts(self):
+        assert WindowingConfig(k=13).hip_indices == (11, 12)
+        assert WindowingConfig(k=4).hip_indices == (0, 1)
+        assert WindowingConfig(k=4, hip_indices=(2, 3)).hip_indices == (2, 3)
 
     @pytest.mark.parametrize(
         "kw",
@@ -149,4 +164,11 @@ def test_mean_tensor_validation():
 
 def test_frame_label_negative_frame():
     with pytest.raises(DataError):
-        FrameLabel("v1", -1, Label.NORMAL)
+        Labels.from_columns(["v1"], [-1], [False])
+
+
+def test_labels_sorted_and_dense():
+    labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
+    assert labels.video.tolist() == ["v1", "v1", "v2"] and labels.frame.tolist() == [1, 3, 0]
+    assert labels.dense("v1").tolist() == [-1, 0, -1, 1]
+    assert labels.dense("v3").size == 0

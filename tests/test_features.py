@@ -3,12 +3,11 @@ import pytest
 
 from skelstat.core import (
     DataError,
+    Detections,
     FeatureType,
-    Keypoint,
     Label,
-    PoseDetection,
+    Labels,
     Split,
-    Tracklet,
     WindowingConfig,
 )
 from skelstat.features import (
@@ -30,27 +29,39 @@ CFG = WindowingConfig(T=24, stride=6, k=17, frame_width=100, frame_height=100)
 
 
 def detection(frame, coords, video="v1", track="t1", k=None):
-    """coords: (k, 2) array or a single (x, y) used for every joint."""
+    """One (video, track, frame, (k, 3) keypoints) row with confidence 0.9;
+    coords: (k, 2) array or a single (x, y) used for every joint."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim == 1:
         k = k or 17
         coords = np.tile(coords, (k, 1))
-    return PoseDetection(
-        video, frame, track, tuple(Keypoint(x, y, 0.9) for x, y in coords)
-    )
+    return video, track, frame, np.column_stack([coords, np.full(len(coords), 0.9)])
+
+
+def table(rows, k=17):
+    """Detections from ``detection`` rows."""
+    if not rows:
+        return Detections.from_columns([], [], [], np.zeros((0, k, 3)))
+    video, track, frame, kp = zip(*rows)
+    return Detections.from_columns(list(video), list(track), list(frame), np.array(kp))
 
 
 def tracklet_from_frames(frames, rng=None, video="v1", track="t1", k=17):
     rng = rng or np.random.default_rng(0)
-    return Tracklet(
-        video,
-        track,
-        tuple(detection(f, rng.uniform(0, 100, size=(k, 2)), video, track) for f in frames),
-    )
+    return table([detection(f, rng.uniform(0, 100, size=(k, 2)), video, track) for f in frames])
 
 
 def normal_labels(frames, video="v1"):
-    return {(video, f): Label.NORMAL for f in frames}
+    """Dense labels of one video, Normal on ``frames``."""
+    frames = list(frames)
+    return Labels.from_columns([video] * len(frames), frames, [False] * len(frames)).dense(video)
+
+
+NO_LABELS = normal_labels([])
+
+
+def center_of(coords):
+    return tuple(person_center(table([detection(0, coords)]).kp)[0])
 
 
 class TestPersonCenter:
@@ -58,23 +69,22 @@ class TestPersonCenter:
         coords = np.zeros((17, 2))
         coords[11] = (10, 20)
         coords[12] = (30, 40)
-        assert person_center(detection(0, coords)) == (20, 30)
+        assert center_of(coords) == (20, 30)
 
     def test_coincident_hips(self):
         coords = np.full((17, 2), 5.0)
-        assert person_center(detection(0, coords)) == (5, 5)
+        assert center_of(coords) == (5, 5)
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             coords = rng.uniform(-10, 500, size=(17, 2))
-            det = detection(0, coords)
             expected = ((coords[11][0] + coords[12][0]) / 2, (coords[11][1] + coords[12][1]) / 2)
-            assert person_center(det) == pytest.approx(expected, abs=0)
+            assert center_of(coords) == pytest.approx(expected, abs=0)
 
     def test_bad_layout(self):
         with pytest.raises(DataError, match="hip indices"):
-            person_center(detection(0, np.zeros((5, 2)), k=5), hip_indices=(11, 12))
+            person_center(table([detection(0, np.zeros((5, 2)))], k=5).kp, hip_indices=(11, 12))
 
 
 class TestPoseWindows:
@@ -109,16 +119,15 @@ class TestPoseWindows:
         rng = np.random.default_rng(6)
         t = tracklet_from_frames(range(24), rng)
         (w,) = build_pose_windows(t, CFG, normal_labels(range(24)), CenterPolicy.NONE)
-        src = np.array([[(kp.x, kp.y) for kp in d.keypoints] for d in t.detections])
-        assert np.array_equal(w.coords, src)
+        assert np.array_equal(w.coords, t.kp[:, :, :2])
 
     def test_split_assignment(self):
         labels = normal_labels(range(24))
-        labels[("v1", 3)] = Label.ANOMALOUS
+        labels[3] = 1
         t = tracklet_from_frames(range(24))
         (w,) = build_pose_windows(t, CFG, labels, CenterPolicy.NONE, video_split="val")
         assert w.split is Split.VAL_ANOMALOUS and w.label is Label.ANOMALOUS
-        (w_train,) = build_pose_windows(t, CFG, {}, CenterPolicy.NONE, video_split="train")
+        (w_train,) = build_pose_windows(t, CFG, NO_LABELS, CenterPolicy.NONE, video_split="train")
         assert w_train.split is Split.TRAIN
 
 
@@ -175,9 +184,16 @@ class TestTrajectoryWindows:
         assert np.allclose(traj.coords[:, 0, :], expected, atol=0)
 
     def test_constant_position_centered_to_frame_center(self):
-        t = Tracklet("v1", "t1", tuple(detection(f, (30.0, 40.0)) for f in range(24)))
+        t = table([detection(f, (30.0, 40.0)) for f in range(24)])
         (w,) = build_trajectory_windows(t, CFG, normal_labels(range(24)))
         assert np.allclose(w.coords, np.tile(CFG.frame_center, (24, 1, 1)), atol=1e-9)
+
+    def test_small_layout_uses_first_two_joints_as_hips(self):
+        rng = np.random.default_rng(14)
+        t = tracklet_from_frames(range(24), rng, k=4)
+        cfg = WindowingConfig(T=24, stride=6, k=4, frame_width=100, frame_height=100)
+        (w,) = build_trajectory_windows(t, cfg, normal_labels(range(24)), CenterPolicy.NONE)
+        assert np.array_equal(w.coords[:, 0], (t.kp[:, 0, :2] + t.kp[:, 1, :2]) / 2.0)
 
 
 class TestLabelWindow:
@@ -187,41 +203,34 @@ class TestLabelWindow:
 
     def test_any_anomalous(self):
         labels = normal_labels(range(24))
-        labels[("v1", 23)] = Label.ANOMALOUS
+        labels[23] = 1
         assert label_window(labels, "v1", 0, 24, "val") is Label.ANOMALOUS
 
     def test_unlabeled_val_frame_errors(self):
         labels = normal_labels(range(23))
-        with pytest.raises(DataError, match="unlabeled"):
+        with pytest.raises(DataError, match=r"unlabeled validation frame \(v1, 23\)"):
+            label_window(labels, "v1", 0, 24, "val")
+        labels[5] = -1
+        with pytest.raises(DataError, match=r"unlabeled validation frame \(v1, 5\)"):
             label_window(labels, "v1", 0, 24, "val")
 
     def test_train_implicitly_normal(self):
-        assert label_window({}, "v1", 0, 24, "train") is Label.NORMAL
+        assert label_window(NO_LABELS, "v1", 0, 24, "train") is Label.NORMAL
 
     def test_matches_any_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             flags = rng.random(24) < 0.2
-            labels = {
-                ("v1", f): (Label.ANOMALOUS if flag else Label.NORMAL)
-                for f, flag in enumerate(flags)
-            }
+            labels = flags.astype(np.int8)
             expected = Label.ANOMALOUS if any(flags) else Label.NORMAL
             assert label_window(labels, "v1", 0, 24, "val") is expected
 
 
-def social_bundle(detections, n_videos=("v1",), cfg=None, labels=()):
+def social_bundle(detections, n_videos=("v1",), cfg=None):
     cfg = cfg or WindowingConfig(T=4, stride=2, k=2, N=3, frame_width=100, frame_height=100, hip_indices=(0, 1))
-    by_track = {}
-    for det in detections:
-        by_track.setdefault((det.video_id, det.track_id), []).append(det)
-    tracklets = [
-        Tracklet(v, t, tuple(sorted(dets, key=lambda d: d.frame_index)))
-        for (v, t), dets in sorted(by_track.items())
-    ]
     return DatasetBundle(
-        tracklets=tracklets,
-        labels=list(labels),
+        detections=table(detections, k=2),
+        labels=Labels.from_columns([], [], []),
         videos={v: VideoMeta("train", 100, 100) for v in n_videos},
         config=cfg,
     )
@@ -257,8 +266,7 @@ class TestSocialWindows:
         rng = np.random.default_rng(12)
         dets = [self.det(f, t, tuple(rng.uniform(0, 50, 2))) for f in range(6) for t in ("a", "b", "c")]
         bundle_fwd = social_bundle(dets)
-        bundle_rev = social_bundle(dets)
-        bundle_rev.tracklets.reverse()
+        bundle_rev = social_bundle(dets[::-1])
         for wa, wb in zip(build_social_windows(bundle_fwd), build_social_windows(bundle_rev)):
             assert np.array_equal(wa.coords, wb.coords)
             assert wa.track_ids == wb.track_ids
@@ -275,12 +283,10 @@ class TestSocialWindows:
 
     def test_empty_frame_range_window(self):
         # labels define the frame range, no tracks at all
-        from skelstat.core import FrameLabel
-
-        labels = [FrameLabel("v1", f, Label.NORMAL) for f in range(4)]
+        labels = Labels.from_columns(["v1"] * 4, range(4), [False] * 4)
         cfg = WindowingConfig(T=4, stride=2, k=2, N=3, frame_width=100, frame_height=100, hip_indices=(0, 1))
         bundle = DatasetBundle(
-            tracklets=[], labels=labels, videos={"v1": VideoMeta("val", 100, 100)}, config=cfg
+            detections=table([], k=2), labels=labels, videos={"v1": VideoMeta("val", 100, 100)}, config=cfg
         )
         (w,) = build_social_windows(bundle)
         assert not w.mask.any() and not w.coords.any()
@@ -318,10 +324,9 @@ class TestWindowSerialization:
 
 
 def test_build_windows_uses_manifest_resolution():
-    t = Tracklet("v1", "t1", tuple(detection(f, (10.0, 10.0)) for f in range(24)))
     bundle = DatasetBundle(
-        tracklets=[t],
-        labels=[],
+        detections=table([detection(f, (10.0, 10.0)) for f in range(24)]),
+        labels=Labels.from_columns([], [], []),
         videos={"v1": VideoMeta("train", 200, 50)},
         config=WindowingConfig(frame_width=999, frame_height=999),
     )

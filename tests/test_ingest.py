@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skelstat.core import DataError, Label, ParseError, Split, WindowingConfig
+from skelstat.core import DataError, Labels, ParseError, Split, WindowingConfig
 from skelstat.ingest import (
     DatasetBundle,
     ScorePolarity,
@@ -25,17 +25,31 @@ def kp_text(k, base=0.0):
     return ";".join(f"{base + i},{base + 2 * i},0.9" for i in range(k))
 
 
+def assert_same_rows(a, b, lines=True):
+    """Equal Detections tables; source line numbers compared when ``lines``."""
+    assert (a.video_ids, a.track_ids) == (b.video_ids, b.track_ids)
+    for name in ("video", "track", "frame", "kp") + (("line",) if lines else ()):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def assert_same_labels(a, b):
+    for name in ("video", "frame", "positive"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestParseTracklets:
     def test_single_line(self):
-        tracklets = parse_tracklets(f"v1\t0\tt1\t{kp_text(17)}\n", k=17)
-        assert len(tracklets) == 1
-        assert len(tracklets[0]) == 1
-        assert tracklets[0].detections[0].keypoints[1].x == 1.0
+        det = parse_tracklets(f"v1\t0\tt1\t{kp_text(17)}\n", k=17)
+        assert len(det.tracklet_bounds()[0]) == 1
+        assert len(det.frame) == 1
+        assert det.kp[0, 1, 0] == 1.0
 
     def test_out_of_order_frames_sorted(self):
         text = f"v1\t5\tt1\t{kp_text(17)}\nv1\t3\tt1\t{kp_text(17)}\n"
-        (tracklet,) = parse_tracklets(text, k=17)
-        assert [d.frame_index for d in tracklet.detections] == [3, 5]
+        det = parse_tracklets(text, k=17)
+        assert len(det.tracklet_bounds()[0]) == 1
+        assert det.frame.tolist() == [3, 5]
+        assert det.line.tolist() == [2, 1]
 
     def test_keypoint_count_mismatch_names_line(self):
         text = f"v1\t0\tt1\t{kp_text(17)}\nv1\t1\tt1\t{kp_text(16)}\n"
@@ -65,20 +79,20 @@ class TestParseTracklets:
                 )
                 lines.append(f"v1\t{frame}\t{track}\t{kps}")
         text = "\n".join(lines) + "\n"
-        tracklets = parse_tracklets(text, k=5)
-        assert serialize_tracklets(tracklets) == text
-        assert parse_tracklets(serialize_tracklets(tracklets), k=5) == tracklets
+        det = parse_tracklets(text, k=5)
+        assert serialize_tracklets(det) == text
+        assert_same_rows(parse_tracklets(serialize_tracklets(det), k=5), det)
 
     def test_order_insensitive(self):
         text = f"v1\t0\tt1\t{kp_text(4)}\nv1\t1\tt1\t{kp_text(4, 9)}\nv2\t0\tt1\t{kp_text(4)}\n"
         shuffled = "\n".join(reversed(text.strip().split("\n"))) + "\n"
-        assert parse_tracklets(text, k=4) == parse_tracklets(shuffled, k=4)
+        assert_same_rows(parse_tracklets(text, k=4), parse_tracklets(shuffled, k=4), lines=False)
 
 
 class TestParseLabels:
     def test_basic(self):
-        (label,) = parse_labels("v1,0,0\n")
-        assert label.label is Label.NORMAL and label.frame_index == 0
+        labels = parse_labels("v1,0,0\n")
+        assert labels.positive.tolist() == [False] and labels.frame.tolist() == [0]
 
     def test_duplicate(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -91,13 +105,13 @@ class TestParseLabels:
     def test_anomalous_count_matches_fixture(self):
         rows = [f"v1,{i},{1 if i in (2, 5, 7) else 0}" for i in range(10)]
         labels = parse_labels("\n".join(rows))
-        assert sum(1 for l in labels if l.label is Label.ANOMALOUS) == 3
+        assert np.count_nonzero(labels.positive) == 3
 
     def test_round_trip_and_order_insensitivity(self):
         text = "v1,0,0\nv1,1,1\nv2,3,0\n"
         labels = parse_labels(text)
         assert serialize_labels(labels) == text
-        assert parse_labels("v2,3,0\nv1,1,1\nv1,0,0\n") == labels
+        assert_same_labels(parse_labels("v2,3,0\nv1,1,1\nv1,0,0\n"), labels)
 
 
 class TestParseEmbeddings:
@@ -134,7 +148,7 @@ class TestParseEmbeddings:
 
 
 class TestParseScores:
-    labels = {("v1", 0): Label.NORMAL, ("v1", 1): Label.ANOMALOUS}
+    labels = Labels.from_columns(["v1", "v1"], [0, 1], [False, True])
 
     def test_normality_negated(self):
         (score,) = parse_scores("v1,0,0.9\n", ScorePolarity.NORMALITY, self.labels).score
@@ -145,7 +159,7 @@ class TestParseScores:
         assert score == 0.9
 
     def test_columns_sorted_by_video_and_frame(self):
-        labels = {("v2", 0): Label.NORMAL, ("v1", 3): Label.ANOMALOUS, ("v1", 1): Label.NORMAL}
+        labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
         frames = parse_scores("v2,0,0.1\nv1,3,0.3\nv1,1,0.2\n", ScorePolarity.ANOMALY, labels)
         assert frames.video.tolist() == ["v1", "v1", "v2"]
         assert frames.frame.tolist() == [1, 3, 0]
@@ -162,7 +176,7 @@ class TestParseScores:
 
     def test_auc_invariant_under_polarity(self):
         rng = np.random.default_rng(11)
-        labels = {("v1", i): (Label.ANOMALOUS if rng.random() < 0.4 else Label.NORMAL) for i in range(60)}
+        labels = Labels.from_columns(["v1"] * 60, range(60), [rng.random() < 0.4 for _ in range(60)])
         anomaly_rows = [("v1", i, float(rng.normal())) for i in range(60)]
         normality_rows = [(v, f, -s) for v, f, s in anomaly_rows]
         as_anomaly = parse_scores(serialize_scores(anomaly_rows), ScorePolarity.ANOMALY, labels)
@@ -193,7 +207,7 @@ class TestValidateBundle:
     def make_bundle(self, tracklet_text="", label_text="", split="val"):
         cfg = WindowingConfig(T=4, stride=2, k=2, hip_indices=(0, 1))
         return DatasetBundle(
-            tracklets=parse_tracklets(tracklet_text, k=2),
+            detections=parse_tracklets(tracklet_text, k=2),
             labels=parse_labels(label_text),
             videos={"v1": VideoMeta(split, 100, 100)},
             config=cfg,
@@ -217,11 +231,19 @@ class TestValidateBundle:
         assert video.frame_range == (0, 5)
         assert video.window_eligible_frames == 6  # one run of 6 >= T=4
 
+    def test_eligible_frames_count_runs_of_each_tracklet(self):
+        frames = {"t1": [0, 1, 2, 3, 5, 6, 7], "t2": [2, 3, 4, 5, 6, 9, 10, 11, 12]}
+        lines = [f"v1\t{f}\t{t}\t{kp_text(2)}" for t, fs in frames.items() for f in fs]
+        video = validate_bundle(self.make_bundle("\n".join(lines), "v1,0,0\nv1,3,0\n")).videos[0]
+        assert (video.n_tracklets, video.n_detections, video.frame_range) == (2, 16, (0, 12))
+        assert video.window_eligible_frames == 4 + 5 + 4
+        assert (video.n_labeled, video.label_gaps) == (2, 2)
+
     def test_unknown_video_rejected_at_assembly(self):
         with pytest.raises(DataError, match="missing from manifest"):
             DatasetBundle(
-                tracklets=parse_tracklets(f"vX\t0\tt1\t{kp_text(2)}", k=2),
-                labels=[],
+                detections=parse_tracklets(f"vX\t0\tt1\t{kp_text(2)}", k=2),
+                labels=Labels.from_columns([], [], []),
                 videos={"v1": VideoMeta("val", 100, 100)},
                 config=WindowingConfig(k=2, hip_indices=(0, 1)),
             )

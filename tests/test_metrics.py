@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skelstat.core import DataError, FeatureWindow, FrameLabel, Label, Split
+from skelstat.core import DataError, FeatureWindow, Label, Labels, Split
 from skelstat.metrics import (
     auc_pr,
     auc_roc,
@@ -235,10 +235,7 @@ def make_window(video, start, T=4, score_shape=(4, 1)):
 
 class TestWindowsToFrameScores:
     def labels(self, n, video="v1", anomalous=()):
-        return [
-            FrameLabel(video, f, Label.ANOMALOUS if f in anomalous else Label.NORMAL)
-            for f in range(n)
-        ]
+        return Labels.from_columns([video] * n, range(n), [f in anomalous for f in range(n)])
 
     def test_max_rule_exhaustive_oracle(self):
         rng = np.random.default_rng(12)
@@ -268,7 +265,7 @@ class TestWindowsToFrameScores:
 
     def test_videos_kept_separate(self):
         windows = [(make_window("v1", 0), 5.0), (make_window("v2", 0), 1.0)]
-        labels = self.labels(4) + self.labels(4, video="v2")
+        labels = Labels.from_columns(["v1"] * 4 + ["v2"] * 4, [0, 1, 2, 3] * 2, [False] * 8)
         out, _ = windows_to_frame_scores(windows, labels)
         scores = dict(zip(zip(out.video.tolist(), out.frame.tolist()), out.score.tolist()))
         assert scores[("v2", 0)] == 1.0 and scores[("v1", 0)] == 5.0

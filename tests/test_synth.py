@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skelstat.core import DataError, FeatureType, Label, Split
+from skelstat.core import DataError, FeatureType, Split
 from skelstat.features import CenterPolicy, build_windows
 from skelstat.ingest import serialize_labels, serialize_tracklets
 from skelstat.metrics import auc_roc, roc_curve
@@ -53,22 +53,23 @@ class TestGenerate:
         assert len(bundle.videos) == 4
         assert {m.split for m in bundle.videos.values()} == {"train", "val"}
         # one tracklet per person per video, full length
-        assert len(bundle.tracklets) == 4 * 2
-        assert all(len(t) == 60 for t in bundle.tracklets)
+        starts, stops = bundle.detections.tracklet_bounds()
+        assert len(starts) == 4 * 2
+        assert ((stops - starts) == 60).all()
         # labels cover exactly the val videos' frames
-        labeled = {(l.video_id, l.frame_index) for l in bundle.labels}
+        labeled = set(zip(bundle.labels.video.tolist(), bundle.labels.frame.tolist()))
         assert len(labeled) == 2 * 60
         assert all(v.startswith("val") for v, _ in labeled)
 
     def test_zero_fraction_all_normal(self):
         bundle = generate(SynthSpec(**SMALL))
-        assert all(l.label is Label.NORMAL for l in bundle.labels)
+        assert not bundle.labels.positive.any()
 
     def test_label_fraction_matches_spec(self):
         spec = SynthSpec(anomaly_modes=(TrajectoryShift(50.0),), anomaly_fraction=0.25, **SMALL)
         bundle = generate(spec)
         for video in ("val000", "val001"):
-            flags = [l.label is Label.ANOMALOUS for l in bundle.labels if l.video_id == video]
+            flags = bundle.labels.positive[bundle.labels.video == video].tolist()
             assert sum(flags) == round(0.25 * 60)
             # anomalous frames form one contiguous segment
             first = flags.index(True)
@@ -78,21 +79,21 @@ class TestGenerate:
     def test_seed_determinism_byte_identical(self):
         spec = SynthSpec(anomaly_modes=(PoseDeform(0.5),), anomaly_fraction=0.2, seed=7, **SMALL)
         a, b = generate(spec), generate(spec)
-        assert serialize_tracklets(a.tracklets) == serialize_tracklets(b.tracklets)
+        assert serialize_tracklets(a.detections) == serialize_tracklets(b.detections)
         assert serialize_labels(a.labels) == serialize_labels(b.labels)
 
     def test_different_seeds_differ(self):
         a = generate(SynthSpec(seed=1, **SMALL))
         b = generate(SynthSpec(seed=2, **SMALL))
-        assert serialize_tracklets(a.tracklets) != serialize_tracklets(b.tracklets)
+        assert serialize_tracklets(a.detections) != serialize_tracklets(b.detections)
 
     def test_spawn_radius_confines_starts(self):
         spec = SynthSpec(spawn_radius=5.0, drift_speed=0.0, jitter_std=0.0, **SMALL)
         bundle = generate(spec)
         center = np.array([spec.frame_width / 2, spec.frame_height / 2])
-        for t in bundle.tracklets:
-            det = t.detections[0]
-            hips = np.array([[kp.x, kp.y] for kp in det.keypoints])[list(spec.hip_indices)]
+        det = bundle.detections
+        for first in det.tracklet_bounds()[0]:
+            hips = det.kp[first, list(spec.config().hip_indices), :2]
             mid = hips.mean(axis=0)
             assert np.abs(mid - center).max() <= 5.0 + 1e-9
 
@@ -106,16 +107,17 @@ class TestGenerate:
             **SMALL,
         )
         bundle = generate(spec)
-        anomalous = {
-            (l.video_id, l.frame_index) for l in bundle.labels if l.label is Label.ANOMALOUS
-        }
-        for t in bundle.tracklets:
-            if not t.video_id.startswith("val"):
+        labels = bundle.labels
+        anomalous = set(zip(labels.video[labels.positive].tolist(), labels.frame[labels.positive].tolist()))
+        det = bundle.detections
+        for a, b in zip(*det.tracklet_bounds()):
+            video_id = det.video_ids[det.video[a]]
+            if not video_id.startswith("val"):
                 continue
-            xs = np.array([d.keypoints[0].x for d in t.detections])
+            xs = det.kp[a:b, 0, 0]
             base = xs[0]
-            for d, x in zip(t.detections, xs):
-                expected = base + (200.0 if (t.video_id, d.frame_index) in anomalous else 0.0)
+            for frame, x in zip(det.frame[a:b].tolist(), xs):
+                expected = base + (200.0 if (video_id, frame) in anomalous else 0.0)
                 assert x == pytest.approx(expected, abs=1e-9)
 
     def test_windows_build_from_generated_bundle(self):
@@ -140,9 +142,10 @@ class TestOracleScores:
 
     def roc(self, bundle, rows):
         """ROC of oracle rows against the bundle's labels."""
-        labels = {(l.video_id, l.frame_index): l.label for l in bundle.labels}
+        labels = bundle.labels
+        positive = dict(zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist()))
         scores = [s for _, _, s in rows]
-        return roc_curve(scores, [labels[(v, f)] is Label.ANOMALOUS for v, f, _ in rows])
+        return roc_curve(scores, [positive[(v, f)] for v, f, _ in rows])
 
     def test_perfect_oracle_auc_one(self):
         bundle = self.bundle()
@@ -168,9 +171,9 @@ class TestOracleScores:
         bundle = self.bundle()
         for mode in ("perfect", "random", "distance"):
             rows = oracle_scores(bundle, mode)
-            assert {(v, f) for v, f, _ in rows} == {
-                (l.video_id, l.frame_index) for l in bundle.labels
-            }
+            assert {(v, f) for v, f, _ in rows} == set(
+                zip(bundle.labels.video.tolist(), bundle.labels.frame.tolist())
+            )
 
     def test_unknown_mode(self):
         with pytest.raises(DataError, match="oracle mode"):
