@@ -140,14 +140,14 @@ class Labels(NamedTuple):
     """Frame labels as columns, one row per labeled frame, sorted by
     (video, frame)."""
 
-    video: np.ndarray  # str video ids
+    video: np.ndarray  # video ids, an object array of str
     frame: np.ndarray  # int64 frame indices
     positive: np.ndarray  # bool, True where the frame is labeled Anomalous
 
     @classmethod
     def from_columns(cls, video, frame, positive) -> "Labels":
         """Labels sorted by (video, frame); refuses negative frames."""
-        video, frame = np.array(video, dtype=str), np.asarray(frame, dtype=np.int64)
+        video, frame = np.array(video, dtype=object), np.asarray(frame, dtype=np.int64)
         if (frame < 0).any():
             raise DataError(f"frame_index must be non-negative, got {frame.min()}")
         order = np.lexsort((frame, video))

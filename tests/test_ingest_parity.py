@@ -159,3 +159,11 @@ def test_tracklet_text_round_trip(case):
 def test_label_text_round_trip(case):
     text, canonical = case
     assert serialize_labels(parse_labels(text)) == canonical
+
+
+def test_ids_are_kept_exactly():
+    # numpy's fixed-width str dtype would drop the trailing NUL
+    tracklets = f"v\x00\t0\tt\x00\t{KP}\nv\x00\t1\tt\x00\t{KP}\n"
+    assert serialize_tracklets(parse_tracklets(tracklets, k=2)) == tracklets
+    labels = "v\x00,0,1\nv\x00,1,0\n"
+    assert serialize_labels(parse_labels(labels)) == labels
