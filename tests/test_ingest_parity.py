@@ -35,6 +35,8 @@ TRACKLET_ERRORS = [
     (f"v1\t2\tt1\t{KP};{KP}", "expected 2 keypoints, got 4"),
     ("v1\t2\tt1\t1.0,2.0;3.0,4.0,0.5", "keypoint must be 'x,y,c', got '1.0,2.0'"),
     ("v1\t2\tt1\t1.0,2.0,0.5;3.0,4.0,0.5,7", "keypoint must be 'x,y,c', got '3.0,4.0,0.5,7'"),
+    # six fields in all, as two x,y,c triples would have, but split 2 + 4
+    ("v1\t2\tt1\t0.5,0.5;0.5,0.5,0.5,0.5", "keypoint must be 'x,y,c', got '0.5,0.5'"),
     ("v1\t2\tt1\ta,2.0,0.5;3.0,4.0,0.5", "invalid x coordinate 'a'"),
     ("v1\t2\tt1\t1.0,2.0,0.5;3.0,,0.5", "invalid y coordinate ''"),
     ("v1\t2\tt1\t1.0,2.0,0.5;3.0,4.0,1..0", "invalid confidence '1..0'"),
