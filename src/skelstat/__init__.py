@@ -5,7 +5,6 @@ from .core import (
     DataError,
     Detections,
     FeatureType,
-    FeatureWindow,
     Label,
     Labels,
     MeanTensor,
@@ -14,6 +13,7 @@ from .core import (
     SdomReport,
     SkelstatError,
     Split,
+    WindowBatch,
     WindowingConfig,
 )
 
@@ -22,7 +22,6 @@ __all__ = [
     "DataError",
     "Detections",
     "FeatureType",
-    "FeatureWindow",
     "Label",
     "Labels",
     "MeanTensor",
@@ -31,6 +30,7 @@ __all__ = [
     "SdomReport",
     "SkelstatError",
     "Split",
+    "WindowBatch",
     "WindowingConfig",
 ]
 

@@ -9,18 +9,19 @@ histograms stay interpretable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from .core import (
+    SPLITS,
     DataError,
     EmbeddingPrior,
     FeatureType,
-    FeatureWindow,
     MeanTensor,
     SdomReport,
     Split,
+    WindowBatch,
 )
 
 _CHUNK = 512
@@ -48,29 +49,31 @@ class DistanceSeries:
         return self.values.size
 
 
-def _check_homogeneous(windows: Sequence[FeatureWindow]):
-    shape = windows[0].shape
-    for w in windows:
-        if w.shape != shape:
-            raise DataError(f"window shape mismatch: {w.shape} vs {shape}")
-    return shape
+def windows_by_split(windows: WindowBatch) -> Dict[Split, np.ndarray]:
+    """Row indices of each split's windows, ascending, every split present,
+    in ``Split`` order."""
+    return {split: np.flatnonzero(windows.split == code) for code, split in enumerate(SPLITS)}
 
 
-def mean_tensor(windows: Sequence[FeatureWindow]) -> MeanTensor:
-    """Element-wise mean over P windows, Kahan-compensated per chunk so the
+def _rows(windows: WindowBatch, split: Optional[Split]) -> np.ndarray:
+    return np.arange(len(windows)) if split is None else windows_by_split(windows)[split]
+
+
+def mean_tensor(windows: WindowBatch, split: Optional[Split] = None) -> MeanTensor:
+    """Element-wise mean over the windows of one split (all when None),
+    Kahan-compensated over chunks of rows taken in batch order, so the
     result stays stable on very large window sets."""
-    if not windows:
+    rows = _rows(windows, split)
+    if not len(rows):
         raise DataError("cannot take the mean of zero windows")
-    T, k = _check_homogeneous(windows)
-    total = np.zeros((T, k, 2), dtype=np.float64)
+    total = np.zeros(windows.coords.shape[1:], dtype=np.float64)
     comp = np.zeros_like(total)
-    for i in range(0, len(windows), _CHUNK):
-        chunk = np.stack([w.coords for w in windows[i : i + _CHUNK]])
-        y = chunk.sum(axis=0) - comp
+    for i in range(0, len(rows), _CHUNK):
+        y = windows.coords[rows[i : i + _CHUNK]].sum(axis=0) - comp
         t = total + y
         comp = (t - total) - y
         total = t
-    return MeanTensor(values=total / len(windows), sample_count=len(windows))
+    return MeanTensor(values=total / len(rows), sample_count=len(rows))
 
 
 def delta(mu_a: MeanTensor, mu_b: MeanTensor) -> float:
@@ -92,31 +95,19 @@ def sdom(delta_a: float, delta_n: float) -> float:
     return delta_a - delta_n
 
 
-def windows_by_split(windows: Sequence[FeatureWindow]) -> Dict[Split, List[FeatureWindow]]:
-    """Windows grouped by split, every split present, in ``Split`` order."""
-    by_split: Dict[Split, List[FeatureWindow]] = {s: [] for s in Split}
-    for window in windows:
-        by_split[window.split].append(window)
-    return by_split
-
-
-def sdom_report(
-    train_normal: Sequence[FeatureWindow],
-    val_normal: Sequence[FeatureWindow],
-    val_anomalous: Sequence[FeatureWindow],
-    feature_type: FeatureType = FeatureType.POSE,
-) -> SdomReport:
+def sdom_report(windows: WindowBatch, feature_type: FeatureType = FeatureType.POSE) -> SdomReport:
     """Full S-DoM computation over the three splits of one feature type."""
+    by_split = windows_by_split(windows)
     for name, split in (
-        ("train-normal", train_normal),
-        ("val-normal", val_normal),
-        ("val-anomalous", val_anomalous),
+        ("train-normal", Split.TRAIN),
+        ("val-normal", Split.VAL_NORMAL),
+        ("val-anomalous", Split.VAL_ANOMALOUS),
     ):
-        if not split:
+        if not len(by_split[split]):
             raise DataError(f"{name} split is empty")
-    mu_tn = mean_tensor(train_normal)
-    mu_vn = mean_tensor(val_normal)
-    mu_va = mean_tensor(val_anomalous)
+    mu_tn = mean_tensor(windows, Split.TRAIN)
+    mu_vn = mean_tensor(windows, Split.VAL_NORMAL)
+    mu_va = mean_tensor(windows, Split.VAL_ANOMALOUS)
     delta_n = delta(mu_tn, mu_vn)
     delta_a = delta(mu_tn, mu_va)
     return SdomReport(
@@ -124,26 +115,26 @@ def sdom_report(
         delta_a=delta_a,
         sdom=sdom(delta_a, delta_n),
         feature_type=feature_type,
-        counts=(len(train_normal), len(val_normal), len(val_anomalous)),
+        counts=tuple(len(by_split[s]) for s in (Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)),
     )
 
 
 def distances_to_mean(
-    windows: Sequence[FeatureWindow],
+    windows: WindowBatch,
     mu: MeanTensor,
     split: Optional[Split] = None,
     tag: str = "",
 ) -> DistanceSeries:
-    """Unscaled Euclidean distance of every window to the mean tensor."""
+    """Unscaled Euclidean distance to the mean tensor of every window of
+    one split (all when None), in batch order."""
     shape = mu.values.shape
-    out = np.empty(len(windows), dtype=np.float64)
-    for i in range(0, len(windows), _CHUNK):
-        chunk = windows[i : i + _CHUNK]
-        for w in chunk:
-            if w.coords.shape != shape:
-                raise DataError(f"window shape {w.coords.shape} does not match mean {shape}")
-        stacked = np.stack([w.coords for w in chunk])
-        diff = stacked.reshape(len(chunk), -1) - mu.values.reshape(-1)
+    if windows.coords.shape[1:] != shape:
+        raise DataError(f"window shape {windows.coords.shape[1:]} does not match mean {shape}")
+    rows = _rows(windows, split)
+    out = np.empty(len(rows), dtype=np.float64)
+    for i in range(0, len(rows), _CHUNK):
+        chunk = windows.coords[rows[i : i + _CHUNK]]
+        diff = chunk.reshape(len(chunk), -1) - mu.values.reshape(-1)
         out[i : i + len(chunk)] = np.linalg.norm(diff, axis=1)
     return DistanceSeries(values=out, split=split, tag=tag)
 

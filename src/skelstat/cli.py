@@ -113,10 +113,7 @@ def cmd_windows(args) -> int:
 def cmd_sdom(args) -> int:
     feature = _feature(args)
     windows = build_windows(_load_bundle(args), feature, _center_policy(args), args.truncate_social)
-    by_split = windows_by_split(windows)
-    report = sdom_report(
-        by_split[Split.TRAIN], by_split[Split.VAL_NORMAL], by_split[Split.VAL_ANOMALOUS], feature
-    )
+    report = sdom_report(windows, feature)
     atomic_write_text(Path(args.out) / "sdom.json", _json_text(report.to_dict()))
     return 0
 
@@ -144,13 +141,13 @@ def cmd_disthist(args) -> int:
             _load_bundle(args), feature, _center_policy(args), args.truncate_social
         )
         by_split = windows_by_split(windows)
-        if not by_split[Split.TRAIN]:
+        if not len(by_split[Split.TRAIN]):
             raise DataError("no training windows; cannot compute the training mean")
-        mu_tn = mean_tensor(by_split[Split.TRAIN])
+        mu_tn = mean_tensor(windows, Split.TRAIN)
         series_by_split = {
-            split: distances_to_mean(by_split[split], mu_tn, split, feature.value)
+            split: distances_to_mean(windows, mu_tn, split, feature.value)
             for split in Split
-            if by_split[split]
+            if len(by_split[split])
         }
         tag = feature.value
     boxes = {}

@@ -204,37 +204,63 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+SPLITS: Tuple[Split, ...] = tuple(Split)  # WindowBatch.split codes index this
+
+
 @dataclass(frozen=True)
-class FeatureWindow:
-    """A T x k x 2 coordinate tensor with occupancy mask and provenance."""
+class WindowBatch:
+    """Feature windows as columns, one row per window.
 
-    coords: np.ndarray
-    mask: np.ndarray
-    video_id: str
-    start_frame: int
-    track_ids: Tuple[str, ...]
-    label: Label
-    split: Split
+    ``coords[w]`` is window w's (T, k, 2) tensor: k joints of one track
+    (pose), its hip midpoint (trajectory, k = 1) or k = N social slots.
+    ``mask`` marks the occupied entries; the others hold exactly (0, 0).
+    Video and track ids are codes into sorted name tables (object arrays,
+    so ids keep a trailing NUL), so code order is name order. A window's
+    track ids are its row of ``track`` up to the first -1: one track for
+    pose and trajectory windows, the track of each occupied social slot in
+    slot order. The builders emit windows in (video, track ids, start)
+    order. ``len()`` is the window count.
+    """
 
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
-        if coords.ndim != 3 or coords.shape[2] != 2:
-            raise DataError(f"coords must have shape (T, k, 2), got {coords.shape}")
-        if mask.shape != coords.shape[:2]:
-            raise DataError(f"mask shape {mask.shape} does not match coords {coords.shape[:2]}")
+    coords: np.ndarray  # (W, T, k, 2) float64
+    mask: np.ndarray  # (W, T, k) bool
+    video_ids: np.ndarray  # object array of str: the name table of the video codes
+    video: np.ndarray  # (W,) int64 codes into video_ids
+    start: np.ndarray  # (W,) int64 first frame of each window
+    split: np.ndarray  # (W,) int8 codes into SPLITS
+    track_ids: np.ndarray  # object array of str: the name table of the track codes
+    track: np.ndarray  # (W, m) int64 codes into track_ids, -1 after a window's last track
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @classmethod
+    def from_columns(cls, coords, mask, video, start, split, tracks) -> "WindowBatch":
+        """Checked batch, rows in the given order, from (W, T, k, 2)
+        coordinates, a (W, T, k) mask, and per window a video id, a start
+        frame, a ``Split`` and a sequence of track ids; refuses non-finite
+        coordinates and masked-out entries other than (0, 0)."""
+        coords, mask = np.asarray(coords, dtype=np.float64), np.asarray(mask, dtype=bool)
+        if coords.ndim != 4 or coords.shape[3] != 2:
+            raise DataError(f"coords must have shape (W, T, k, 2), got {coords.shape}")
+        if mask.shape != coords.shape[:3]:
+            raise DataError(f"window shape mismatch: mask {mask.shape} vs coords {coords.shape[:3]}")
+        if not len(video) == len(start) == len(split) == len(tracks) == len(coords):
+            raise DataError(f"window columns must have one length, got {len(coords)} windows")
         if not np.isfinite(coords).all():
             raise DataError("window coordinates must be finite")
         if coords[~mask].any():
             raise DataError("masked-out coordinates must be exactly (0, 0)")
-        object.__setattr__(self, "coords", _freeze(coords))
-        object.__setattr__(self, "mask", _freeze(mask))
-        object.__setattr__(self, "track_ids", tuple(self.track_ids))
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """(T, k) of this window."""
-        return self.coords.shape[:2]
+        video_ids, video = _code(video)
+        track_ids, codes = _code([track_id for ids in tracks for track_id in ids])
+        counts = np.array([len(ids) for ids in tracks], dtype=np.int64)
+        track = np.full((len(tracks), int(counts.max(initial=0))), -1, dtype=np.int64)
+        track[np.arange(track.shape[1]) < counts[:, None]] = codes
+        return cls(
+            _freeze(coords), _freeze(mask), np.array(video_ids, dtype=object), video,
+            np.asarray(start, dtype=np.int64), np.array([SPLITS.index(s) for s in split], dtype=np.int8),
+            np.array(track_ids, dtype=object), track,
+        )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Pose windows slice one tracklet into T-frame runs of all k keypoints.
 Trajectory windows reduce each frame to the hip-midpoint person center
 first. Social windows collect the centers of every person in the scene
 into N zero-padded node slots per frame; the complete graph over the
-slots is implied and never materialized.
+slots is implied and never materialized. Each builder returns one
+``WindowBatch`` for the whole bundle.
 """
 
 from __future__ import annotations
@@ -12,23 +13,25 @@ from __future__ import annotations
 import logging
 from dataclasses import replace
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import (
+    SPLITS,
     DataError,
-    Detections,
     FeatureType,
-    FeatureWindow,
     Label,
     ParseError,
     Split,
+    WindowBatch,
     WindowingConfig,
 )
-from .ingest import DatasetBundle
+from .ingest import DatasetBundle, _lines
 
 logger = logging.getLogger(__name__)
+
+_TRAIN, _VAL_NORMAL, _VAL_ANOMALOUS = (SPLITS.index(s) for s in Split)
 
 
 class CenterPolicy(Enum):
@@ -45,11 +48,18 @@ def person_center(kp: np.ndarray, hip_indices: Tuple[int, int] = (11, 12)) -> np
     return (kp[:, left, :2] + kp[:, right, :2]) / 2.0
 
 
-def window_starts(run_length: int, T: int, stride: int) -> range:
-    """Start offsets of windows inside a contiguous run of ``run_length`` frames."""
-    if run_length < T:
-        return range(0)
-    return range(0, run_length - T + 1, stride)
+def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, i) for every i in range(counts[owner]), owner by owner."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def window_starts(run_starts, run_lengths, T: int, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(run, start) of every window inside runs of consecutive frames (or
+    rows) [start, start + length): one window at run offsets 0, stride,
+    2 * stride, ... while all T frames fit, run by run."""
+    run, offset = _expand(np.maximum(run_lengths - T + stride, 0) // stride)
+    return run, run_starts[run] + stride * offset
 
 
 def center_window(
@@ -57,207 +67,176 @@ def center_window(
     cfg: WindowingConfig,
     policy: CenterPolicy,
     anchor_indices: Optional[Tuple[int, int]] = None,
-    mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Translate a whole window so the first frame's anchor midpoint sits at
-    the frame center; the same vector is applied to every frame so relative
-    movement is preserved.
+    """Translate one (T, k, 2) window, or each window of a (W, T, k, 2)
+    stack, so the first frame's anchor midpoint sits at the frame center;
+    the same vector is applied to every frame so relative movement is
+    preserved.
 
-    ``anchor_indices`` defaults to the configured hip pair for multi-joint
-    windows and to node 0 for single-node (trajectory) windows. When a mask
-    is given, only occupied entries are translated and the anchor is the
-    centroid of the occupied nodes in the first frame.
+    ``anchor_indices`` defaults to the configured hip pair, and to joint 0
+    for single-joint windows.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if policy is CenterPolicy.NONE:
         return coords.copy()
-    if mask is not None:
-        occupied = np.asarray(mask, dtype=bool)
-        first = occupied[0]
-        if not first.any():
-            return coords.copy()
-        anchor = coords[0][first].mean(axis=0)
-        shift = np.asarray(cfg.frame_center) - anchor
-        out = coords.copy()
-        out[occupied] += shift
-        return out
-    k = coords.shape[1]
+    k = coords.shape[-2]
     if anchor_indices is None:
         anchor_indices = (0, 0) if k == 1 else cfg.hip_indices
     if max(anchor_indices) >= k:
         raise DataError(f"anchor indices {anchor_indices} outside the {k}-joint layout")
-    anchor = (coords[0, anchor_indices[0]] + coords[0, anchor_indices[1]]) / 2.0
+    first = coords[..., 0, :, :]
+    anchor = (first[..., anchor_indices[0], :] + first[..., anchor_indices[1], :]) / 2.0
     shift = np.asarray(cfg.frame_center) - anchor
-    return coords + shift
+    return coords + shift[..., None, None, :]
 
 
-def label_window(
-    labels: np.ndarray,
-    video_id: str,
-    start: int,
-    T: int,
-    video_split: str,
-) -> Label:
-    """Any-anomalous rule over [start, start+T) of one video's dense labels
-    (``Labels.dense``); training frames are implicitly Normal, unlabeled
-    validation frames are an error."""
-    if video_split == "train":
-        return Label.NORMAL
-    window = labels[start : start + T]
-    missing = np.flatnonzero(window < 0)
-    if missing.size or window.size < T:
-        frame = start + (int(missing[0]) if missing.size else window.size)
-        raise DataError(f"unlabeled validation frame ({video_id}, {frame}) inside window")
-    return Label.ANOMALOUS if window.any() else Label.NORMAL
-
-
-def _window_split(video_split: str, label: Label) -> Split:
-    if video_split == "train":
-        return Split.TRAIN
-    return Split.VAL_ANOMALOUS if label is Label.ANOMALOUS else Split.VAL_NORMAL
-
-
-def _windows_from_arrays(
-    detections: Detections,
-    coords: np.ndarray,
-    cfg: WindowingConfig,
-    labels: np.ndarray,
-    center: CenterPolicy,
-    video_split: str,
-    anchor_indices: Optional[Tuple[int, int]],
-) -> List[FeatureWindow]:
-    T, stride = cfg.T, cfg.stride
-    k = coords.shape[1]
-    windows = []
-    for a, b in zip(*(bounds.tolist() for bounds in detections.run_bounds())):
-        video_id = detections.video_ids[detections.video[a]]
-        track_id = detections.track_ids[detections.track[a]]
-        for offset in window_starts(b - a, T, stride):
-            i = a + offset
-            start_frame = int(detections.frame[i])
-            window_coords = center_window(coords[i : i + T], cfg, center, anchor_indices)
-            label = label_window(labels, video_id, start_frame, T, video_split)
-            windows.append(
-                FeatureWindow(
-                    coords=window_coords,
-                    mask=np.ones((T, k), dtype=bool),
-                    video_id=video_id,
-                    start_frame=start_frame,
-                    track_ids=(track_id,),
-                    label=label,
-                    split=_window_split(video_split, label),
-                )
-            )
-    return windows
-
-
-def build_pose_windows(
-    detections: Detections,
-    cfg: WindowingConfig,
-    labels: np.ndarray,
-    center: CenterPolicy = CenterPolicy.FIRST_POSE_TO_FRAME_CENTER,
-    video_split: str = "val",
-) -> List[FeatureWindow]:
-    """T x k x 2 windows over every contiguous T-frame run of each tracklet
-    of one video's detections; ``labels`` is that video's dense labels.
-
-    Gapped tracklets yield fewer windows; no interpolation is attempted.
+def _window_splits(
+    bundle: DatasetBundle, video_ids: np.ndarray, video: np.ndarray, start: np.ndarray, T: int
+) -> Tuple[np.ndarray, Optional[Tuple[int, DataError]]]:
+    """Split codes (``SPLITS``) of windows sorted by video, by the
+    any-anomalous rule over each window's T frames: training windows are
+    Normal, and an unlabeled validation frame is an error. Returns the codes
+    and, for the first window in the given order that holds an unlabeled
+    validation frame, its index and the error (None if no window does).
     """
-    return _windows_from_arrays(
-        detections, detections.kp[:, :, :2], cfg, labels, center, video_split, cfg.hip_indices
+    split = np.full(len(start), _TRAIN, dtype=np.int8)
+    bounds = np.searchsorted(video, np.arange(len(video_ids) + 1))
+    for code, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        video_id = video_ids[code]
+        if lo == hi or bundle.videos[video_id].split == "train":
+            continue
+        starts = start[lo:hi]
+        dense = bundle.labels.dense(video_id)
+        labels = np.full(int(starts.max()) + T, -1, dtype=np.int8)
+        labels[: min(len(dense), len(labels))] = dense[: len(labels)]
+        unlabeled = np.r_[0, np.cumsum(labels < 0)]
+        missing = np.flatnonzero(unlabeled[starts + T] > unlabeled[starts])
+        if missing.size:
+            first = int(starts[missing[0]])
+            frame = first + int(np.argmax(labels[first : first + T] < 0))
+            error = DataError(f"unlabeled validation frame ({video_id}, {frame}) inside window")
+            return split, (lo + int(missing[0]), error)
+        anomalous = np.r_[0, np.cumsum(labels > 0)]
+        split[lo:hi] = np.where(anomalous[starts + T] > anomalous[starts], _VAL_ANOMALOUS, _VAL_NORMAL)
+    return split, None
+
+
+def _track_windows(
+    bundle: DatasetBundle,
+    points: np.ndarray,
+    center: CenterPolicy,
+    anchor_indices: Optional[Tuple[int, int]],
+) -> WindowBatch:
+    """Windows of T consecutive frames over (D, k, 2) per-detection points,
+    stride apart inside every run of consecutive frames of each tracklet;
+    gapped tracklets yield fewer windows, with no interpolation. Rows come
+    in (video, track, start) order, as the detections are sorted."""
+    detections, cfg = bundle.detections, bundle.config
+    starts, stops = detections.run_bounds()
+    _, first = window_starts(starts, stops - starts, cfg.T, cfg.stride)
+    coords = points[first[:, None] + np.arange(cfg.T)]
+    video_ids = np.array(detections.video_ids, dtype=object)
+    video, start = detections.video[first], detections.frame[first]
+    if center is not CenterPolicy.NONE:
+        bounds = np.searchsorted(video, np.arange(len(video_ids) + 1))
+        for code, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            if lo == hi:
+                continue
+            meta = bundle.videos[video_ids[code]]
+            video_cfg = replace(cfg, frame_width=meta.width, frame_height=meta.height)
+            coords[lo:hi] = center_window(coords[lo:hi], video_cfg, center, anchor_indices)
+    split, unlabeled = _window_splits(bundle, video_ids, video, start, cfg.T)
+    if unlabeled:
+        raise unlabeled[1]
+    return WindowBatch(
+        coords, np.ones(coords.shape[:3], dtype=bool), video_ids, video, start, split,
+        np.array(detections.track_ids, dtype=object), detections.track[first][:, None],
     )
 
 
-def build_trajectory_windows(
-    detections: Detections,
-    cfg: WindowingConfig,
-    labels: np.ndarray,
-    center: CenterPolicy = CenterPolicy.FIRST_POSE_TO_FRAME_CENTER,
-    video_split: str = "val",
-) -> List[FeatureWindow]:
-    """T x 1 x 2 windows of the hip-midpoint person center."""
-    centers = person_center(detections.kp, cfg.hip_indices)[:, None, :]
-    return _windows_from_arrays(detections, centers, cfg, labels, center, video_split, (0, 0))
-
-
-def build_social_windows(
-    bundle: DatasetBundle,
-    cfg: Optional[WindowingConfig] = None,
-    center: CenterPolicy = CenterPolicy.NONE,
-    truncate: bool = False,
-) -> List[FeatureWindow]:
+def _social_windows(bundle: DatasetBundle, truncate: bool) -> WindowBatch:
     """T x N x 2 per-video windows of everyone's person center.
 
-    Windows advance by ``stride`` over the video's full frame range. Every
-    track seen inside a window's range gets one node slot (ascending
-    track_id); frames where the track is absent stay zero with mask=false.
-    More than N simultaneous tracks is an error unless ``truncate`` keeps
-    the N lowest ids with a warning.
+    Windows advance by ``stride`` over the video's frame range, from its
+    first to its last frame with a detection or a label. Every track with a
+    detection inside a window's T frames gets one node slot (ascending
+    track id); frames where the track is absent stay zero with mask=false.
+    More than N such tracks is an error unless ``truncate`` keeps the N
+    lowest ids with a warning.
     """
-    cfg = cfg or bundle.config
-    windows: List[FeatureWindow] = []
+    detections, labels, cfg = bundle.detections, bundle.labels, bundle.config
     T, stride, N = cfg.T, cfg.stride, cfg.N
+    video_ids = np.array(sorted(bundle.videos), dtype=object)
+    row_video = np.searchsorted(video_ids, np.array(detections.video_ids, dtype=object))[detections.video]
+    first = np.full(len(video_ids), np.iinfo(np.int64).max)
+    last = np.full(len(video_ids), -1)
+    for video, frame in ((row_video, detections.frame), (np.searchsorted(video_ids, labels.video), labels.frame)):
+        np.minimum.at(first, video, frame)
+        np.maximum.at(last, video, frame)
+    window_video, start = window_starts(first, np.where(last >= 0, last - first + 1, 0), T, stride)
+    n_windows = np.bincount(window_video, minlength=len(video_ids))
 
-    by_video: Dict[str, Dict[str, Dict[int, List[float]]]] = {}
-    for video_id, detections in bundle.detections.per_video().items():
-        centers = person_center(detections.kp, cfg.hip_indices).tolist()
-        frames = detections.frame.tolist()
-        by_video[video_id] = {
-            detections.track_ids[detections.track[a]]: dict(zip(frames[a:b], centers[a:b]))
-            for a, b in zip(*(bounds.tolist() for bounds in detections.tracklet_bounds()))
-        }
+    # candidate windows of a tracklet: those whose T frames overlap its first..last frame
+    tracklet_start, tracklet_stop = detections.tracklet_bounds()
+    video = row_video[tracklet_start]
+    lo = first[video]
+    j_lo = np.maximum(-((lo + T - 1 - detections.frame[tracklet_start]) // stride), 0)
+    j_hi = np.minimum((detections.frame[tracklet_stop - 1] - lo) // stride, n_windows[video] - 1)
+    tracklet, offset = _expand(np.maximum(j_hi - j_lo + 1, 0))
+    window = (np.cumsum(n_windows) - n_windows)[video[tracklet]] + j_lo[tracklet] + offset
 
-    for video_id in sorted(bundle.videos):
-        video_split = bundle.videos[video_id].split
-        tracks = by_video.get(video_id, {})
-        video_labels = bundle.labels.dense(video_id)
-        frames_seen = [f for track in tracks.values() for f in track]
-        frames_seen += np.flatnonzero(video_labels >= 0).tolist()
-        if not frames_seen:
-            continue
-        lo, hi = min(frames_seen), max(frames_seen)
-        for start in range(lo, hi - T + 2, stride):
-            present = sorted(
-                tid
-                for tid, track in tracks.items()
-                if any(frame in track for frame in range(start, start + T))
+    # a candidate is kept when its tracklet has rows in [start, start + T): the rows'
+    # (tracklet, frame rank) keys ascend, so one searchsorted per bound finds them
+    frames = np.unique(detections.frame)
+    width = len(frames) + 1
+    key = np.repeat(np.arange(len(tracklet_start)), tracklet_stop - tracklet_start) * width
+    key += np.searchsorted(frames, detections.frame)
+    base = tracklet * width
+    row_lo = np.searchsorted(key, base + np.searchsorted(frames, start[window]))
+    row_hi = np.searchsorted(key, base + np.searchsorted(frames, start[window] + T))
+    present = np.flatnonzero(row_hi > row_lo)
+    present = present[np.argsort(window[present], kind="stable")]  # by window, then track
+    tracklet, window, row_lo, row_hi = tracklet[present], window[present], row_lo[present], row_hi[present]
+    counts = np.bincount(window, minlength=len(start))
+    slot = np.arange(len(window)) - (np.cumsum(counts) - counts)[window]
+
+    split, unlabeled = _window_splits(bundle, video_ids, window_video, start, T)
+    stop = unlabeled[0] if unlabeled else len(start)
+    for w in np.flatnonzero(counts > N).tolist():
+        if w > stop:
+            break
+        video_id, frame = video_ids[window_video[w]], int(start[w])
+        if not truncate:
+            raise DataError(
+                f"social window ({video_id}, frames {frame}..{frame + T - 1}) has "
+                f"{counts[w]} tracks, capacity N={N}"
             )
-            if len(present) > N:
-                if not truncate:
-                    raise DataError(
-                        f"social window ({video_id}, frames {start}..{start + T - 1}) has "
-                        f"{len(present)} tracks, capacity N={N}"
-                    )
-                dropped = present[N:]
-                present = present[:N]
-                logger.warning(
-                    "social window (%s, frames %d..%d): truncated %d tracks over capacity %d",
-                    video_id, start, start + T - 1, len(dropped), N,
-                )
-            coords = np.zeros((T, N, 2), dtype=np.float64)
-            mask = np.zeros((T, N), dtype=bool)
-            for slot, tid in enumerate(present):
-                track = tracks[tid]
-                for t in range(T):
-                    point = track.get(start + t)
-                    if point is not None:
-                        coords[t, slot] = point
-                        mask[t, slot] = True
-            if center is not CenterPolicy.NONE:
-                coords = center_window(coords, cfg, center, mask=mask)
-            label = label_window(video_labels, video_id, start, T, video_split)
-            windows.append(
-                FeatureWindow(
-                    coords=coords,
-                    mask=mask,
-                    video_id=video_id,
-                    start_frame=start,
-                    track_ids=tuple(present),
-                    label=label,
-                    split=_window_split(video_split, label),
-                )
-            )
-    return sort_windows(windows)
+        logger.warning(
+            "social window (%s, frames %d..%d): truncated %d tracks over capacity %d",
+            video_id, frame, frame + T - 1, counts[w] - N, N,
+        )
+    if unlabeled:
+        raise unlabeled[1]
+
+    kept = slot < N
+    tracklet, window, row_lo, row_hi, slot = (a[kept] for a in (tracklet, window, row_lo, row_hi, slot))
+    track = np.full((len(start), N), -1, dtype=np.int64)
+    track[window, slot] = detections.track[tracklet_start[tracklet]]
+    order = np.lexsort((start, *track.T[::-1], window_video))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+
+    slot_of_row, offset = _expand(row_hi - row_lo)
+    rows = row_lo[slot_of_row] + offset
+    at = (position[window[slot_of_row]], detections.frame[rows] - start[window[slot_of_row]], slot[slot_of_row])
+    coords = np.zeros((len(start), T, N, 2), dtype=np.float64)
+    mask = np.zeros((len(start), T, N), dtype=bool)
+    coords[at] = person_center(detections.kp, cfg.hip_indices)[rows]
+    mask[at] = True
+    return WindowBatch(
+        coords, mask, video_ids, window_video[order], start[order], split[order],
+        np.array(detections.track_ids, dtype=object), track[order],
+    )
 
 
 def build_windows(
@@ -265,52 +244,50 @@ def build_windows(
     feature_type,
     center: CenterPolicy = CenterPolicy.FIRST_POSE_TO_FRAME_CENTER,
     truncate_social: bool = False,
-) -> List[FeatureWindow]:
-    """Build all windows of one feature type for a whole bundle.
+) -> WindowBatch:
+    """All windows of one feature type for a whole bundle, in (video, track
+    ids, start) order: T x k x 2 pose windows, T x 1 x 2 windows of the
+    hip-midpoint person center, or T x N x 2 social windows.
 
     Per-video frame resolutions from the manifest override the config's
-    global frame size for centering.
+    global frame size for centering; social windows are not centered.
     """
     if feature_type is FeatureType.SOCIAL_TRAJECTORY:
-        return build_social_windows(bundle, bundle.config, CenterPolicy.NONE, truncate_social)
-
-    builder = (
-        build_pose_windows if feature_type is FeatureType.POSE else build_trajectory_windows
-    )
-    windows: List[FeatureWindow] = []
-    for video_id, detections in bundle.detections.per_video().items():
-        meta = bundle.videos[video_id]
-        cfg = replace(bundle.config, frame_width=meta.width, frame_height=meta.height)
-        windows.extend(builder(detections, cfg, bundle.labels.dense(video_id), center, meta.split))
-    return sort_windows(windows)
+        return _social_windows(bundle, truncate_social)
+    kp = bundle.detections.kp
+    if feature_type is FeatureType.POSE:
+        return _track_windows(bundle, kp[:, :, :2], center, None)
+    return _track_windows(bundle, person_center(kp, bundle.config.hip_indices)[:, None, :], center, (0, 0))
 
 
-def sort_windows(windows: Iterable[FeatureWindow]) -> List[FeatureWindow]:
-    """Canonical downstream ordering: (video_id, track_ids, start_frame)."""
-    return sorted(windows, key=lambda w: (w.video_id, w.track_ids, w.start_frame))
+def _label(split: Split) -> Label:
+    """A window's label follows from its split: only val_anomalous is Anomalous."""
+    return Label.ANOMALOUS if split is Split.VAL_ANOMALOUS else Label.NORMAL
 
 
-def serialize_windows(windows: Iterable[FeatureWindow]) -> str:
+def serialize_windows(windows: WindowBatch) -> str:
     """Line-delimited export with bit-exact decimal round-trip."""
+    W, T, k = windows.mask.shape
+    coords = windows.coords.reshape(W, T * k * 2).tolist()
+    bits = (windows.mask.reshape(W, T * k).view(np.uint8) + ord("0")).tobytes().decode("ascii")
     lines = []
-    for w in windows:
-        T, k = w.shape
-        coords_text = ",".join(repr(float(v)) for v in w.coords.reshape(-1))
-        mask_text = "".join("1" if m else "0" for m in w.mask.reshape(-1))
-        track_text = "|".join(w.track_ids)
+    rows = zip(windows.video.tolist(), windows.start.tolist(), windows.split.tolist(), windows.track.tolist())
+    for i, (video, start, split, track) in enumerate(rows):
+        split = SPLITS[split]
+        track_text = "|".join(windows.track_ids[code] for code in track if code >= 0)
         lines.append(
-            f"{w.video_id}\t{w.start_frame}\t{w.split.value}\t{w.label.value}"
-            f"\t{T}\t{k}\t{track_text}\t{coords_text}\t{mask_text}"
+            f"{windows.video_ids[video]}\t{start}\t{split.value}\t{_label(split).value}"
+            f"\t{T}\t{k}\t{track_text}\t{','.join(map(repr, coords[i]))}\t{bits[i * T * k : (i + 1) * T * k]}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_windows(stream) -> List[FeatureWindow]:
-    from .ingest import _lines
-
-    label_tokens = {l.value: l for l in Label}
+def parse_windows(stream) -> WindowBatch:
+    """Windows from a ``serialize_windows`` export; every line must have
+    the first line's (T, k), and its label must follow from its split."""
     split_tokens = {s.value: s for s in Split}
-    windows = []
+    shape = None
+    coords, masks, videos, starts, splits, tracks = [], [], [], [], [], []
     for line_number, line in enumerate(_lines(stream), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -323,27 +300,30 @@ def parse_windows(stream) -> List[FeatureWindow]:
             start_frame, T, k = int(start_text), int(T_text), int(k_text)
         except ValueError:
             raise ParseError("start_frame, T and k must be integers", line_number) from None
-        if split_text not in split_tokens or label_text not in label_tokens:
+        if split_text not in split_tokens:
             raise ParseError(f"unknown split/label ({split_text!r}, {label_text!r})", line_number)
+        if label_text != _label(split_tokens[split_text]).value:
+            raise ParseError(f"label {label_text!r} does not match split {split_text!r}", line_number)
+        shape = shape or (T, k)
+        if (T, k) != shape:
+            raise ParseError(f"window shape {(T, k)} differs from the first window's {shape}", line_number)
         values = coords_text.split(",")
         if len(values) != T * k * 2:
             raise ParseError(f"expected {T * k * 2} coordinates, got {len(values)}", line_number)
         if len(mask_text) != T * k:
             raise ParseError(f"expected {T * k} mask bits, got {len(mask_text)}", line_number)
         try:
-            coords = np.array([float(v) for v in values], dtype=np.float64).reshape(T, k, 2)
+            coords.append([float(v) for v in values])
         except ValueError:
             raise ParseError("invalid coordinate value", line_number) from None
-        mask = np.array([c == "1" for c in mask_text], dtype=bool).reshape(T, k)
-        windows.append(
-            FeatureWindow(
-                coords=coords,
-                mask=mask,
-                video_id=video_id,
-                start_frame=start_frame,
-                track_ids=tuple(track_text.split("|")) if track_text else (),
-                label=label_tokens[label_text],
-                split=split_tokens[split_text],
-            )
-        )
-    return windows
+        masks.append([c == "1" for c in mask_text])
+        videos.append(video_id)
+        starts.append(start_frame)
+        splits.append(split_tokens[split_text])
+        tracks.append(track_text.split("|") if track_text else [])
+    T, k = shape or (0, 0)
+    return WindowBatch.from_columns(
+        np.array(coords, dtype=np.float64).reshape(len(coords), T, k, 2),
+        np.array(masks, dtype=bool).reshape(len(masks), T, k),
+        videos, starts, splits, tracks,
+    )

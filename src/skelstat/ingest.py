@@ -212,14 +212,14 @@ def parse_labels(stream) -> Labels:
             raise ParseError(f"expected 'video_id,frame_index,label', got {line!r}", line_number)
         video_id = parts[0]
         frame_index = _parse_int(parts[1], "frame index", line_number)
+        if frame_index < 0:
+            raise ParseError(f"negative frame index {frame_index}", line_number)
         if parts[2] not in ("0", "1"):
             raise ParseError(f"label must be 0 or 1, got {parts[2]!r}", line_number)
         key = (video_id, frame_index)
         if key in seen:
             raise ParseError(f"duplicate label for ({video_id}, frame {frame_index})", line_number)
         seen.add(key)
-        if frame_index < 0:
-            raise DataError(f"frame_index must be non-negative, got {frame_index}")
         rows.append((video_id, frame_index, parts[2] == "1"))
     return Labels.from_columns(*(zip(*rows) if rows else ((), (), ())))
 

@@ -16,11 +16,11 @@ Areas are summed left to right with ``np.cumsum``: pairwise summation
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import DataError, FeatureWindow, FrameScores, Labels, MetricsReport
+from .core import DataError, FrameScores, Labels, MetricsReport, WindowBatch
 
 
 def _threshold_counts(scores, positive) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
@@ -122,40 +122,44 @@ def eer(roc: np.ndarray) -> Tuple[float, float]:
 
 
 def windows_to_frame_scores(
-    scored_windows: Sequence[Tuple[FeatureWindow, float]],
+    windows: WindowBatch,
+    scores,
     labels: Labels,
+    rows=None,
     default_score: Optional[float] = None,
     drop_uncovered: bool = False,
 ) -> Tuple[FrameScores, List[Tuple[str, int]]]:
-    """Per-frame anomaly score = max over all windows covering the frame.
+    """Per-frame anomaly score = max over all scored windows covering the frame.
 
-    Labeled frames no window covers get ``default_score`` (the least
-    anomalous covered frame's score when unset), or are dropped when
-    ``drop_uncovered`` is set. Returns the labeled frames' scores sorted by
-    (video, frame) and the uncovered frame keys.
+    ``scores[i]`` is the score of window ``rows[i]`` (of window i when
+    ``rows`` is None). Labeled frames no window covers get
+    ``default_score`` (the least anomalous covered frame's score when
+    unset), or are dropped when ``drop_uncovered`` is set. Returns the
+    labeled frames' scores sorted by (video, frame) and the uncovered frame
+    keys.
     """
-    scored_windows = list(scored_windows)
-    window_scores = np.array([score for _, score in scored_windows], dtype=np.float64)
+    rows = np.arange(len(windows)) if rows is None else np.asarray(rows, dtype=np.int64)
+    window_scores = np.asarray(scores, dtype=np.float64)
+    if window_scores.shape != rows.shape:
+        raise DataError(f"{window_scores.size} scores for {rows.size} windows")
     if not np.isfinite(window_scores).all():
         raise DataError(f"non-finite window score {window_scores[~np.isfinite(window_scores)][0]}")
-    starts = np.array([w.start_frame for w, _ in scored_windows], dtype=np.int64)
+    starts = windows.start[rows]
     if (starts < 0).any():
         raise DataError("window start frames must be non-negative")
-    lengths = np.array([w.shape[0] for w, _ in scored_windows], dtype=np.int64)
-    window_names = np.array([w.video_id for w, _ in scored_windows], dtype=str)
-    names = np.unique(np.concatenate([labels.video, window_names]))
-    window_video = np.searchsorted(names, window_names)
+    T = windows.coords.shape[1]
+    names = np.unique(np.concatenate([labels.video, windows.video_ids]))
+    window_video = np.searchsorted(names, windows.video_ids)[windows.video[rows]]
     label_video = np.searchsorted(names, labels.video)
 
     # one dense frame axis: a block per video, long enough for its windows and labels
     extent = np.zeros(len(names), dtype=np.int64)
-    np.maximum.at(extent, window_video, starts + lengths)
+    np.maximum.at(extent, window_video, starts + T)
     np.maximum.at(extent, label_video, labels.frame + 1)
     offset = np.cumsum(extent) - extent
-    frame_in_window = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    positions = np.repeat(offset[window_video] + starts, lengths) + frame_in_window
+    positions = (offset[window_video] + starts)[:, None] + np.arange(T)
     best = np.full(int(extent.sum()), -np.inf)  # -inf: no window covers the frame
-    np.maximum.at(best, positions, np.repeat(window_scores, lengths))
+    np.maximum.at(best, positions.ravel(), np.repeat(window_scores, T))
 
     frame_best = best[offset[label_video] + labels.frame]
     covered = np.isfinite(frame_best)

@@ -167,9 +167,10 @@ def difficulty_report(
     sdom_by_feature: Dict[str, float] = {}
     for feature_type in feature_types:
         entry: dict = {"warnings": []}
-        by_split = windows_by_split(build_windows(bundle, feature_type, center, truncate_social))
+        windows = build_windows(bundle, feature_type, center, truncate_social)
+        by_split = windows_by_split(windows)
         entry["counts"] = {s.value: len(by_split[s]) for s in _SPLIT_ORDER}
-        empty = [s.value for s in _SPLIT_ORDER if not by_split[s]]
+        empty = [s.value for s in _SPLIT_ORDER if not len(by_split[s])]
         if empty:
             entry["warnings"].append(f"empty splits: {', '.join(empty)}; S-DoM skipped")
             report["features"][feature_type.value] = entry
@@ -177,19 +178,14 @@ def difficulty_report(
         for split in _SPLIT_ORDER:
             if len(by_split[split]) < 2:
                 entry["warnings"].append(f"split {split.value} has a single window")
-        sr = sdom_report(
-            by_split[Split.TRAIN],
-            by_split[Split.VAL_NORMAL],
-            by_split[Split.VAL_ANOMALOUS],
-            feature_type,
-        )
+        sr = sdom_report(windows, feature_type)
         entry["sdom"] = sr.to_dict()
         sdom_by_feature[feature_type.value] = sr.sdom
-        mu_tn = mean_tensor(by_split[Split.TRAIN])
+        mu_tn = mean_tensor(windows, Split.TRAIN)
         entry["box_stats"] = {}
         entry["histograms"] = {}
         for split in _SPLIT_ORDER:
-            series = distances_to_mean(by_split[split], mu_tn, split, feature_type.value)
+            series = distances_to_mean(windows, mu_tn, split, feature_type.value)
             entry["box_stats"][split.value] = box_stats(series).to_dict()
             entry["histograms"][split.value] = histogram(series, binning).to_dict()
         report["features"][feature_type.value] = entry

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .analysis import distances_to_mean, mean_tensor
+from .analysis import distances_to_mean, mean_tensor, windows_by_split
 from .core import DataError, Detections, FeatureType, Labels, Split, WindowingConfig
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle, VideoMeta
@@ -258,11 +258,11 @@ def oracle_scores(
     # distance mode: uncentered trajectories keep absolute displacement, so
     # shifted segments stand out against the training mean
     windows = build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY, CenterPolicy.NONE)
-    train = [w for w in windows if w.split is Split.TRAIN]
-    val = [w for w in windows if w.split is not Split.TRAIN]
-    if not train or not val:
+    by_split = windows_by_split(windows)
+    val = np.concatenate([by_split[Split.VAL_NORMAL], by_split[Split.VAL_ANOMALOUS]])
+    if not len(by_split[Split.TRAIN]) or not len(val):
         raise DataError("distance oracle needs both training and validation windows")
-    mu_tn = mean_tensor(train)
-    series = distances_to_mean(val, mu_tn)
-    frames, _ = windows_to_frame_scores(list(zip(val, series.values)), labels)
+    mu_tn = mean_tensor(windows, Split.TRAIN)
+    series = distances_to_mean(windows, mu_tn)
+    frames, _ = windows_to_frame_scores(windows, series.values[val], labels, rows=val)
     return list(zip(frames.video.tolist(), frames.frame.tolist(), frames.score.tolist()))

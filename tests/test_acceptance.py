@@ -24,12 +24,13 @@ from skelstat.cli import main as cli_main
 from skelstat.core import (
     Detections,
     FeatureType,
-    FeatureWindow,
-    Label,
+    Labels,
     Split,
+    WindowBatch,
     WindowingConfig,
 )
-from skelstat.features import CenterPolicy, build_pose_windows, center_window
+from skelstat.features import CenterPolicy, build_windows, center_window
+from skelstat.ingest import DatasetBundle, VideoMeta
 from skelstat.metrics import auc_roc, eer, error_rates, roc_curve
 from skelstat.synth import SynthSpec, TrajectoryShift, generate
 
@@ -103,10 +104,11 @@ def test_04_window_count_law():
             )
         kp = [[(float(f), 0.0, 0.9)] for f in range(L)]
         tracklet = Detections.from_columns(["v"] * L, ["t"] * L, list(range(L)), kp)
-        no_labels = np.zeros(0, dtype=np.int8)
-        windows = build_pose_windows(tracklet, cfg_cache[key], no_labels, CenterPolicy.NONE, "train")
+        no_labels = Labels.from_columns([], [], [])
+        bundle = DatasetBundle(tracklet, no_labels, {"v": VideoMeta("train", 100, 100)}, cfg_cache[key])
+        windows = build_windows(bundle, FeatureType.POSE, CenterPolicy.NONE)
         expected_starts = [s for s in range(0, L - T + 1, stride)] if L >= T else []
-        assert [w.start_frame for w in windows] == expected_starts
+        assert windows.start.tolist() == expected_starts
         assert len(windows) == ((L - T) // stride + 1 if L >= T else 0)
 
 
@@ -128,37 +130,21 @@ def test_05_centering_invariants():
 def test_06_sdom_translation_invariance_and_scale_equivariance():
     rng = np.random.default_rng(55)
 
-    def make(split, label, loc):
-        return [
-            FeatureWindow(
-                coords=loc + rng.normal(size=(8, 3, 2)),
-                mask=np.ones((8, 3), dtype=bool),
-                video_id="v",
-                start_frame=i,
-                track_ids=("t",),
-                label=label,
-                split=split,
-            )
-            for i in range(25)
-        ]
+    def make(loc):
+        return loc + rng.normal(size=(25, 8, 3, 2))
 
-    train = make(Split.TRAIN, Label.NORMAL, 0.0)
-    vn = make(Split.VAL_NORMAL, Label.NORMAL, 0.7)
-    va = make(Split.VAL_ANOMALOUS, Label.ANOMALOUS, 2.0)
-    base = sdom_report(train, vn, va)
+    train, vn, va = make(0.0), make(0.7), make(2.0)
 
     def remap(groups, fn):
-        return [
-            [
-                FeatureWindow(fn(w.coords), np.asarray(w.mask), w.video_id, w.start_frame,
-                              w.track_ids, w.label, w.split)
-                for w in group
-            ]
-            for group in groups
-        ]
+        coords = np.concatenate([fn(group) for group in groups])
+        splits = [split for split in (Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS) for _ in range(25)]
+        return WindowBatch.from_columns(
+            coords, np.ones(coords.shape[:3], dtype=bool), ["v"] * 75, list(range(25)) * 3, splits, [("t",)] * 75
+        )
 
+    base = sdom_report(remap((train, vn, va), lambda c: c))
     shift = np.array([311.5, -47.25])
-    shifted = sdom_report(*remap((train, vn, va), lambda c: c + shift))
+    shifted = sdom_report(remap((train, vn, va), lambda c: c + shift))
     for got, want in (
         (shifted.delta_n, base.delta_n),
         (shifted.delta_a, base.delta_a),
@@ -167,7 +153,7 @@ def test_06_sdom_translation_invariance_and_scale_equivariance():
         assert abs(got - want) <= 1e-9
 
     s = 3.25
-    scaled = sdom_report(*remap((train, vn, va), lambda c: c * s))
+    scaled = sdom_report(remap((train, vn, va), lambda c: c * s))
     for got, want in (
         (scaled.delta_n, s * base.delta_n),
         (scaled.delta_a, s * base.delta_a),
@@ -192,19 +178,8 @@ def _monotonicity_sdom(delta):
     )
     bundle = generate(spec)
     # uncentered trajectories: centering would cancel the constant shift by design
-    from skelstat.features import build_windows
-
     windows = build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY, CenterPolicy.NONE)
-    by_split = {s: [] for s in Split}
-    for w in windows:
-        by_split[w.split].append(w)
-    report = sdom_report(
-        by_split[Split.TRAIN],
-        by_split[Split.VAL_NORMAL],
-        by_split[Split.VAL_ANOMALOUS],
-        FeatureType.ABSOLUTE_TRAJECTORY,
-    )
-    return report
+    return sdom_report(windows, FeatureType.ABSOLUTE_TRAJECTORY)
 
 
 def test_07_synthetic_sdom_monotonicity():
@@ -286,19 +261,14 @@ def test_09_pipeline_byte_determinism(tmp_path):
 def test_10_throughput_100k_windows():
     rng = np.random.default_rng(0)
     base = rng.normal(size=(100_000, 24, 17, 2))
-    mask = np.ones((24, 17), dtype=bool)
+    mask = np.ones((100_000, 24, 17), dtype=bool)
     splits = (
         [Split.TRAIN] * 40_000 + [Split.VAL_NORMAL] * 30_000 + [Split.VAL_ANOMALOUS] * 30_000
     )
-    labels = [Label.NORMAL if s is not Split.VAL_ANOMALOUS else Label.ANOMALOUS for s in splits]
-    windows = [
-        FeatureWindow(coords=base[i], mask=mask, video_id="v", start_frame=0,
-                      track_ids=("t",), label=labels[i], split=splits[i])
-        for i in range(100_000)
-    ]
+    windows = WindowBatch.from_columns(base, mask, ["v"] * 100_000, [0] * 100_000, splits, [("t",)] * 100_000)
     start = time.perf_counter()
-    report = sdom_report(windows[:40_000], windows[40_000:70_000], windows[70_000:], FeatureType.POSE)
-    mu = mean_tensor(windows[:40_000])
+    report = sdom_report(windows, FeatureType.POSE)
+    mu = mean_tensor(windows, Split.TRAIN)
     series = distances_to_mean(windows, mu)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

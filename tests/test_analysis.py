@@ -14,69 +14,72 @@ from skelstat.core import (
     DataError,
     EmbeddingPrior,
     FeatureType,
-    FeatureWindow,
-    Label,
     MeanTensor,
     Split,
+    WindowBatch,
 )
 
 
-def window(coords, split=Split.TRAIN, label=Label.NORMAL, start=0):
+def batch(coords, splits=None):
+    """A batch of fully occupied windows from a (W, T, k, 2) stack; every
+    window is a training window unless ``splits`` are given."""
     coords = np.asarray(coords, dtype=np.float64)
-    return FeatureWindow(
-        coords=coords,
-        mask=np.ones(coords.shape[:2], dtype=bool),
-        video_id="v1",
-        start_frame=start,
-        track_ids=("t1",),
-        label=label,
-        split=split,
+    n = len(coords)
+    return WindowBatch.from_columns(
+        coords, np.ones(coords.shape[:3], dtype=bool), ["v1"] * n, range(n),
+        splits or [Split.TRAIN] * n, [("t1",)] * n,
     )
 
 
-def random_windows(rng, n, T=6, k=3, split=Split.TRAIN, loc=0.0):
-    return [window(loc + rng.normal(size=(T, k, 2)), split=split, start=i) for i in range(n)]
+def by_split(train, val_normal, val_anomalous):
+    """One batch of three (W, T, k, 2) stacks, split in that order."""
+    groups = (train, val_normal, val_anomalous)
+    splits = [split for split, group in zip(Split, groups) for _ in range(len(group))]
+    return batch(np.concatenate([np.asarray(g, dtype=np.float64) for g in groups]), splits)
+
+
+def random_windows(rng, n, T=6, k=3, loc=0.0):
+    return loc + rng.normal(size=(n, T, k, 2))
 
 
 class TestMeanTensor:
     def test_matches_numpy_mean(self):
         rng = np.random.default_rng(0)
         windows = random_windows(rng, 37)
-        mu = mean_tensor(windows)
-        expected = np.mean(np.stack([w.coords for w in windows]), axis=0)
+        mu = mean_tensor(batch(windows))
+        expected = np.mean(windows, axis=0)
         assert np.allclose(mu.values, expected, atol=1e-12)
         assert mu.sample_count == 37
 
     def test_crosses_chunk_boundary(self):
         rng = np.random.default_rng(1)
         windows = random_windows(rng, 1030, T=2, k=1)
-        mu = mean_tensor(windows)
-        expected = np.mean(np.stack([w.coords for w in windows]), axis=0)
+        mu = mean_tensor(batch(windows))
+        expected = np.mean(windows, axis=0)
         assert np.allclose(mu.values, expected, atol=1e-12)
 
     def test_single_window_is_identity(self):
         rng = np.random.default_rng(2)
-        (w,) = random_windows(rng, 1)
-        assert np.array_equal(mean_tensor([w]).values, w.coords)
+        windows = random_windows(rng, 1)
+        assert np.array_equal(mean_tensor(batch(windows)).values, windows[0])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="zero windows"):
-            mean_tensor([])
+            mean_tensor(batch(np.zeros((0, 6, 3, 2))))
 
     def test_shape_mismatch_rejected(self):
+        # a batch holds one window shape: its constructor refuses a second
         rng = np.random.default_rng(3)
-        a = window(rng.normal(size=(4, 2, 2)))
-        b = window(rng.normal(size=(4, 3, 2)))
+        a = rng.normal(size=(1, 4, 2, 2))
         with pytest.raises(DataError, match="mismatch"):
-            mean_tensor([a, b])
+            WindowBatch.from_columns(a, np.ones((1, 4, 3), dtype=bool), ["v1"], [0], [Split.TRAIN], [("t1",)])
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)
         windows = random_windows(rng, 20)
         shift = np.array([3.0, -7.0])
-        shifted = [window(w.coords + shift, start=w.start_frame) for w in windows]
         assert np.allclose(
-            mean_tensor(shifted).values, mean_tensor(windows).values + shift, atol=1e-12
+            mean_tensor(batch(windows + shift)).values, mean_tensor(batch(windows)).values + shift, atol=1e-12
         )
 
 
@@ -140,11 +143,11 @@ class TestSdomReport:
         # with zero noise delta_n = cn*sqrt(2k/T) exactly, same for ca.
         T, k = 6, 3
         base = np.zeros((T, k, 2))
-        train = [window(base, Split.TRAIN) for _ in range(4)]
+        train = [base] * 4
         cn, ca = 1.5, 4.0
-        vn = [window(base + cn, Split.VAL_NORMAL, start=i) for i in range(3)]
-        va = [window(base + ca, Split.VAL_ANOMALOUS, Label.ANOMALOUS, start=i) for i in range(3)]
-        report = sdom_report(train, vn, va, FeatureType.ABSOLUTE_TRAJECTORY)
+        vn = [base + cn] * 3
+        va = [base + ca] * 3
+        report = sdom_report(by_split(train, vn, va), FeatureType.ABSOLUTE_TRAJECTORY)
         scale = np.sqrt(2.0 * k / T)
         assert report.delta_n == pytest.approx(cn * scale, rel=1e-12)
         assert report.delta_a == pytest.approx(ca * scale, rel=1e-12)
@@ -153,13 +156,13 @@ class TestSdomReport:
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(7)
-        train = random_windows(rng, 30, split=Split.TRAIN)
-        vn = random_windows(rng, 20, split=Split.VAL_NORMAL, loc=0.5)
-        va = random_windows(rng, 10, split=Split.VAL_ANOMALOUS, loc=2.0)
-        report = sdom_report(train, vn, va)
-        mu_tn = np.mean(np.stack([w.coords for w in train]), axis=0)
-        mu_vn = np.mean(np.stack([w.coords for w in vn]), axis=0)
-        mu_va = np.mean(np.stack([w.coords for w in va]), axis=0)
+        train = random_windows(rng, 30)
+        vn = random_windows(rng, 20, loc=0.5)
+        va = random_windows(rng, 10, loc=2.0)
+        report = sdom_report(by_split(train, vn, va))
+        mu_tn = np.mean(train, axis=0)
+        mu_vn = np.mean(vn, axis=0)
+        mu_va = np.mean(va, axis=0)
         assert report.delta_n == pytest.approx(np.linalg.norm(mu_tn - mu_vn) / 6, rel=1e-12)
         assert report.delta_a == pytest.approx(np.linalg.norm(mu_tn - mu_va) / 6, rel=1e-12)
 
@@ -167,7 +170,7 @@ class TestSdomReport:
         rng = np.random.default_rng(8)
         train = random_windows(rng, 2)
         with pytest.raises(DataError, match="val-normal"):
-            sdom_report(train, [], train)
+            sdom_report(by_split(train, train[:0], train))
 
     def test_scale_covariance(self):
         # scaling all coordinates by s scales every delta and the sdom by s
@@ -175,13 +178,9 @@ class TestSdomReport:
         train = random_windows(rng, 10)
         vn = random_windows(rng, 10, loc=1.0)
         va = random_windows(rng, 10, loc=3.0)
-        r1 = sdom_report(train, vn, va)
+        r1 = sdom_report(by_split(train, vn, va))
         s = 2.5
-        scaled = [
-            [window(w.coords * s, w.split, w.label, w.start_frame) for w in group]
-            for group in (train, vn, va)
-        ]
-        r2 = sdom_report(*scaled)
+        r2 = sdom_report(by_split(train * s, vn * s, va * s))
         assert r2.sdom == pytest.approx(s * r1.sdom, rel=1e-12)
 
 
@@ -189,10 +188,10 @@ class TestDistancesToMean:
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(10)
         windows = random_windows(rng, 600)  # crosses the chunk boundary
-        mu = mean_tensor(windows)
-        series = distances_to_mean(windows, mu, Split.TRAIN, "pose")
+        mu = mean_tensor(batch(windows))
+        series = distances_to_mean(batch(windows), mu, Split.TRAIN, "pose")
         for i in (0, 1, 255, 511, 512, 599):
-            expected = np.linalg.norm(windows[i].coords - mu.values)
+            expected = np.linalg.norm(windows[i] - mu.values)
             assert series.values[i] == pytest.approx(expected, rel=1e-12)
         assert len(series) == 600
         assert series.tag == "pose"
@@ -202,19 +201,19 @@ class TestDistancesToMean:
         T = 6
         base = np.zeros((T, 1, 2))
         mu = MeanTensor(base, 1)
-        w = window(base + 1.0)
-        series = distances_to_mean([w], mu)
-        d = delta(mu, MeanTensor(w.coords, 1))
+        w = base + 1.0
+        series = distances_to_mean(batch([w]), mu)
+        d = delta(mu, MeanTensor(w, 1))
         assert series.values[0] == pytest.approx(T * d, rel=1e-12)
 
     def test_shape_mismatch(self):
         mu = MeanTensor(np.zeros((4, 1, 2)), 1)
         with pytest.raises(DataError):
-            distances_to_mean([window(np.zeros((5, 1, 2)))], mu)
+            distances_to_mean(batch(np.zeros((1, 5, 1, 2))), mu)
 
     def test_empty_sequence(self):
         mu = MeanTensor(np.zeros((4, 1, 2)), 1)
-        assert len(distances_to_mean([], mu)) == 0
+        assert len(distances_to_mean(batch(np.zeros((0, 4, 1, 2))), mu)) == 0
 
 
 class TestLatentDistances:

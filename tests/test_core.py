@@ -6,13 +6,12 @@ from skelstat.core import (
     DataError,
     Detections,
     FeatureType,
-    FeatureWindow,
-    Label,
     Labels,
     MeanTensor,
     MetricsReport,
     SdomReport,
     Split,
+    WindowBatch,
     WindowingConfig,
 )
 
@@ -88,23 +87,18 @@ class TestWindowingConfig:
 
 
 class TestFeatureWindow:
-    def make(self, T=4, k=2, **kw):
-        defaults = dict(
-            coords=np.ones((T, k, 2)),
-            mask=np.ones((T, k), dtype=bool),
-            video_id="v1",
-            start_frame=0,
-            track_ids=("t1",),
-            label=Label.NORMAL,
-            split=Split.TRAIN,
-        )
-        defaults.update(kw)
-        return FeatureWindow(**defaults)
+    """The window checks of ``WindowBatch.from_columns``, the constructor
+    for windows read from outside (``parse_windows``), on one window."""
+
+    def make(self, T=4, k=2, coords=None, mask=None):
+        coords = np.ones((T, k, 2)) if coords is None else coords
+        mask = np.ones((T, k), dtype=bool) if mask is None else mask
+        return WindowBatch.from_columns(coords[None], mask[None], ["v1"], [0], [Split.TRAIN], [("t1",)])
 
     def test_immutable(self):
         w = self.make()
         with pytest.raises(ValueError):
-            w.coords[0, 0, 0] = 5.0
+            w.coords[0, 0, 0, 0] = 5.0
 
     def test_masked_entries_must_be_zero(self):
         mask = np.ones((4, 2), dtype=bool)
@@ -114,7 +108,7 @@ class TestFeatureWindow:
         coords = np.ones((4, 2, 2))
         coords[0, 0] = 0.0
         w = self.make(coords=coords, mask=mask)
-        assert not w.mask[0, 0]
+        assert not w.mask[0, 0, 0]
 
     def test_nonfinite_rejected(self):
         coords = np.ones((4, 2, 2))
@@ -125,6 +119,8 @@ class TestFeatureWindow:
     def test_bad_shape(self):
         with pytest.raises(DataError):
             self.make(coords=np.ones((4, 2, 3)))
+        with pytest.raises(DataError, match="mismatch"):
+            self.make(mask=np.ones((4, 3), dtype=bool))
 
 
 class TestSdomReport:

@@ -1,23 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from skelstat.core import (
+    SPLITS,
     DataError,
     Detections,
     FeatureType,
     Label,
     Labels,
+    ParseError,
     Split,
     WindowingConfig,
 )
 from skelstat.features import (
     CenterPolicy,
-    build_pose_windows,
-    build_social_windows,
-    build_trajectory_windows,
     build_windows,
     center_window,
-    label_window,
     parse_windows,
     person_center,
     serialize_windows,
@@ -60,6 +60,45 @@ def normal_labels(frames, video="v1"):
 NO_LABELS = normal_labels([])
 
 
+def bundle_of(detections, labels=NO_LABELS, video_split="val", cfg=CFG, video="v1"):
+    """A bundle of one video's detections and dense labels, at cfg's frame size."""
+    frames = np.flatnonzero(labels >= 0)
+    return DatasetBundle(
+        detections=detections,
+        labels=Labels.from_columns([video] * len(frames), frames, labels[frames] == 1),
+        videos={video: VideoMeta(video_split, cfg.frame_width, cfg.frame_height)},
+        config=cfg,
+    )
+
+
+def pose_windows(bundle, center=CenterPolicy.FIRST_POSE_TO_FRAME_CENTER):
+    return unbatch(build_windows(bundle, FeatureType.POSE, center))
+
+
+def traj_windows(bundle, center=CenterPolicy.FIRST_POSE_TO_FRAME_CENTER):
+    return unbatch(build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY, center))
+
+
+def social_windows(bundle, truncate=False):
+    return unbatch(build_windows(bundle, FeatureType.SOCIAL_TRAJECTORY, truncate_social=truncate))
+
+
+def unbatch(batch):
+    """The windows of a batch as one record each, for per-window assertions."""
+    return [
+        SimpleNamespace(
+            coords=batch.coords[i],
+            mask=batch.mask[i],
+            video_id=batch.video_ids[batch.video[i]],
+            start_frame=int(batch.start[i]),
+            track_ids=tuple(batch.track_ids[c] for c in batch.track[i] if c >= 0),
+            split=SPLITS[batch.split[i]],
+            shape=batch.coords.shape[1:3],
+        )
+        for i in range(len(batch))
+    ]
+
+
 def center_of(coords):
     return tuple(person_center(table([detection(0, coords)]).kp)[0])
 
@@ -90,19 +129,19 @@ class TestPersonCenter:
 class TestPoseWindows:
     def test_exact_length_run_one_window(self):
         t = tracklet_from_frames(range(24))
-        windows = build_pose_windows(t, CFG, normal_labels(range(24)), CenterPolicy.NONE)
+        windows = pose_windows(bundle_of(t, normal_labels(range(24))), CenterPolicy.NONE)
         assert len(windows) == 1
         assert windows[0].start_frame == 0
 
     def test_36_frames_three_windows(self):
         t = tracklet_from_frames(range(36))
-        windows = build_pose_windows(t, CFG, normal_labels(range(36)), CenterPolicy.NONE)
+        windows = pose_windows(bundle_of(t, normal_labels(range(36))), CenterPolicy.NONE)
         assert [w.start_frame for w in windows] == [0, 6, 12]
 
     def test_gap_splits_runs(self):
         frames = [f for f in range(30) if f != 10]
         t = tracklet_from_frames(frames)
-        windows = build_pose_windows(t, CFG, normal_labels(frames), CenterPolicy.NONE)
+        windows = pose_windows(bundle_of(t, normal_labels(frames)), CenterPolicy.NONE)
         assert windows == []  # runs of 10 and 19 are both shorter than T=24
 
     def test_window_count_law_against_enumeration(self):
@@ -111,23 +150,35 @@ class TestPoseWindows:
         for _ in range(50):
             L = int(rng.integers(1, 40))
             t = tracklet_from_frames(range(L), rng, k=2)
-            windows = build_pose_windows(t, cfg_small, normal_labels(range(L)), CenterPolicy.NONE)
+            bundle = bundle_of(t, normal_labels(range(L)), cfg=cfg_small)
+            windows = pose_windows(bundle, CenterPolicy.NONE)
             expected = [s for s in range(0, max(L - 5 + 1, 0), 2)]
             assert [w.start_frame for w in windows] == expected
 
     def test_coords_match_source(self):
         rng = np.random.default_rng(6)
         t = tracklet_from_frames(range(24), rng)
-        (w,) = build_pose_windows(t, CFG, normal_labels(range(24)), CenterPolicy.NONE)
+        (w,) = pose_windows(bundle_of(t, normal_labels(range(24))), CenterPolicy.NONE)
         assert np.array_equal(w.coords, t.kp[:, :, :2])
+
+    def test_single_joint_layout_centers_on_that_joint(self):
+        cfg = WindowingConfig(T=24, stride=6, k=1, frame_width=100, frame_height=100)
+        t = table([detection(f, (float(f), 7.0), k=1) for f in range(30)], k=1)
+        windows = pose_windows(bundle_of(t, normal_labels(range(30)), cfg=cfg))
+        assert [w.start_frame for w in windows] == [0, 6]
+        for w in windows:
+            assert tuple(w.coords[0, 0]) == cfg.frame_center
+            assert np.array_equal(w.coords[:, 0, 0], 50.0 + np.arange(24.0))
 
     def test_split_assignment(self):
         labels = normal_labels(range(24))
         labels[3] = 1
         t = tracklet_from_frames(range(24))
-        (w,) = build_pose_windows(t, CFG, labels, CenterPolicy.NONE, video_split="val")
-        assert w.split is Split.VAL_ANOMALOUS and w.label is Label.ANOMALOUS
-        (w_train,) = build_pose_windows(t, CFG, NO_LABELS, CenterPolicy.NONE, video_split="train")
+        windows = build_windows(bundle_of(t, labels, video_split="val"), FeatureType.POSE, CenterPolicy.NONE)
+        (w,) = unbatch(windows)
+        label = serialize_windows(windows).split("\t")[3]
+        assert w.split is Split.VAL_ANOMALOUS and label == Label.ANOMALOUS.value
+        (w_train,) = pose_windows(bundle_of(t, NO_LABELS, video_split="train"), CenterPolicy.NONE)
         assert w_train.split is Split.TRAIN
 
 
@@ -169,8 +220,8 @@ class TestTrajectoryWindows:
     def test_count_matches_pose_windows(self):
         t = tracklet_from_frames(range(40))
         labels = normal_labels(range(40))
-        pose = build_pose_windows(t, CFG, labels, CenterPolicy.NONE)
-        traj = build_trajectory_windows(t, CFG, labels, CenterPolicy.NONE)
+        pose = pose_windows(bundle_of(t, labels), CenterPolicy.NONE)
+        traj = traj_windows(bundle_of(t, labels), CenterPolicy.NONE)
         assert len(traj) == len(pose)
         assert all(w.shape == (24, 1) for w in traj)
 
@@ -178,22 +229,32 @@ class TestTrajectoryWindows:
         rng = np.random.default_rng(8)
         t = tracklet_from_frames(range(24), rng)
         labels = normal_labels(range(24))
-        (pose,) = build_pose_windows(t, CFG, labels, CenterPolicy.NONE)
-        (traj,) = build_trajectory_windows(t, CFG, labels, CenterPolicy.NONE)
+        (pose,) = pose_windows(bundle_of(t, labels), CenterPolicy.NONE)
+        (traj,) = traj_windows(bundle_of(t, labels), CenterPolicy.NONE)
         expected = (pose.coords[:, 11, :] + pose.coords[:, 12, :]) / 2.0
         assert np.allclose(traj.coords[:, 0, :], expected, atol=0)
 
     def test_constant_position_centered_to_frame_center(self):
         t = table([detection(f, (30.0, 40.0)) for f in range(24)])
-        (w,) = build_trajectory_windows(t, CFG, normal_labels(range(24)))
+        (w,) = traj_windows(bundle_of(t, normal_labels(range(24))))
         assert np.allclose(w.coords, np.tile(CFG.frame_center, (24, 1, 1)), atol=1e-9)
 
     def test_small_layout_uses_first_two_joints_as_hips(self):
         rng = np.random.default_rng(14)
         t = tracklet_from_frames(range(24), rng, k=4)
         cfg = WindowingConfig(T=24, stride=6, k=4, frame_width=100, frame_height=100)
-        (w,) = build_trajectory_windows(t, cfg, normal_labels(range(24)), CenterPolicy.NONE)
+        (w,) = traj_windows(bundle_of(t, normal_labels(range(24)), cfg=cfg), CenterPolicy.NONE)
         assert np.array_equal(w.coords[:, 0], (t.kp[:, 0, :2] + t.kp[:, 1, :2]) / 2.0)
+
+
+def label_window(labels, video_id, start, T, video_split):
+    """The exported label of the pose window over [start, start + T) of a
+    one-track video with dense ``labels``."""
+    cfg = WindowingConfig(T=T, stride=T, k=2, frame_width=100, frame_height=100)
+    t = table([detection(f, (1.0, 1.0), video_id, k=2) for f in range(start, start + T)], k=2)
+    bundle = bundle_of(t, labels, video_split, cfg, video_id)
+    (line,) = serialize_windows(build_windows(bundle, FeatureType.POSE, CenterPolicy.NONE)).splitlines()
+    return Label(line.split("\t")[3])
 
 
 class TestLabelWindow:
@@ -242,7 +303,7 @@ class TestSocialWindows:
 
     def test_two_tracks_padded(self):
         dets = [self.det(f, t, (float(f), 1.0 if t == "a" else 2.0)) for f in range(4) for t in ("a", "b")]
-        (w,) = build_social_windows(social_bundle(dets))
+        (w,) = social_windows(social_bundle(dets))
         assert w.shape == (4, 3)
         assert w.mask[:, :2].all() and not w.mask[:, 2].any()
         assert np.array_equal(w.coords[:, 2], np.zeros((4, 2)))
@@ -251,15 +312,15 @@ class TestSocialWindows:
     def test_partial_presence_zero_filled(self):
         dets = [self.det(f, "a", (1.0, 1.0)) for f in range(4)]
         dets += [self.det(f, "b", (2.0, 2.0)) for f in range(2)]  # leaves at frame 2
-        (w,) = build_social_windows(social_bundle(dets))
+        (w,) = social_windows(social_bundle(dets))
         assert w.mask[:2, 1].all() and not w.mask[2:, 1].any()
         assert np.array_equal(w.coords[2:, 1], np.zeros((2, 2)))
 
     def test_capacity_exceeded(self):
         dets = [self.det(f, f"t{t}", (float(t), 0.0)) for f in range(4) for t in range(4)]
         with pytest.raises(DataError, match="capacity"):
-            build_social_windows(social_bundle(dets))
-        windows = build_social_windows(social_bundle(dets), truncate=True)
+            social_windows(social_bundle(dets))
+        windows = social_windows(social_bundle(dets), truncate=True)
         assert windows[0].track_ids == ("t0", "t1", "t2")
 
     def test_tracklet_order_does_not_matter(self):
@@ -267,7 +328,7 @@ class TestSocialWindows:
         dets = [self.det(f, t, tuple(rng.uniform(0, 50, 2))) for f in range(6) for t in ("a", "b", "c")]
         bundle_fwd = social_bundle(dets)
         bundle_rev = social_bundle(dets[::-1])
-        for wa, wb in zip(build_social_windows(bundle_fwd), build_social_windows(bundle_rev)):
+        for wa, wb in zip(social_windows(bundle_fwd), social_windows(bundle_rev)):
             assert np.array_equal(wa.coords, wb.coords)
             assert wa.track_ids == wb.track_ids
 
@@ -275,7 +336,7 @@ class TestSocialWindows:
         rng = np.random.default_rng(13)
         points = {(f, t): tuple(rng.uniform(0, 50, 2)) for f in range(6) for t in ("a", "b")}
         dets = [self.det(f, t, xy) for (f, t), xy in points.items()]
-        for w in build_social_windows(social_bundle(dets)):
+        for w in social_windows(social_bundle(dets)):
             for ti, track in enumerate(w.track_ids):
                 for t in range(w.shape[0]):
                     if w.mask[t, ti]:
@@ -288,7 +349,7 @@ class TestSocialWindows:
         bundle = DatasetBundle(
             detections=table([], k=2), labels=labels, videos={"v1": VideoMeta("val", 100, 100)}, config=cfg
         )
-        (w,) = build_social_windows(bundle)
+        (w,) = social_windows(bundle)
         assert not w.mask.any() and not w.coords.any()
 
 
@@ -299,7 +360,7 @@ class TestWindowStartsHelper:
             L = int(rng.integers(1, 100))
             T = int(rng.integers(2, 30))
             stride = int(rng.integers(1, 10))
-            starts = list(window_starts(L, T, stride))
+            _, starts = window_starts(np.array([0]), np.array([L]), T, stride)
             expected = (L - T) // stride + 1 if L >= T else 0
             assert len(starts) == expected
 
@@ -308,19 +369,28 @@ class TestWindowSerialization:
     def test_bit_exact_round_trip(self):
         rng = np.random.default_rng(21)
         t = tracklet_from_frames(range(30), rng)
-        windows = build_pose_windows(t, CFG, normal_labels(range(30)))
+        windows = build_windows(bundle_of(t, normal_labels(range(30))), FeatureType.POSE)
         parsed = parse_windows(serialize_windows(windows))
         assert len(parsed) == len(windows)
-        for a, b in zip(windows, parsed):
+        for a, b in zip(unbatch(windows), unbatch(parsed)):
             assert np.array_equal(a.coords, b.coords)
             assert np.array_equal(a.mask, b.mask)
-            assert (a.video_id, a.start_frame, a.track_ids, a.label, a.split) == (
+            assert (a.video_id, a.start_frame, a.track_ids, a.split) == (
                 b.video_id,
                 b.start_frame,
                 b.track_ids,
-                b.label,
                 b.split,
             )
+
+
+    def test_parse_refuses_what_no_export_holds(self):
+        bundle = bundle_of(tracklet_from_frames(range(24)), normal_labels(range(24)))
+        pose = serialize_windows(build_windows(bundle, FeatureType.POSE))
+        traj = serialize_windows(build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY))
+        with pytest.raises(ParseError, match=r"line 2: window shape \(24, 1\) differs from the first window's \(24, 17\)"):
+            parse_windows(pose + traj)
+        with pytest.raises(ParseError, match="line 1: label 'anomalous' does not match split 'val_normal'"):
+            parse_windows(pose.replace("\tnormal\t", "\tanomalous\t"))
 
 
 def test_build_windows_uses_manifest_resolution():
@@ -330,5 +400,5 @@ def test_build_windows_uses_manifest_resolution():
         videos={"v1": VideoMeta("train", 200, 50)},
         config=WindowingConfig(frame_width=999, frame_height=999),
     )
-    (w,) = build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY)
+    (w,) = traj_windows(bundle)
     assert np.allclose(w.coords[0, 0], (100.0, 25.0), atol=1e-9)

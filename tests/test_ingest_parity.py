@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelstat.core import DataError, ParseError
+from skelstat.core import ParseError
 from skelstat.ingest import parse_labels, parse_tracklets, serialize_labels, serialize_tracklets
 
 KP = "1.0,2.0,0.5;3.0,4.0,0.25"  # k = 2
@@ -104,8 +104,7 @@ class TestLabelErrors:
         raises_at(parse_labels, LABELS + "v1,1,0\nv1,2,7\n", "duplicate label for (v1, frame 1)", 4)
 
     def test_negative_frame(self):
-        with pytest.raises(DataError, match="non-negative, got -1"):
-            parse_labels(LABELS + "v1,-1,0\n")
+        raises_at(parse_labels, LABELS + "v1,-1,0\n", "negative frame index -1", 4)
 
 
 IDS = st.text(alphabet="abvtAB019_-.", min_size=1, max_size=3)

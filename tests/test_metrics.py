@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skelstat.core import DataError, FeatureWindow, Label, Labels, Split
+from skelstat.core import DataError, Labels, Split, WindowBatch
 from skelstat.metrics import (
     auc_pr,
     auc_roc,
@@ -220,16 +220,12 @@ class TestEer:
         assert eer(roc_curve(*samples))[0] == pytest.approx(eer(roc_curve(*flipped))[0], abs=1e-9)
 
 
-def make_window(video, start, T=4, score_shape=(4, 1)):
-    coords = np.zeros((T, 1, 2))
-    return FeatureWindow(
-        coords=coords,
-        mask=np.ones((T, 1), dtype=bool),
-        video_id=video,
-        start_frame=start,
-        track_ids=("t1",),
-        label=Label.NORMAL,
-        split=Split.VAL_NORMAL,
+def make_windows(videos, starts, T=4):
+    """A batch of T-frame validation windows, one per (video, start)."""
+    n = len(starts)
+    return WindowBatch.from_columns(
+        np.zeros((n, T, 1, 2)), np.ones((n, T, 1), dtype=bool), videos, starts,
+        [Split.VAL_NORMAL] * n, [("t1",)] * n,
     )
 
 
@@ -239,44 +235,55 @@ class TestWindowsToFrameScores:
 
     def test_max_rule_exhaustive_oracle(self):
         rng = np.random.default_rng(12)
-        windows = [(make_window("v1", s), float(rng.normal())) for s in range(0, 12, 2)]
-        out, uncovered = windows_to_frame_scores(windows, self.labels(14))
+        starts = list(range(0, 12, 2))
+        scores = rng.normal(size=len(starts)).tolist()
+        out, uncovered = windows_to_frame_scores(make_windows(["v1"] * len(starts), starts), scores, self.labels(14))
         assert uncovered == []
         by_frame = dict(zip(out.frame.tolist(), out.score.tolist()))
         for frame in range(14):
-            covering = [sc for w, sc in windows if w.start_frame <= frame < w.start_frame + 4]
-            expected = max(covering) if covering else min(sc for _, sc in windows)
+            covering = [sc for start, sc in zip(starts, scores) if start <= frame < start + 4]
+            expected = max(covering) if covering else min(scores)
             assert by_frame[frame] == expected
 
     def test_uncovered_default_and_drop(self):
-        windows = [(make_window("v1", 0), 2.0)]
-        out, uncovered = windows_to_frame_scores(windows, self.labels(6))
+        windows = make_windows(["v1"], [0])
+        out, uncovered = windows_to_frame_scores(windows, [2.0], self.labels(6))
         assert uncovered == [("v1", 4), ("v1", 5)]
         assert out.score.tolist() == [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]  # default = min observed
-        out2, _ = windows_to_frame_scores(windows, self.labels(6), default_score=-9.0)
+        out2, _ = windows_to_frame_scores(windows, [2.0], self.labels(6), default_score=-9.0)
         assert out2.score[-2:].tolist() == [-9.0, -9.0]
-        out3, _ = windows_to_frame_scores(windows, self.labels(6), drop_uncovered=True)
+        out3, _ = windows_to_frame_scores(windows, [2.0], self.labels(6), drop_uncovered=True)
         assert len(out3.score) == 4
 
     def test_labels_carried_through(self):
-        windows = [(make_window("v1", 0), 1.0)]
-        out, _ = windows_to_frame_scores(windows, self.labels(4, anomalous={2}))
+        out, _ = windows_to_frame_scores(make_windows(["v1"], [0]), [1.0], self.labels(4, anomalous={2}))
         assert out.positive.tolist() == [False, False, True, False]
 
     def test_videos_kept_separate(self):
-        windows = [(make_window("v1", 0), 5.0), (make_window("v2", 0), 1.0)]
+        windows = make_windows(["v1", "v2"], [0, 0])
         labels = Labels.from_columns(["v1"] * 4 + ["v2"] * 4, [0, 1, 2, 3] * 2, [False] * 8)
-        out, _ = windows_to_frame_scores(windows, labels)
+        out, _ = windows_to_frame_scores(windows, [5.0, 1.0], labels)
         scores = dict(zip(zip(out.video.tolist(), out.frame.tolist()), out.score.tolist()))
         assert scores[("v2", 0)] == 1.0 and scores[("v1", 0)] == 5.0
 
+    def test_scored_rows_only(self):
+        windows = make_windows(["v1", "v1"], [0, 2])
+        out, uncovered = windows_to_frame_scores(windows, [3.0], self.labels(6), rows=[1])
+        assert uncovered == [("v1", 0), ("v1", 1)]
+        assert out.score.tolist() == [3.0] * 6
+
+    def test_video_ids_kept_exactly(self):
+        # numpy's fixed-width str dtype would drop the trailing NUL
+        out, uncovered = windows_to_frame_scores(make_windows(["v\x00"], [0]), [1.0], self.labels(4, "v\x00"))
+        assert uncovered == []
+
     def test_non_finite_score_rejected(self):
         with pytest.raises(DataError):
-            windows_to_frame_scores([(make_window("v1", 0), float("nan"))], self.labels(4))
+            windows_to_frame_scores(make_windows(["v1"], [0]), [float("nan")], self.labels(4))
 
     def test_negative_start_rejected(self):
         with pytest.raises(DataError, match="non-negative"):
-            windows_to_frame_scores([(make_window("v1", -2), 1.0)], self.labels(4))
+            windows_to_frame_scores(make_windows(["v1"], [-2]), [1.0], self.labels(4))
 
 
 class TestReports:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skelstat.core import DataError, FeatureType, Split
+from skelstat.core import SPLITS, DataError, FeatureType, Split
 from skelstat.features import CenterPolicy, build_windows
 from skelstat.ingest import serialize_labels, serialize_tracklets
 from skelstat.metrics import auc_roc, roc_curve
@@ -125,7 +125,7 @@ class TestGenerate:
         for ft in (FeatureType.POSE, FeatureType.ABSOLUTE_TRAJECTORY, FeatureType.SOCIAL_TRAJECTORY):
             windows = build_windows(bundle, ft, CenterPolicy.NONE)
             assert windows
-            assert {w.split for w in windows} <= {Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS}
+            assert {SPLITS[code] for code in windows.split.tolist()} <= {Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS}
 
 
 class TestOracleScores:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import OracleError, Window, read_dataset, social_windows, track_windows
-from skelstat.core import DataError, FeatureType, WindowingConfig
+from skelstat.core import SPLITS, DataError, FeatureType, WindowingConfig
 from skelstat.features import CenterPolicy, build_windows, parse_windows, serialize_windows
 from skelstat.ingest import DatasetBundle, parse_labels, parse_manifest, parse_tracklets
 
@@ -54,12 +54,16 @@ def datasets(draw):
 
 def records(windows):
     """The program's windows as oracle ``Window`` tuples."""
+    rows = zip(
+        windows.video.tolist(), windows.track.tolist(), windows.start.tolist(), windows.split.tolist(),
+        windows.coords.tolist(), windows.mask.tolist(),
+    )
     return [
         Window(
-            w.video_id, w.track_ids, w.start_frame, w.split.value,
-            [[tuple(p) for p in row] for row in w.coords.tolist()], w.mask.tolist(),
+            windows.video_ids[video], tuple(windows.track_ids[c] for c in track if c >= 0), start,
+            SPLITS[split].value, [[tuple(p) for p in row] for row in coords], mask,
         )
-        for w in windows
+        for video, track, start, split, coords, mask in rows
     ]
 
 
