@@ -4,8 +4,8 @@ Pose windows slice one tracklet into T-frame runs of all k keypoints.
 Trajectory windows reduce each frame to the hip-midpoint person center
 first. Social windows collect the centers of every person in the scene
 into N zero-padded node slots per frame; the complete graph over the
-slots is implied and never materialized. Each builder returns one
-``WindowBatch`` for the whole bundle.
+slots is implied and never materialized. ``build_windows`` returns the
+windows of one feature for the whole bundle as one ``WindowBatch``.
 """
 
 from __future__ import annotations
