@@ -74,19 +74,11 @@ def _csv_text(header: List[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_from_args(args) -> WindowingConfig:
-    return WindowingConfig(
-        T=args.t,
-        stride=args.stride,
-        k=args.keypoints,
-        N=args.nodes,
-        frame_width=args.width,
-        frame_height=args.height,
-    )
-
-
 def _load_bundle(args) -> DatasetBundle:
-    return load_bundle(args.tracklets, args.labels, args.manifest, _config_from_args(args))
+    # validate takes no --stride or --nodes; its config keeps their defaults
+    windowing = {"stride": args.stride, "N": args.nodes} if "stride" in args else {}
+    config = WindowingConfig(T=args.t, k=args.keypoints, **windowing)
+    return load_bundle(args.tracklets, args.labels, args.manifest, config)
 
 
 def _center_policy(args) -> CenterPolicy:
@@ -248,36 +240,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skelstat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True):
+    def add_common(p, windowing=True):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--t", type=int, default=24, help="frames per window")
-        p.add_argument("--stride", type=int, default=6)
-        p.add_argument("--nodes", type=int, default=35, help="social node capacity N")
         p.add_argument("--keypoints", type=int, default=17, help="keypoints per pose")
-        p.add_argument("--width", type=float, default=856.0, help="default frame width")
-        p.add_argument("--height", type=float, default=480.0, help="default frame height")
-        if data:
-            p.add_argument("--tracklets", required=True)
-            p.add_argument("--labels", required=True)
-            p.add_argument("--manifest", required=True)
+        if windowing:
+            p.add_argument("--stride", type=int, default=6)
+            p.add_argument("--nodes", type=int, default=35, help="social node capacity N")
+
+    def add_data(p, windowing=True, feature=True):
+        add_common(p, windowing)
+        p.add_argument("--tracklets", required=True)
+        p.add_argument("--labels", required=True)
+        p.add_argument("--manifest", required=True)
+        if windowing:
             p.add_argument("--no-center", action="store_true")
             p.add_argument("--truncate-social", action="store_true")
+        if windowing and feature:
             p.add_argument("--feature", choices=sorted(_FEATURES), default=None)
 
     p = sub.add_parser("validate", help="cross-check tracklets, labels and manifest")
-    add_common(p)
+    add_data(p, windowing=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("windows", help="build and export feature windows")
-    add_common(p)
+    add_data(p)
     p.set_defaults(func=cmd_windows)
 
     p = sub.add_parser("sdom", help="S-DoM report for one feature type")
-    add_common(p)
+    add_data(p)
     p.set_defaults(func=cmd_sdom)
 
     p = sub.add_parser("dist-hist", help="distance histograms and box statistics")
-    add_common(p)
+    add_data(p)
     p.add_argument("--binning", default="auto", help="auto | count:<n> | width:<w>")
     p.add_argument("--embeddings", default=None, help="latent mode: embedding file")
     p.set_defaults(func=cmd_disthist)
@@ -292,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p, data=False)
+    add_common(p)
+    p.add_argument("--width", type=float, default=856.0, help="frame width")
+    p.add_argument("--height", type=float, default=480.0, help="frame height")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--videos", type=int, default=3, help="training videos")
     p.add_argument("--val-videos", type=int, default=3)
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="consolidated difficulty report")
-    add_common(p)
+    add_data(p, feature=False)
     p.add_argument("--binning", default="auto")
     p.set_defaults(func=cmd_report)
 

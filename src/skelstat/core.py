@@ -167,21 +167,21 @@ class WindowingConfig:
     """Window geometry plus the skeleton layout needed to build features.
 
     ``hip_indices`` names the (left, right) hip joints used for person
-    centers; unset, it is the COCO-17 pair (11, 12) when k >= 13 and the
-    first two joints otherwise.
+    centers; unset, it is the COCO-17 pair (11, 12) when k >= 13, the
+    first two joints when 2 <= k < 13 and the only joint when k == 1.
+    Frame sizes come from the manifest, one per video.
     """
 
     T: int = 24
     stride: int = 6
     k: int = 17
     N: int = 35
-    frame_width: float = 856.0
-    frame_height: float = 480.0
     hip_indices: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         if self.hip_indices is None:
-            object.__setattr__(self, "hip_indices", (11, 12) if self.k >= 13 else (0, 1))
+            hips = (11, 12) if self.k >= 13 else (0, 1) if self.k >= 2 else (0, 0)
+            object.__setattr__(self, "hip_indices", hips)
         if self.T < 2:
             raise DataError(f"T must be >= 2, got {self.T}")
         if self.stride < 1:
@@ -190,12 +190,6 @@ class WindowingConfig:
             raise DataError(f"k must be >= 1, got {self.k}")
         if self.N < 1:
             raise DataError(f"N must be >= 1, got {self.N}")
-        if not (0.0 < self.frame_width < math.inf and 0.0 < self.frame_height < math.inf):
-            raise DataError("frame dimensions must be finite and positive")
-
-    @property
-    def frame_center(self) -> Tuple[float, float]:
-        return (self.frame_width / 2.0, self.frame_height / 2.0)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -328,7 +322,7 @@ class FrameScores(NamedTuple):
     """Per-frame anomaly scores as columns, one row per labeled frame;
     a higher score always means more anomalous."""
 
-    video: np.ndarray  # str video ids
+    video: np.ndarray  # video ids, an object array of str
     frame: np.ndarray  # int64 frame indices
     score: np.ndarray  # float64
     positive: np.ndarray  # bool, True where the frame is labeled Anomalous

@@ -11,7 +11,6 @@ windows of one feature for the whole bundle as one ``WindowBatch``.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -25,7 +24,6 @@ from .core import (
     ParseError,
     Split,
     WindowBatch,
-    WindowingConfig,
 )
 from .ingest import DatasetBundle, _lines
 
@@ -62,32 +60,26 @@ def window_starts(run_starts, run_lengths, T: int, stride: int) -> Tuple[np.ndar
     return run, run_starts[run] + stride * offset
 
 
-def center_window(
-    coords: np.ndarray,
-    cfg: WindowingConfig,
-    policy: CenterPolicy,
-    anchor_indices: Optional[Tuple[int, int]] = None,
-) -> np.ndarray:
-    """Translate one (T, k, 2) window, or each window of a (W, T, k, 2)
-    stack, so the first frame's anchor midpoint sits at the frame center;
-    the same vector is applied to every frame so relative movement is
-    preserved.
-
-    ``anchor_indices`` defaults to the configured hip pair, and to joint 0
-    for single-joint windows.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if policy is CenterPolicy.NONE:
-        return coords.copy()
+def _center_shift(coords: np.ndarray, frame_center, hip_indices: Tuple[int, int]) -> np.ndarray:
+    """The (..., 2) vector that moves the first frame's anchor of each
+    (T, k, 2) window to its ``frame_center``: the hip midpoint, or joint 0
+    when k == 1."""
     k = coords.shape[-2]
-    if anchor_indices is None:
-        anchor_indices = (0, 0) if k == 1 else cfg.hip_indices
+    anchor_indices = (0, 0) if k == 1 else hip_indices
     if max(anchor_indices) >= k:
         raise DataError(f"anchor indices {anchor_indices} outside the {k}-joint layout")
     first = coords[..., 0, :, :]
     anchor = (first[..., anchor_indices[0], :] + first[..., anchor_indices[1], :]) / 2.0
-    shift = np.asarray(cfg.frame_center) - anchor
-    return coords + shift[..., None, None, :]
+    return np.asarray(frame_center) - anchor
+
+
+def center_window(coords: np.ndarray, frame_center, hip_indices: Tuple[int, int]) -> np.ndarray:
+    """Translate one (T, k, 2) window, or each window of a (W, T, k, 2)
+    stack, so the first frame's hip midpoint (joint 0 when k == 1) sits at
+    ``frame_center`` (an (x, y) pair, or one per window); the same vector is
+    applied to every frame so relative movement is preserved."""
+    coords = np.asarray(coords, dtype=np.float64)
+    return coords + _center_shift(coords, frame_center, hip_indices)[..., None, None, :]
 
 
 def _window_splits(
@@ -100,37 +92,40 @@ def _window_splits(
     validation frame, its index and the error (None if no window does).
     """
     split = np.full(len(start), _TRAIN, dtype=np.int8)
-    bounds = np.searchsorted(video, np.arange(len(video_ids) + 1))
-    for code, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        video_id = video_ids[code]
-        if lo == hi or bundle.videos[video_id].split == "train":
-            continue
-        starts = start[lo:hi]
-        dense = bundle.labels.dense(video_id)
-        labels = np.full(int(starts.max()) + T, -1, dtype=np.int8)
-        labels[: min(len(dense), len(labels))] = dense[: len(labels)]
-        unlabeled = np.r_[0, np.cumsum(labels < 0)]
-        missing = np.flatnonzero(unlabeled[starts + T] > unlabeled[starts])
-        if missing.size:
-            first = int(starts[missing[0]])
-            frame = first + int(np.argmax(labels[first : first + T] < 0))
-            error = DataError(f"unlabeled validation frame ({video_id}, {frame}) inside window")
-            return split, (lo + int(missing[0]), error)
-        anomalous = np.r_[0, np.cumsum(labels > 0)]
-        split[lo:hi] = np.where(anomalous[starts + T] > anomalous[starts], _VAL_ANOMALOUS, _VAL_NORMAL)
+    is_val = np.array([bundle.videos[v].split != "train" for v in video_ids], dtype=bool)
+    rows = np.flatnonzero(is_val[video])
+    if not len(rows):
+        return split, None
+
+    # one label axis: a block per validation video, as long as its windows reach
+    extent = np.zeros(len(video_ids), dtype=np.int64)
+    np.maximum.at(extent, video[rows], start[rows] + T)
+    offset = np.cumsum(extent) - extent
+    labels = bundle.labels
+    code = np.minimum(np.searchsorted(video_ids, labels.video), len(video_ids) - 1)
+    keep = (video_ids[code] == labels.video) & (labels.frame < extent[code])
+    axis = np.full(int(extent.sum()), -1, dtype=np.int8)
+    axis[offset[code[keep]] + labels.frame[keep]] = labels.positive[keep]
+
+    at = offset[video[rows]] + start[rows]
+    unlabeled = np.r_[0, np.cumsum(axis < 0)]
+    missing = np.flatnonzero(unlabeled[at + T] > unlabeled[at])
+    if missing.size:
+        row, first = int(rows[missing[0]]), int(at[missing[0]])
+        frame = int(start[row]) + int(np.argmax(axis[first : first + T] < 0))
+        error = DataError(f"unlabeled validation frame ({video_ids[video[row]]}, {frame}) inside window")
+        return split, (row, error)
+    anomalous = np.r_[0, np.cumsum(axis > 0)]
+    split[rows] = np.where(anomalous[at + T] > anomalous[at], _VAL_ANOMALOUS, _VAL_NORMAL)
     return split, None
 
 
-def _track_windows(
-    bundle: DatasetBundle,
-    points: np.ndarray,
-    center: CenterPolicy,
-    anchor_indices: Optional[Tuple[int, int]],
-) -> WindowBatch:
+def _track_windows(bundle: DatasetBundle, points: np.ndarray, center: CenterPolicy) -> WindowBatch:
     """Windows of T consecutive frames over (D, k, 2) per-detection points,
     stride apart inside every run of consecutive frames of each tracklet;
     gapped tracklets yield fewer windows, with no interpolation. Rows come
-    in (video, track, start) order, as the detections are sorted."""
+    in (video, track, start) order, as the detections are sorted. Centering
+    moves each window to its video's frame center from the manifest."""
     detections, cfg = bundle.detections, bundle.config
     starts, stops = detections.run_bounds()
     _, first = window_starts(starts, stops - starts, cfg.T, cfg.stride)
@@ -138,13 +133,8 @@ def _track_windows(
     video_ids = np.array(detections.video_ids, dtype=object)
     video, start = detections.video[first], detections.frame[first]
     if center is not CenterPolicy.NONE:
-        bounds = np.searchsorted(video, np.arange(len(video_ids) + 1))
-        for code, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            if lo == hi:
-                continue
-            meta = bundle.videos[video_ids[code]]
-            video_cfg = replace(cfg, frame_width=meta.width, frame_height=meta.height)
-            coords[lo:hi] = center_window(coords[lo:hi], video_cfg, center, anchor_indices)
+        size = np.array([(bundle.videos[v].width, bundle.videos[v].height) for v in video_ids]).reshape(-1, 2)
+        coords += _center_shift(coords, size[video] / 2.0, cfg.hip_indices)[:, None, None, :]
     split, unlabeled = _window_splits(bundle, video_ids, video, start, cfg.T)
     if unlabeled:
         raise unlabeled[1]
@@ -249,15 +239,15 @@ def build_windows(
     ids, start) order: T x k x 2 pose windows, T x 1 x 2 windows of the
     hip-midpoint person center, or T x N x 2 social windows.
 
-    Per-video frame resolutions from the manifest override the config's
-    global frame size for centering; social windows are not centered.
+    Centering uses each video's frame size from the manifest; social
+    windows are not centered.
     """
     if feature_type is FeatureType.SOCIAL_TRAJECTORY:
         return _social_windows(bundle, truncate_social)
     kp = bundle.detections.kp
     if feature_type is FeatureType.POSE:
-        return _track_windows(bundle, kp[:, :, :2], center, None)
-    return _track_windows(bundle, person_center(kp, bundle.config.hip_indices)[:, None, :], center, (0, 0))
+        return _track_windows(bundle, kp[:, :, :2], center)
+    return _track_windows(bundle, person_center(kp, bundle.config.hip_indices)[:, None, :], center)
 
 
 def _label(split: Split) -> Label:

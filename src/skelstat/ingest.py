@@ -332,7 +332,7 @@ def parse_scores(stream, polarity: ScorePolarity, labels: Labels) -> FrameScores
     rows.sort()
     video, frame, score, positive = zip(*rows) if rows else ((), (), (), ())
     return FrameScores(
-        video=np.array(video, dtype=str),
+        video=np.array(video, dtype=object),
         frame=np.array(frame, dtype=np.int64),
         score=np.array(score, dtype=np.float64),
         positive=np.array(positive, dtype=bool),

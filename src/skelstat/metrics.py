@@ -206,11 +206,13 @@ def metrics_report_per_video(
     Single-class videos cannot be scored and are skipped; their ids are
     returned alongside the averaged report.
     """
-    scores, positive, video = np.asarray(scores), np.asarray(positive, dtype=bool), np.asarray(video)
+    scores, positive = np.asarray(scores), np.asarray(positive, dtype=bool)
+    # codes, not `video == video_id`: numpy compares a str scalar without its trailing NULs
+    video_ids, video = np.unique(np.asarray(video, dtype=object), return_inverse=True)
     reports = []
     skipped = []
-    for video_id in np.unique(video).tolist():
-        rows = video == video_id
+    for code, video_id in enumerate(video_ids.tolist()):
+        rows = video == code
         if positive[rows].all() or not positive[rows].any():
             skipped.append(video_id)
             continue

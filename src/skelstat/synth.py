@@ -87,6 +87,8 @@ class SynthSpec:
             raise DataError("persons_per_video must be >= 1")
         if self.k < 2:
             raise DataError("k must be >= 2 (two hip joints)")
+        if not (0.0 < self.frame_width < math.inf and 0.0 < self.frame_height < math.inf):
+            raise DataError("frame dimensions must be finite and positive")
         if not 0.0 <= self.anomaly_fraction <= 1.0:
             raise DataError(f"anomaly_fraction must be in [0, 1], got {self.anomaly_fraction}")
         if self.anomaly_fraction > 0 and not self.anomaly_modes:
@@ -100,8 +102,6 @@ class SynthSpec:
             stride=self.stride,
             k=self.k,
             N=max(self.N, self.persons_per_video),
-            frame_width=self.frame_width,
-            frame_height=self.frame_height,
         )
 
     def to_dict(self) -> dict:

@@ -1,14 +1,17 @@
-"""Naive reference versions of the windowing rules, written from the README.
+"""Naive reference versions of the windowing and analysis rules, written
+from the README.
 
 The program builds windows with array arithmetic; these functions rebuild
 them one frame at a time from plain dicts, so the two can be compared on
 any dataset. Only the parsers come from skelstat: both sides read the same
-text files.
+text files. The analysis part (split means, S-DoM and distances to the
+training mean) works on ``Window`` tuples, one coordinate at a time.
 
 A window is a ``Window`` tuple of plain Python values; ``OracleError``
 carries the text of the error the program must raise.
 """
 
+import math
 from typing import Dict, List, NamedTuple, Tuple
 
 from skelstat.ingest import parse_labels, parse_manifest, parse_tracklets
@@ -161,3 +164,49 @@ def social_windows(
             out.append(Window(video, tuple(present), start, split, coords, mask))
             start += stride
     return sorted(out, key=lambda w: (w.video, w.track_ids, w.start))
+
+
+SPLIT_NAMES = {"train": "train-normal", "val_normal": "val-normal", "val_anomalous": "val-anomalous"}
+
+
+def split_mean(windows: List[Window], split: str) -> List[List[Point]]:
+    """Element-wise mean of the coordinates of one split's windows."""
+    grids = [w.coords for w in windows if w.split == split]
+    if not grids:
+        raise OracleError("cannot take the mean of zero windows")
+    n, T, k = len(grids), len(grids[0]), len(grids[0][0])
+    return [
+        [
+            (sum(g[t][j][0] for g in grids) / n, sum(g[t][j][1] for g in grids) / n)
+            for j in range(k)
+        ]
+        for t in range(T)
+    ]
+
+
+def distance(a: List[List[Point]], b: List[List[Point]]) -> float:
+    """Euclidean distance between two T x k grids of points, unscaled."""
+    return math.sqrt(sum(
+        (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for row_a, row_b in zip(a, b) for p, q in zip(row_a, row_b)
+    ))
+
+
+def sdom(windows: List[Window]) -> Tuple[float, float, float]:
+    """(Δn, Δa, S-DoM): the distances from the training mean to the
+    val-normal and val-anomalous means, each scaled by 1/T, and Δa − Δn.
+    Every split must hold a window."""
+    for split, name in SPLIT_NAMES.items():
+        if not any(w.split == split for w in windows):
+            raise OracleError(f"{name} split is empty")
+    train = split_mean(windows, "train")
+    T = len(train)
+    delta_n = distance(train, split_mean(windows, "val_normal")) / T
+    delta_a = distance(train, split_mean(windows, "val_anomalous")) / T
+    return delta_n, delta_a, delta_a - delta_n
+
+
+def distances_to_train_mean(windows: List[Window], split: str) -> List[float]:
+    """Unscaled distance of each window of one split, in window order, to
+    the mean of the training windows."""
+    train = split_mean(windows, "train")
+    return [distance(w.coords, train) for w in windows if w.split == split]

@@ -81,6 +81,17 @@ class TestValidate:
         assert len(report["videos"]) == 4
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("validate", "--feature"), ("validate", "--stride"), ("report", "--feature"), ("sdom", "--width")],
+)
+def test_data_commands_refuse_options_they_do_not_read(tmp_path, command, option):
+    value = "pose" if option == "--feature" else "6"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--out", tmp_path / "out", *data_args(tmp_path), option, value])
+    assert exc.value.code == 2
+
+
 class TestWindows:
     def test_windows_file(self, dataset, tmp_path):
         out = tmp_path / "out"

@@ -25,7 +25,8 @@ from skelstat.features import (
 )
 from skelstat.ingest import DatasetBundle, VideoMeta
 
-CFG = WindowingConfig(T=24, stride=6, k=17, frame_width=100, frame_height=100)
+CFG = WindowingConfig(T=24, stride=6, k=17)
+CENTER = (50.0, 50.0)  # the frame center of the 100 x 100 videos of ``bundle_of``
 
 
 def detection(frame, coords, video="v1", track="t1", k=None):
@@ -61,12 +62,12 @@ NO_LABELS = normal_labels([])
 
 
 def bundle_of(detections, labels=NO_LABELS, video_split="val", cfg=CFG, video="v1"):
-    """A bundle of one video's detections and dense labels, at cfg's frame size."""
+    """A bundle of one video's detections and dense labels, 100 x 100 pixels."""
     frames = np.flatnonzero(labels >= 0)
     return DatasetBundle(
         detections=detections,
         labels=Labels.from_columns([video] * len(frames), frames, labels[frames] == 1),
-        videos={video: VideoMeta(video_split, cfg.frame_width, cfg.frame_height)},
+        videos={video: VideoMeta(video_split, 100, 100)},
         config=cfg,
     )
 
@@ -146,7 +147,7 @@ class TestPoseWindows:
 
     def test_window_count_law_against_enumeration(self):
         rng = np.random.default_rng(5)
-        cfg_small = WindowingConfig(T=5, stride=2, k=2, frame_width=100, frame_height=100, hip_indices=(0, 1))
+        cfg_small = WindowingConfig(T=5, stride=2, k=2, hip_indices=(0, 1))
         for _ in range(50):
             L = int(rng.integers(1, 40))
             t = tracklet_from_frames(range(L), rng, k=2)
@@ -162,12 +163,12 @@ class TestPoseWindows:
         assert np.array_equal(w.coords, t.kp[:, :, :2])
 
     def test_single_joint_layout_centers_on_that_joint(self):
-        cfg = WindowingConfig(T=24, stride=6, k=1, frame_width=100, frame_height=100)
+        cfg = WindowingConfig(T=24, stride=6, k=1)
         t = table([detection(f, (float(f), 7.0), k=1) for f in range(30)], k=1)
         windows = pose_windows(bundle_of(t, normal_labels(range(30)), cfg=cfg))
         assert [w.start_frame for w in windows] == [0, 6]
         for w in windows:
-            assert tuple(w.coords[0, 0]) == cfg.frame_center
+            assert tuple(w.coords[0, 0]) == CENTER
             assert np.array_equal(w.coords[:, 0, 0], 50.0 + np.arange(24.0))
 
     def test_split_assignment(self):
@@ -192,28 +193,24 @@ class TestCenterWindow:
 
     def test_already_centered_is_identity(self):
         coords = self.window()
-        shift = np.array(CFG.frame_center) - self.hip_mid(coords[0])
+        shift = np.array(CENTER) - self.hip_mid(coords[0])
         coords = coords + shift
-        out = center_window(coords, CFG, CenterPolicy.FIRST_POSE_TO_FRAME_CENTER)
+        out = center_window(coords, CENTER, CFG.hip_indices)
         assert np.allclose(out, coords, atol=1e-9)
 
     def test_constant_preshift_cancels(self):
         coords = self.window()
-        out_a = center_window(coords, CFG, CenterPolicy.FIRST_POSE_TO_FRAME_CENTER)
-        out_b = center_window(coords + np.array([123.4, -56.7]), CFG, CenterPolicy.FIRST_POSE_TO_FRAME_CENTER)
+        out_a = center_window(coords, CENTER, CFG.hip_indices)
+        out_b = center_window(coords + np.array([123.4, -56.7]), CENTER, CFG.hip_indices)
         assert np.allclose(out_a, out_b, atol=1e-9)
 
     def test_anchor_lands_on_frame_center_and_displacements_kept(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             coords = self.window(rng)
-            out = center_window(coords, CFG, CenterPolicy.FIRST_POSE_TO_FRAME_CENTER)
-            assert self.hip_mid(out[0]) == pytest.approx(CFG.frame_center, abs=1e-9)
+            out = center_window(coords, CENTER, CFG.hip_indices)
+            assert self.hip_mid(out[0]) == pytest.approx(CENTER, abs=1e-9)
             assert np.allclose(np.diff(out, axis=0), np.diff(coords, axis=0), atol=1e-9)
-
-    def test_none_policy_is_identity(self):
-        coords = self.window()
-        assert np.array_equal(center_window(coords, CFG, CenterPolicy.NONE), coords)
 
 
 class TestTrajectoryWindows:
@@ -237,20 +234,29 @@ class TestTrajectoryWindows:
     def test_constant_position_centered_to_frame_center(self):
         t = table([detection(f, (30.0, 40.0)) for f in range(24)])
         (w,) = traj_windows(bundle_of(t, normal_labels(range(24))))
-        assert np.allclose(w.coords, np.tile(CFG.frame_center, (24, 1, 1)), atol=1e-9)
+        assert np.allclose(w.coords, np.tile(CENTER, (24, 1, 1)), atol=1e-9)
 
     def test_small_layout_uses_first_two_joints_as_hips(self):
         rng = np.random.default_rng(14)
         t = tracklet_from_frames(range(24), rng, k=4)
-        cfg = WindowingConfig(T=24, stride=6, k=4, frame_width=100, frame_height=100)
+        cfg = WindowingConfig(T=24, stride=6, k=4)
         (w,) = traj_windows(bundle_of(t, normal_labels(range(24)), cfg=cfg), CenterPolicy.NONE)
         assert np.array_equal(w.coords[:, 0], (t.kp[:, 0, :2] + t.kp[:, 1, :2]) / 2.0)
+
+    def test_single_joint_layout_builds_trajectory_and_social_windows(self):
+        points = np.random.default_rng(15).uniform(0, 100, size=(30, 2))
+        t = table([detection(f, points[f : f + 1], k=1) for f in range(30)], k=1)
+        bundle = bundle_of(t, normal_labels(range(30)), cfg=WindowingConfig(T=24, stride=6, k=1))
+        traj, social = traj_windows(bundle, CenterPolicy.NONE), social_windows(bundle)
+        assert [w.start_frame for w in traj] == [w.start_frame for w in social] == [0, 6]
+        for w in traj + social:
+            assert np.array_equal(w.coords[:, 0], points[w.start_frame : w.start_frame + 24])
 
 
 def label_window(labels, video_id, start, T, video_split):
     """The exported label of the pose window over [start, start + T) of a
     one-track video with dense ``labels``."""
-    cfg = WindowingConfig(T=T, stride=T, k=2, frame_width=100, frame_height=100)
+    cfg = WindowingConfig(T=T, stride=T, k=2)
     t = table([detection(f, (1.0, 1.0), video_id, k=2) for f in range(start, start + T)], k=2)
     bundle = bundle_of(t, labels, video_split, cfg, video_id)
     (line,) = serialize_windows(build_windows(bundle, FeatureType.POSE, CenterPolicy.NONE)).splitlines()
@@ -288,7 +294,7 @@ class TestLabelWindow:
 
 
 def social_bundle(detections, n_videos=("v1",), cfg=None):
-    cfg = cfg or WindowingConfig(T=4, stride=2, k=2, N=3, frame_width=100, frame_height=100, hip_indices=(0, 1))
+    cfg = cfg or WindowingConfig(T=4, stride=2, k=2, N=3, hip_indices=(0, 1))
     return DatasetBundle(
         detections=table(detections, k=2),
         labels=Labels.from_columns([], [], []),
@@ -345,7 +351,7 @@ class TestSocialWindows:
     def test_empty_frame_range_window(self):
         # labels define the frame range, no tracks at all
         labels = Labels.from_columns(["v1"] * 4, range(4), [False] * 4)
-        cfg = WindowingConfig(T=4, stride=2, k=2, N=3, frame_width=100, frame_height=100, hip_indices=(0, 1))
+        cfg = WindowingConfig(T=4, stride=2, k=2, N=3, hip_indices=(0, 1))
         bundle = DatasetBundle(
             detections=table([], k=2), labels=labels, videos={"v1": VideoMeta("val", 100, 100)}, config=cfg
         )
@@ -398,7 +404,7 @@ def test_build_windows_uses_manifest_resolution():
         detections=table([detection(f, (10.0, 10.0)) for f in range(24)]),
         labels=Labels.from_columns([], [], []),
         videos={"v1": VideoMeta("train", 200, 50)},
-        config=WindowingConfig(frame_width=999, frame_height=999),
+        config=WindowingConfig(),
     )
     (w,) = traj_windows(bundle)
     assert np.allclose(w.coords[0, 0], (100.0, 25.0), atol=1e-9)

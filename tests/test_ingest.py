@@ -18,7 +18,7 @@ from skelstat.ingest import (
     serialize_tracklets,
     validate_bundle,
 )
-from skelstat.metrics import auc_roc, roc_curve
+from skelstat.metrics import auc_roc, metrics_report_per_video, roc_curve
 
 
 def kp_text(k, base=0.0):
@@ -165,6 +165,14 @@ class TestParseScores:
         assert frames.frame.tolist() == [1, 3, 0]
         assert frames.score.tolist() == [0.2, 0.3, 0.1]
         assert frames.positive.tolist() == [False, True, False]
+
+    def test_video_ids_kept_exactly(self):
+        labels = Labels.from_columns(["v", "v", "v\x00", "v\x00"], [0, 1, 0, 1], [False, True] * 2)
+        text = "v,0,0.1\nv,1,0.9\nv\x00,0,0.95\nv\x00,1,0.05\n"
+        frames = parse_scores(text, ScorePolarity.ANOMALY, labels)
+        assert frames.video.tolist() == ["v", "v", "v\x00", "v\x00"]
+        report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video)
+        assert (report.auc_roc, skipped) == (0.5, [])  # per video 1.0 and 0.0; pooled 0.25
 
     def test_unlabeled_frame(self):
         with pytest.raises(ParseError, match="unlabeled"):
