@@ -87,8 +87,6 @@ class SynthSpec:
             raise DataError("persons_per_video must be >= 1")
         if self.k < 2:
             raise DataError("k must be >= 2 (two hip joints)")
-        if not (0.0 < self.frame_width < math.inf and 0.0 < self.frame_height < math.inf):
-            raise DataError("frame dimensions must be finite and positive")
         if not 0.0 <= self.anomaly_fraction <= 1.0:
             raise DataError(f"anomaly_fraction must be in [0, 1], got {self.anomaly_fraction}")
         if self.anomaly_fraction > 0 and not self.anomaly_modes:
