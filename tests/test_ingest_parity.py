@@ -1,4 +1,4 @@
-"""Error parity and text round trips of the tracklet and label parsers.
+"""Error parity and text round trips of the tracklet, label and score parsers.
 
 Every ``ParseError`` is pinned by its exact text and line number; the bad
 line always follows valid lines and one blank line, so the count includes
@@ -11,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelstat.core import ParseError
-from skelstat.ingest import parse_labels, parse_tracklets, serialize_labels, serialize_tracklets
+from skelstat.core import Labels, ParseError
+from skelstat.ingest import (
+    ScorePolarity,
+    parse_labels,
+    parse_scores,
+    parse_tracklets,
+    serialize_labels,
+    serialize_scores,
+    serialize_tracklets,
+)
 
 KP = "1.0,2.0,0.5;3.0,4.0,0.25"  # k = 2
 VALID = f"v1\t0\tt1\t{KP}\nv1\t1\tt1\t{KP}\n\n"  # lines 1-2, blank line 3
@@ -107,6 +115,87 @@ class TestLabelErrors:
         raises_at(parse_labels, LABELS + "v1,-1,0\n", "negative frame index -1", 4)
 
 
+SCORE_LABELS = parse_labels("".join(f"v1,{f},{f % 2}\n" for f in range(5002)) + "v\x00,0,1\n")
+SCORES = "v1,0,0.25\nv1,1,0.75\n\n"
+
+
+def parse_anomaly_scores(text):
+    return parse_scores(text, ScorePolarity.ANOMALY, SCORE_LABELS)
+
+
+class TestScoreErrors:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("v1,2", "expected 'video_id,frame_index,score', got 'v1,2'"),
+            ("v1,2,0.5,1", "expected 'video_id,frame_index,score', got 'v1,2,0.5,1'"),
+            ("v1,x,0.5", "invalid frame index 'x'"),
+            ("v1,2.0,0.5", "invalid frame index '2.0'"),
+            ("v1,,0.5", "invalid frame index ''"),
+            ("v1,99999999999999999999,0.5", "frame index 99999999999999999999 too large"),
+            ("v1,2,abc", "invalid score 'abc'"),
+            ("v1,2,", "invalid score ''"),
+            ("v1,2,1..5", "invalid score '1..5'"),
+            ("v1,2,nan", "non-finite score 'nan'"),
+            ("v1,2,inf", "non-finite score 'inf'"),
+            ("v1,2,-inf", "non-finite score '-inf'"),
+            ("v1,2,1e999", "non-finite score '1e999'"),
+            ("v1,7000,0.5", "score for unlabeled frame (v1, 7000)"),
+            ("v1,-1,0.5", "score for unlabeled frame (v1, -1)"),
+            ("v1,-99999999999999999999,0.5", "score for unlabeled frame (v1, -99999999999999999999)"),
+            ("v9,2,0.5", "score for unlabeled frame (v9, 2)"),
+            ("v,0,0.5", "score for unlabeled frame (v, 0)"),
+            ("v1\x00,2,0.5", "score for unlabeled frame (v1\x00, 2)"),
+            ("v1,0,0.5", "duplicate score for (v1, frame 0)"),
+            # the frame index is checked before the score, the score before the join
+            ("v1,x,nan", "invalid frame index 'x'"),
+            ("v9,2,nan", "non-finite score 'nan'"),
+            ("v9,0,0.5", "score for unlabeled frame (v9, 0)"),
+        ],
+    )
+    def test_message_and_line(self, bad, message):
+        raises_at(parse_anomaly_scores, SCORES + bad + "\n", message, 4)
+
+    def test_duplicate_before_malformed_line(self):
+        text = SCORES + "v1,1,0.5\nv1,2,x\n"
+        raises_at(parse_anomaly_scores, text, "duplicate score for (v1, frame 1)", 4)
+
+    def test_malformed_before_duplicate_line(self):
+        raises_at(parse_anomaly_scores, SCORES + "v1,2,x\nv1,1,0.5\n", "invalid score 'x'", 4)
+
+    def test_first_duplicate_in_file_order_is_reported(self):
+        text = SCORES + "v1,9,0.5\nv1,9,0.5\nv1,0,0.5\n"
+        raises_at(parse_anomaly_scores, text, "duplicate score for (v1, frame 9)", 5)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("v1,2,x", "invalid score 'x'"),
+            ("v1,2,inf", "non-finite score 'inf'"),
+            ("v1,5001", "expected 'video_id,frame_index,score', got 'v1,5001'"),
+            ("v1,5002,0.5", "score for unlabeled frame (v1, 5002)"),
+            ("v1,4000,0.5", "duplicate score for (v1, frame 4000)"),
+        ],
+    )
+    def test_errors_far_into_the_file(self, bad, message):
+        lines = [f"v1,{f},{f / 8}" for f in range(5000)]
+        lines.insert(3000, "")
+        text = "\n".join(lines) + "\n" + bad + "\n"
+        raises_at(parse_anomaly_scores, text, message, 5002)
+
+    def test_padded_fields_are_accepted(self):
+        frames = parse_anomaly_scores(" v1, 3 ,\t0.5 \n\t\nv1,+2,-1_0.5\n")
+        assert frames.video.tolist() == ["v1", "v1"]
+        assert frames.frame.tolist() == [2, 3]
+        assert frames.score.tolist() == [-10.5, 0.5]
+        assert frames.positive.tolist() == [False, True]
+
+    def test_empty_file_gives_empty_columns(self):
+        frames = parse_anomaly_scores("\n \n")
+        assert [len(c) for c in frames] == [0, 0, 0, 0]
+        assert frames.video.dtype == object
+
+
 IDS = st.text(alphabet="abvtAB019_-.", min_size=1, max_size=3)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CONFIDENCE = st.floats(min_value=0.0, max_value=1.0)
@@ -160,6 +249,32 @@ def test_tracklet_text_round_trip(case):
 def test_label_text_round_trip(case):
     text, canonical = case
     assert serialize_labels(parse_labels(text)) == canonical
+
+
+@st.composite
+def score_rows(draw):
+    """(labels, rows) of a small scored label set with NUL-suffixed ids."""
+    keys = draw(
+        st.lists(st.tuples(st.sampled_from(["v", "v\x00", "w", "a1"]), st.integers(0, 60)), unique=True, max_size=40)
+    )
+    positive = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    labels = Labels.from_columns([v for v, _ in keys], [f for _, f in keys], positive)
+    scores = draw(st.lists(FINITE, min_size=len(keys), max_size=len(keys)))
+    return labels, [(v, f, s) for (v, f), s in zip(keys, scores)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(score_rows(), st.sampled_from(ScorePolarity))
+def test_score_text_round_trip(case, polarity):
+    labels, rows = case
+    frames = parse_scores(serialize_scores(rows), polarity, labels)
+    sign = -1.0 if polarity is ScorePolarity.NORMALITY else 1.0
+    expected = sorted(rows)
+    assert frames.video.tolist() == [v for v, _, _ in expected]
+    assert frames.frame.tolist() == [f for _, f, _ in expected]
+    assert list(map(repr, frames.score.tolist())) == [repr(sign * s) for _, _, s in expected]
+    positive = dict(zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist()))
+    assert frames.positive.tolist() == [positive[v, f] for v, f, _ in expected]
 
 
 def test_ids_are_kept_exactly():
