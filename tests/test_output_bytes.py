@@ -1,0 +1,101 @@
+"""Golden bytes of ``metrics`` and ``dist-hist`` outputs.
+
+Test 09 checks that two runs write the same bytes; this test checks that
+the bytes are the ones recorded before the score path and the CSV writer
+moved to columns. Inputs are built from exact binary fractions, so they
+do not depend on a random generator or on libm.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from skelstat.cli import main
+
+VIDEOS = ("cam", "cam\x00")  # the NUL-suffixed id must stay its own video
+
+
+def write_score_inputs(directory):
+    """Two 200-frame videos with tie-heavy scores on a 1/4 grid, written in
+    reverse frame order."""
+    labels, scores = [], []
+    for v, video in enumerate(VIDEOS):
+        for f in range(200):
+            positive = (f // 25) % 3 == 1
+            labels.append(f"{video},{f},{int(positive)}")
+            score = ((f * 37 + v * 11) % 17) / 4 + positive * (1.25 + v)
+            scores.append(f"{video},{f},{score!r}")
+    (directory / "labels.csv").write_text("\n".join(labels) + "\n", encoding="utf-8")
+    (directory / "scores.csv").write_text("\n".join(reversed(scores)) + "\n", encoding="utf-8")
+    manifest = {video: {"split": "val", "width": 64, "height": 48} for video in VIDEOS}
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def write_tracklet_inputs(directory):
+    """Two training and two validation videos of two 4-joint tracks over 40
+    frames; validation frames 20-29 are anomalous and their joints spread."""
+    tracklets, labels, manifest = [], [], {}
+    for name, split in (("t0", "train"), ("t1", "train"), ("u0", "val"), ("u1", "val")):
+        manifest[name] = {"split": split, "width": 200, "height": 100}
+        for f in range(40):
+            anomalous = split == "val" and 20 <= f < 30
+            labels.append(f"{name},{f},{int(anomalous)}")
+            for t in range(2):
+                joints = []
+                for j in range(4):
+                    x = 40 + 30 * t + 8 * j + ((f * 7 + j * 3 + t * 5) % 11) / 8 + anomalous * j * 2.5
+                    y = 50 + 4 * j + ((f * 5 + j) % 7) / 4 - anomalous * 1.5
+                    joints.append(f"{x!r},{y!r},{(j + 1) / 4!r}")
+                tracklets.append(f"{name}\t{f}\tp{t}\t{';'.join(joints)}")
+    (directory / "tracklets.txt").write_text("\n".join(tracklets) + "\n", encoding="utf-8")
+    (directory / "labels.csv").write_text("\n".join(labels) + "\n", encoding="utf-8")
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in sorted(out.iterdir())}
+
+
+# sha256 prefixes of each output file, recorded from the row-wise writer
+METRICS_GOLDEN = {
+    (): {"metrics.json": "a381414c3ac944f3", "pr.csv": "9d8bf34aecbb5aec", "roc.csv": "0a5f66084792f593"},
+    ("--per-video-average",): {
+        "metrics.json": "d83665fdd3ee45d2", "pr.csv": "9d8bf34aecbb5aec", "roc.csv": "0a5f66084792f593",
+    },
+    ("--polarity", "normality"): {
+        "metrics.json": "05c96c6a88b03d33", "pr.csv": "b09516972335e521", "roc.csv": "182802f692e71cf8",
+    },
+}
+
+DISTHIST_GOLDEN = {
+    (): {
+        "box_pose.json": "b4490f8c506d3255", "hist_pose_train.csv": "b2f19b1abbed7c4b",
+        "hist_pose_val_anomalous.csv": "fbb6c208914f57b4", "hist_pose_val_normal.csv": "aed1a05a3b925e5b",
+    },
+    ("--binning", "count:7", "--no-center"): {
+        "box_pose.json": "a409f5a9566b87a0", "hist_pose_train.csv": "014a84b09d724f9e",
+        "hist_pose_val_anomalous.csv": "f7b908378fbabb78", "hist_pose_val_normal.csv": "25f568f79f1e4181",
+    },
+}
+
+
+@pytest.mark.parametrize("extra", list(METRICS_GOLDEN))
+def test_metrics_bytes(tmp_path, extra):
+    write_score_inputs(tmp_path)
+    out = tmp_path / "out"
+    argv = ["metrics", "--out", out, "--labels", tmp_path / "labels.csv",
+            "--manifest", tmp_path / "manifest.json", "--scores", tmp_path / "scores.csv", *extra]
+    assert main([str(a) for a in argv]) == 0
+    assert digests(out) == METRICS_GOLDEN[extra]
+
+
+@pytest.mark.parametrize("extra", list(DISTHIST_GOLDEN))
+def test_dist_hist_bytes(tmp_path, extra):
+    write_tracklet_inputs(tmp_path)
+    out = tmp_path / "out"
+    argv = ["dist-hist", "--out", out, "--tracklets", tmp_path / "tracklets.txt",
+            "--labels", tmp_path / "labels.csv", "--manifest", tmp_path / "manifest.json",
+            "--keypoints", 4, "--t", 4, "--stride", 2, "--feature", "pose", *extra]
+    assert main([str(a) for a in argv]) == 0
+    assert digests(out) == DISTHIST_GOLDEN[extra]
