@@ -5,7 +5,9 @@ The program builds windows with array arithmetic; these functions rebuild
 them one frame at a time from plain dicts, so the two can be compared on
 any dataset. Only the parsers come from skelstat: both sides read the same
 text files. The analysis part (split means, S-DoM and distances to the
-training mean) works on ``Window`` tuples, one coordinate at a time.
+training mean) works on ``Window`` tuples, one coordinate at a time. The
+score part (AUC-ROC and the equal error rate) counts sample pairs and
+thresholds one score at a time.
 
 A window is a ``Window`` tuple of plain Python values; ``OracleError``
 carries the text of the error the program must raise.
@@ -210,3 +212,36 @@ def distances_to_train_mean(windows: List[Window], split: str) -> List[float]:
     the mean of the training windows."""
     train = split_mean(windows, "train")
     return [distance(w.coords, train) for w in windows if w.split == split]
+
+
+def mann_whitney_auc(scores: List[float], positive: List[bool]) -> float:
+    """AUC-ROC as the Mann-Whitney statistic: the share of (positive,
+    negative) pairs whose positive scores higher, a tie counting one half
+    (Fawcett 2006, "An introduction to ROC analysis"). O(n²)."""
+    pos = [s for s, p in zip(scores, positive) if p]
+    neg = [s for s, p in zip(scores, positive) if not p]
+    wins = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a in pos for b in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def counted_rates(scores: List[float], positive: List[bool], threshold: float) -> Tuple[float, float]:
+    """(FPR, FNR) of the rule "positive when score >= threshold", by counting."""
+    n_pos = sum(positive)
+    fp = sum(1 for s, p in zip(scores, positive) if s >= threshold and not p)
+    fn = sum(1 for s, p in zip(scores, positive) if s < threshold and p)
+    return fp / (len(scores) - n_pos), fn / n_pos
+
+
+def eer_crossing(scores: List[float], positive: List[bool]) -> Tuple[Tuple[float, float, float], ...]:
+    """The equal error rate by direct counting: the (threshold, FPR, FNR)
+    of the last threshold with FPR < FNR and of the first with FPR >= FNR,
+    scanning one unit above the top score and then every distinct score
+    downwards. The EER lies between the two."""
+    thresholds = sorted(set(scores), reverse=True)
+    previous = None
+    for threshold in [thresholds[0] + 1.0] + thresholds:
+        fpr, fnr = counted_rates(scores, positive, threshold)
+        if fpr >= fnr:
+            return previous, (threshold, fpr, fnr)
+        previous = (threshold, fpr, fnr)
+    raise AssertionError("FPR reaches 1 and FNR 0 at the lowest score")
