@@ -67,11 +67,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: List[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _cells(values) -> List[str]:
+    """The CSV cells of one column of Python numbers or strings; ``str``
+    of a float is its shortest round-trip ``repr``."""
+    return list(map(str, values))
+
+
+def _csv_text(header: List[str], columns: List[List[str]]) -> str:
+    """CSV text of equally long columns of formatted cells."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _load_bundle(args) -> DatasetBundle:
@@ -111,9 +115,9 @@ def cmd_sdom(args) -> int:
 
 
 def _write_histogram(out: Path, tag: str, hist: Histogram) -> None:
+    columns = list(map(_cells, zip(*histogram_rows(hist))))
     atomic_write_text(
-        out / f"hist_{tag}_{hist.split}.csv",
-        _csv_text(["bin_left", "bin_right", "count", "split"], histogram_rows(hist)),
+        out / f"hist_{tag}_{hist.split}.csv", _csv_text(["bin_left", "bin_right", "count", "split"], columns)
     )
 
 
@@ -167,8 +171,13 @@ def cmd_metrics(args) -> int:
         report, roc, pr = metrics_report(frames.score, frames.positive)
     out = Path(args.out)
     atomic_write_text(out / "metrics.json", _json_text(report.to_dict()))
-    atomic_write_text(out / "roc.csv", _csv_text(["threshold", "fpr", "tpr"], roc.tolist()))
-    atomic_write_text(out / "pr.csv", _csv_text(["threshold", "recall", "precision"], pr.tolist()))
+    # both curves come from one threshold table: roc.csv's rows after its
+    # (inf, 0, 0) row hold pr.csv's thresholds, and tpr is recall (tp / n_pos)
+    thresholds, recall, precision = map(_cells, pr.T.tolist())
+    roc_columns = [["inf", *thresholds], _cells(roc[:, 1].tolist()), ["0.0", *recall]]
+    atomic_write_text(out / "roc.csv", _csv_text(["threshold", "fpr", "tpr"], roc_columns))
+    pr_columns = [thresholds, recall, precision]
+    atomic_write_text(out / "pr.csv", _csv_text(["threshold", "recall", "precision"], pr_columns))
     return 0
 
 

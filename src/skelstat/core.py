@@ -136,6 +136,13 @@ class Detections(NamedTuple):
         }
 
 
+def run_codes(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(names, codes) of a sorted object column of ids: one name per run of
+    equal ids, and each row's run number. Exact for ids with a trailing NUL."""
+    head = np.r_[True, ids[1:] != ids[:-1]][: ids.size]
+    return ids[head], np.cumsum(head) - 1
+
+
 class Labels(NamedTuple):
     """Frame labels as columns, one row per labeled frame, sorted by
     (video, frame)."""
@@ -150,7 +157,8 @@ class Labels(NamedTuple):
         video, frame = np.array(video, dtype=object), np.asarray(frame, dtype=np.int64)
         if (frame < 0).any():
             raise DataError(f"frame_index must be non-negative, got {frame.min()}")
-        order = np.lexsort((frame, video))
+        order = np.argsort(video, kind="stable")  # cheap on a sorted column; lexsort over objects is not
+        order = order[np.lexsort((frame[order], run_codes(video[order])[1]))]
         return cls(video[order], frame[order], np.asarray(positive, dtype=bool)[order])
 
     def dense(self, video_id: str) -> np.ndarray:

@@ -15,7 +15,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .core import (
     ParseError,
     Split,
     WindowingConfig,
+    run_codes,
 )
 
 
@@ -199,29 +201,58 @@ def serialize_tracklets(detections: Detections) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _columns(lines: List[str]) -> Optional[Tuple[List[str], np.ndarray, List[str]]]:
+    """(video ids, int64 frame indices, third fields) of the stripped
+    non-blank ``video_id,frame_index,x`` lines, or None when a line has
+    another field count or a frame index is not an int64 integer (by
+    Python's ``int`` syntax)."""
+    kept = list(filter(None, map(str.strip, lines)))
+    if list(map(str.count, kept, repeat(","))).count(2) != len(kept):
+        return None
+    fields = ",".join(kept).split(",") if kept else []
+    try:
+        return fields[0::3], np.fromiter(map(int, fields[1::3]), np.int64, len(kept)), fields[2::3]
+    except (ValueError, OverflowError):
+        return None
+
+
 def parse_labels(stream) -> Labels:
-    """Parse the frame-label CSV; 1 marks an Anomalous frame, 0 a Normal one."""
+    """Parse the frame-label CSV; 1 marks an Anomalous frame, 0 a Normal one.
+
+    Valid text is converted column by column. On any fault the lines are
+    checked one by one, and the first bad line is raised as a ParseError.
+    """
+    lines = list(_lines(stream))
+    columns = _columns(lines)
+    if columns is not None and set(columns[2]) <= {"0", "1"} and not (columns[1] < 0).any():
+        video, frame, label = columns
+        labels = Labels.from_columns(video, frame, np.fromiter(map("1".__eq__, label), bool, len(label)))
+        same = np.flatnonzero(labels.frame[1:] == labels.frame[:-1])
+        if not (labels.video[same] == labels.video[same + 1]).any():
+            return labels
+    _raise_first_label_fault(lines)
+
+
+def _raise_first_label_fault(lines: List[str]) -> NoReturn:
+    """Check label lines one by one and raise the first fault."""
     seen = set()
-    rows = []
-    for line_number, line in enumerate(_lines(stream), start=1):
+    for line_number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"expected 'video_id,frame_index,label', got {line!r}", line_number)
-        video_id = parts[0]
         frame_index = _parse_int(parts[1], "frame index", line_number)
         if frame_index < 0:
             raise ParseError(f"negative frame index {frame_index}", line_number)
         if parts[2] not in ("0", "1"):
             raise ParseError(f"label must be 0 or 1, got {parts[2]!r}", line_number)
-        key = (video_id, frame_index)
+        key = (parts[0], frame_index)
         if key in seen:
-            raise ParseError(f"duplicate label for ({video_id}, frame {frame_index})", line_number)
+            raise ParseError(f"duplicate label for ({parts[0]}, frame {frame_index})", line_number)
         seen.add(key)
-        rows.append((video_id, frame_index, parts[2] == "1"))
-    return Labels.from_columns(*(zip(*rows) if rows else ((), (), ())))
+    raise AssertionError("the column checks refused labels the line checks accept")
 
 
 def serialize_labels(labels: Labels) -> str:
@@ -303,40 +334,66 @@ def parse_scores(stream, polarity: ScorePolarity, labels: Labels) -> FrameScores
     sorted by (video, frame).
 
     Normality scores are negated so downstream metrics can always assume
-    higher = more anomalous.
+    higher = more anomalous. Valid text is converted column by column and
+    joined to the label rows on their sorted (video code, frame) key. On
+    any fault the lines are checked one by one, and the first bad line is
+    raised as a ParseError.
     """
-    positive_by_frame = dict(
-        zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist())
-    )
+    lines = list(_lines(stream))
+    columns = _columns(lines)
+    if columns is not None:
+        video, frame, texts = columns
+        try:
+            score = np.fromiter(map(float, texts), np.float64, len(texts))
+        except ValueError:
+            score = None
+        if score is not None and np.isfinite(score).all():
+            video = np.array(video, dtype=object)
+            row = _label_rows(labels, video, frame)
+            order = np.argsort(row, kind="stable")
+            row = row[order]
+            if (row >= 0).all() and (np.diff(row) != 0).all():
+                if polarity is ScorePolarity.NORMALITY:
+                    score = -score
+                return FrameScores(video[order], frame[order], score[order], labels.positive[row])
+    _raise_first_score_fault(lines, labels)
+
+
+def _label_rows(labels: Labels, video: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The label row of each (video, frame), -1 where none is labeled."""
+    if not labels.frame.size:
+        return np.full(frame.size, -1)
+    names, label_code = run_codes(labels.video)
+    frames = np.unique(labels.frame)
+    # (video code, frame rank) keys: exact, and ascending in label row order
+    label_key = label_code * frames.size + np.searchsorted(frames, labels.frame)
+    code = np.minimum(np.searchsorted(names, video), names.size - 1)
+    rank = np.minimum(np.searchsorted(frames, frame), frames.size - 1)
+    key = code * frames.size + rank
+    row = np.minimum(np.searchsorted(label_key, key), label_key.size - 1)
+    return np.where((names[code] == video) & (frames[rank] == frame) & (label_key[row] == key), row, -1)
+
+
+def _raise_first_score_fault(lines: List[str], labels: Labels) -> NoReturn:
+    """Check score lines one by one and raise the first fault."""
+    labeled = set(zip(labels.video.tolist(), labels.frame.tolist()))
     seen = set()
-    rows = []
-    for line_number, line in enumerate(_lines(stream), start=1):
+    for line_number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"expected 'video_id,frame_index,score', got {line!r}", line_number)
-        video_id = parts[0]
         frame_index = _parse_int(parts[1], "frame index", line_number)
-        score = _parse_float(parts[2], "score", line_number)
-        key = (video_id, frame_index)
-        if key not in positive_by_frame:
-            raise ParseError(f"score for unlabeled frame ({video_id}, {frame_index})", line_number)
+        _parse_float(parts[2], "score", line_number)
+        key = (parts[0], frame_index)
+        if key not in labeled:
+            raise ParseError(f"score for unlabeled frame ({parts[0]}, {frame_index})", line_number)
         if key in seen:
-            raise ParseError(f"duplicate score for ({video_id}, frame {frame_index})", line_number)
+            raise ParseError(f"duplicate score for ({parts[0]}, frame {frame_index})", line_number)
         seen.add(key)
-        if polarity is ScorePolarity.NORMALITY:
-            score = -score
-        rows.append((video_id, frame_index, score, positive_by_frame[key]))
-    rows.sort()
-    video, frame, score, positive = zip(*rows) if rows else ((), (), (), ())
-    return FrameScores(
-        video=np.array(video, dtype=object),
-        frame=np.array(frame, dtype=np.int64),
-        score=np.array(score, dtype=np.float64),
-        positive=np.array(positive, dtype=bool),
-    )
+    raise AssertionError("the column checks refused scores the line checks accept")
 
 
 def serialize_scores(rows: Iterable[Tuple[str, int, float]]) -> str:
