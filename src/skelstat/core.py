@@ -198,6 +198,8 @@ class WindowingConfig:
             raise DataError(f"k must be >= 1, got {self.k}")
         if self.N < 1:
             raise DataError(f"N must be >= 1, got {self.N}")
+        if not 0 <= min(self.hip_indices) <= max(self.hip_indices) < self.k:
+            raise DataError(f"hip indices {self.hip_indices} outside the {self.k}-keypoint layout")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ def person_center(kp: np.ndarray, hip_indices: Tuple[int, int] = (11, 12)) -> np
     """(D, 2) arithmetic midpoints of the two hip keypoints' (x, y) in
     (D, k, >= 2) keypoint rows."""
     left, right = hip_indices
-    if max(left, right) >= kp.shape[1]:
+    if not 0 <= min(left, right) <= max(left, right) < kp.shape[1]:
         raise DataError(f"hip indices {hip_indices} outside the {kp.shape[1]}-keypoint layout")
     return (kp[:, left, :2] + kp[:, right, :2]) / 2.0
 
@@ -66,7 +66,7 @@ def _center_shift(coords: np.ndarray, frame_center, hip_indices: Tuple[int, int]
     when k == 1."""
     k = coords.shape[-2]
     anchor_indices = (0, 0) if k == 1 else hip_indices
-    if max(anchor_indices) >= k:
+    if not 0 <= min(anchor_indices) <= max(anchor_indices) < k:
         raise DataError(f"anchor indices {anchor_indices} outside the {k}-joint layout")
     first = coords[..., 0, :, :]
     anchor = (first[..., anchor_indices[0], :] + first[..., anchor_indices[1], :]) / 2.0

@@ -83,6 +83,12 @@ class TestWindowingConfig:
         with pytest.raises(DataError):
             WindowingConfig(**kw)
 
+    @pytest.mark.parametrize("hips", [(-1, 2), (2, -1), (0, 4), (4, 0)])
+    def test_hip_pair_outside_the_layout(self, hips):
+        # a negative index would pick a joint from the end of the row
+        with pytest.raises(DataError, match=r"hip indices .* outside the 4-keypoint layout"):
+            WindowingConfig(k=4, hip_indices=hips)
+
 
 class TestFeatureWindow:
     """The window checks of ``WindowBatch.from_columns``, the constructor

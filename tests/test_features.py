@@ -126,6 +126,13 @@ class TestPersonCenter:
         with pytest.raises(DataError, match="hip indices"):
             person_center(table([detection(0, np.zeros((5, 2)))], k=5).kp, hip_indices=(11, 12))
 
+    def test_negative_index_refused(self):
+        kp = table([detection(0, np.arange(8.0).reshape(4, 2))], k=4).kp
+        with pytest.raises(DataError, match="hip indices"):
+            person_center(kp, hip_indices=(-1, 2))
+        with pytest.raises(DataError, match="anchor indices"):
+            center_window(kp[None, :, :, :2], CENTER, (-1, 2))
+
 
 class TestPoseWindows:
     def test_exact_length_run_one_window(self):
