@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional
 
@@ -67,15 +68,12 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cells(values) -> List[str]:
-    """The CSV cells of one column of Python numbers or strings; ``str``
-    of a float is its shortest round-trip ``repr``."""
-    return list(map(str, values))
-
-
-def _csv_text(header: List[str], columns: List[List[str]]) -> str:
-    """CSV text of equally long columns of formatted cells."""
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+def _csv_text(header: List[str], columns: List[list]) -> str:
+    """CSV text of equally long columns of Python numbers or strings, by
+    one %-format over all cells (``%s`` of a float is its shortest
+    round-trip ``repr``): no string is built per row."""
+    rows = (",".join(["%s"] * len(columns)) + "\n") * len(columns[0])
+    return (",".join(header) + "\n" + rows) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _load_bundle(args) -> DatasetBundle:
@@ -115,7 +113,7 @@ def cmd_sdom(args) -> int:
 
 
 def _write_histogram(out: Path, tag: str, hist: Histogram) -> None:
-    columns = list(map(_cells, zip(*histogram_rows(hist))))
+    columns = list(zip(*histogram_rows(hist)))
     atomic_write_text(
         out / f"hist_{tag}_{hist.split}.csv", _csv_text(["bin_left", "bin_right", "count", "split"], columns)
     )
@@ -172,12 +170,13 @@ def cmd_metrics(args) -> int:
     out = Path(args.out)
     atomic_write_text(out / "metrics.json", _json_text(report.to_dict()))
     # both curves come from one threshold table: roc.csv's rows after its
-    # (inf, 0, 0) row hold pr.csv's thresholds, and tpr is recall (tp / n_pos)
-    thresholds, recall, precision = map(_cells, pr.T.tolist())
-    roc_columns = [["inf", *thresholds], _cells(roc[:, 1].tolist()), ["0.0", *recall]]
-    atomic_write_text(out / "roc.csv", _csv_text(["threshold", "fpr", "tpr"], roc_columns))
-    pr_columns = [thresholds, recall, precision]
+    # (inf, 0, 0) row hold pr.csv's thresholds, and tpr is recall (tp / n_pos),
+    # so those two columns are formatted once
+    thresholds, recall = (list(map(str, column)) for column in pr[:, :2].T.tolist())
+    pr_columns = [thresholds, recall, pr[:, 2].tolist()]
     atomic_write_text(out / "pr.csv", _csv_text(["threshold", "recall", "precision"], pr_columns))
+    roc_columns = [["inf", *thresholds], roc[:, 1].tolist(), ["0.0", *recall]]
+    atomic_write_text(out / "roc.csv", _csv_text(["threshold", "fpr", "tpr"], roc_columns))
     return 0
 
 
