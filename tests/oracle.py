@@ -7,7 +7,8 @@ any dataset. Only the parsers come from skelstat: both sides read the same
 text files. The analysis part (split means, S-DoM and distances to the
 training mean) works on ``Window`` tuples, one coordinate at a time. The
 score part (AUC-ROC and the equal error rate) counts sample pairs and
-thresholds one score at a time.
+thresholds one score at a time. ``validation`` counts what ``validate``
+reports, one video and one frame at a time.
 
 A window is a ``Window`` tuple of plain Python values; ``OracleError``
 carries the text of the error the program must raise.
@@ -87,6 +88,35 @@ def runs(frames) -> List[List[int]]:
         else:
             out.append([frame])
     return out
+
+
+def validation(data: Dataset, T: int) -> dict:
+    """The ``validate`` report of a dataset, video by video in id order.
+
+    Per video: its tracks and detections, the first and last detected
+    frame, its labeled and anomalous frames, the unlabeled frames between
+    its first and last label (a warning when any) and the frames inside
+    runs of at least T consecutive frames of one track. An anomalous label
+    on a training video is fatal."""
+    videos, fatal, warnings = [], [], []
+    for video in sorted(data.videos):
+        split = data.videos[video][0]
+        tracks = data.tracks.get(video, {})
+        labels = data.labels.get(video, {})
+        frames = [frame for poses in tracks.values() for frame in poses]
+        n_anomalous = sum(labels.values())
+        if split == "train" and n_anomalous:
+            fatal.append(f"training video {video!r} has {n_anomalous} anomalous-labeled frames")
+        gaps = max(labels) - min(labels) + 1 - len(labels) if labels else 0
+        if gaps:
+            warnings.append(f"video {video!r}: {gaps} unlabeled frames inside label range")
+        eligible = sum(len(run) for poses in tracks.values() for run in runs(poses) if len(run) >= T)
+        videos.append({
+            "video_id": video, "split": split, "n_tracklets": len(tracks), "n_detections": len(frames),
+            "frame_range": [min(frames), max(frames)] if frames else None, "n_labeled": len(labels),
+            "n_anomalous": n_anomalous, "label_gaps": gaps, "window_eligible_frames": eligible,
+        })
+    return {"ok": not fatal, "videos": videos, "fatal_errors": fatal, "warnings": warnings}
 
 
 def track_windows(

@@ -1,9 +1,10 @@
-"""Golden bytes of ``metrics`` and ``dist-hist`` outputs.
+"""Golden bytes of ``metrics``, ``dist-hist`` and ``validate`` outputs.
 
 Test 09 checks that two runs write the same bytes; this test checks that
 the bytes are the ones recorded before the score path and the CSV writer
-moved to columns. Inputs are built from exact binary fractions, so they
-do not depend on a random generator or on libm.
+moved to columns, and before validation moved to whole-table counts.
+Inputs are built from exact binary fractions, so they do not depend on a
+random generator or on libm.
 """
 
 import hashlib
@@ -53,6 +54,27 @@ def write_tracklet_inputs(directory):
     (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
+def write_validate_inputs(directory, anomalous_train):
+    """Three 2-joint videos of two tracks each, the second gapped every 7th
+    frame, one of them NUL-suffixed; the validation video ``b`` misses three
+    labels; ``empty`` is in the manifest only. With ``anomalous_train`` the
+    training video ``a`` has one anomalous frame. Lines are written in
+    reverse order."""
+    tracklets, labels = [], []
+    for v, name in enumerate(("a", "a\x00", "b")):
+        for t, frames in enumerate((range(12), [f for f in range(3, 20) if f % 7])):
+            tracklets += [f"{name}\t{f + v}\tp{t}\t{f}.5,{t}.25,0.5;{v}.0,{f}.0,1.0" for f in frames]
+        for f in range(22):
+            anomalous = 8 <= f < 11 if name != "a" else anomalous_train and f == 6
+            if name != "b" or f not in (4, 5, 13):
+                labels.append(f"{name},{f},{int(anomalous)}")
+    splits = {"a": "train", "a\x00": "val", "b": "val", "empty": "val"}
+    manifest = {name: {"split": split, "width": 64, "height": 48} for name, split in splits.items()}
+    (directory / "tracklets.txt").write_text("\n".join(reversed(tracklets)) + "\n", encoding="utf-8")
+    (directory / "labels.csv").write_text("\n".join(reversed(labels)) + "\n", encoding="utf-8")
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in sorted(out.iterdir())}
 
@@ -99,3 +121,18 @@ def test_dist_hist_bytes(tmp_path, extra):
             "--keypoints", 4, "--t", 4, "--stride", 2, "--feature", "pose", *extra]
     assert main([str(a) for a in argv]) == 0
     assert digests(out) == DISTHIST_GOLDEN[extra]
+
+
+# (exit code, sha256 prefix of validation.json) by whether a training video has an anomalous label
+VALIDATE_GOLDEN = {False: (0, "00352864c824969f"), True: (1, "4e248726d57079cc")}
+
+
+@pytest.mark.parametrize("anomalous_train", list(VALIDATE_GOLDEN))
+def test_validate_bytes(tmp_path, anomalous_train):
+    write_validate_inputs(tmp_path, anomalous_train)
+    out = tmp_path / "out"
+    argv = ["validate", "--out", out, "--tracklets", tmp_path / "tracklets.txt",
+            "--labels", tmp_path / "labels.csv", "--manifest", tmp_path / "manifest.json",
+            "--keypoints", 2, "--t", 5]
+    code = main([str(a) for a in argv])
+    assert (code, digests(out)["validation.json"]) == VALIDATE_GOLDEN[anomalous_train]

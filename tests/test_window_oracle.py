@@ -6,7 +6,8 @@ detections, k in {2, 4, 17}, small T and stride, more tracks in a window
 than social slots, and label files with and without gaps. numpy draws the
 coordinates from a drawn seed. Each feature must give the oracle's
 windows, bit for bit and in the same order, or raise the oracle's error
-text; the windows export must parse back to the same text.
+text; the windows export must parse back to the same text. The
+``validate`` report of the same datasets must be the oracle's.
 """
 
 import json
@@ -15,10 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import OracleError, Window, read_dataset, social_windows, track_windows
+from oracle import OracleError, Window, read_dataset, social_windows, track_windows, validation
 from skelstat.core import SPLITS, DataError, FeatureType, WindowingConfig
 from skelstat.features import CenterPolicy, build_windows, parse_windows, serialize_windows
-from skelstat.ingest import DatasetBundle, parse_labels, parse_manifest, parse_tracklets
+from skelstat.ingest import DatasetBundle, parse_labels, parse_manifest, parse_tracklets, validate_bundle
 
 SPAN = 24  # frames 0..SPAN-1 hold the detections
 VIDEO_IDS = ["a", "b", "v\x00", "v1"]
@@ -98,3 +99,12 @@ def test_build_windows_matches_oracle(case, center):
         if not isinstance(windows, tuple):
             text = serialize_windows(windows)
             assert serialize_windows(parse_windows(text)) == text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(datasets())
+def test_validate_bundle_matches_oracle(case):
+    k, T, _, _, _, tracklets, labels, manifest = case
+    cfg = WindowingConfig(T=T, k=k)
+    bundle = DatasetBundle(parse_tracklets(tracklets, k), parse_labels(labels), parse_manifest(manifest), cfg)
+    assert validate_bundle(bundle).to_dict() == validation(read_dataset(tracklets, labels, manifest, k), T)
