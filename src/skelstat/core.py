@@ -153,13 +153,19 @@ class Labels(NamedTuple):
 
     @classmethod
     def from_columns(cls, video, frame, positive) -> "Labels":
-        """Labels sorted by (video, frame); refuses negative frames."""
+        """Labels sorted by (video, frame); refuses negative frames and
+        repeated (video, frame) rows."""
         video, frame = np.array(video, dtype=object), np.asarray(frame, dtype=np.int64)
         if (frame < 0).any():
             raise DataError(f"frame_index must be non-negative, got {frame.min()}")
         order = np.argsort(video, kind="stable")  # cheap on a sorted column; lexsort over objects is not
         order = order[np.lexsort((frame[order], run_codes(video[order])[1]))]
-        return cls(video[order], frame[order], np.asarray(positive, dtype=bool)[order])
+        labels = cls(video[order], frame[order], np.asarray(positive, dtype=bool)[order])
+        same = np.flatnonzero(labels.frame[1:] == labels.frame[:-1])
+        same = same[labels.video[same] == labels.video[same + 1]]
+        if same.size:
+            raise DataError(f"duplicate label for ({labels.video[same[0]]}, frame {labels.frame[same[0]]})")
+        return labels
 
     def dense(self, video_id: str) -> np.ndarray:
         """One video's labels by frame index: -1 unlabeled, 0 normal, 1

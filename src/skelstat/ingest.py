@@ -219,17 +219,18 @@ def _columns(lines: List[str]) -> Optional[Tuple[List[str], np.ndarray, List[str
 def parse_labels(stream) -> Labels:
     """Parse the frame-label CSV; 1 marks an Anomalous frame, 0 a Normal one.
 
-    Valid text is converted column by column. On any fault the lines are
-    checked one by one, and the first bad line is raised as a ParseError.
+    Valid text is converted column by column. On any fault, a repeated
+    (video, frame) included, the lines are checked one by one, and the
+    first bad line is raised as a ParseError.
     """
     lines = list(_lines(stream))
     columns = _columns(lines)
     if columns is not None and set(columns[2]) <= {"0", "1"} and not (columns[1] < 0).any():
         video, frame, label = columns
-        labels = Labels.from_columns(video, frame, np.fromiter(map("1".__eq__, label), bool, len(label)))
-        same = np.flatnonzero(labels.frame[1:] == labels.frame[:-1])
-        if not (labels.video[same] == labels.video[same + 1]).any():
-            return labels
+        try:
+            return Labels.from_columns(video, frame, np.fromiter(map("1".__eq__, label), bool, len(label)))
+        except DataError:
+            pass
     _raise_first_label_fault(lines)
 
 

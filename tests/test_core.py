@@ -167,6 +167,13 @@ def test_frame_label_negative_frame():
         Labels.from_columns(["v1"], [-1], [False])
 
 
+def test_repeated_label_refused():
+    # contradictory labels of one frame would leave its class to the score join
+    with pytest.raises(DataError, match="duplicate label for \\(v1\x00, frame 3\\)"):
+        Labels.from_columns(["v1", "v1\x00", "v2", "v1\x00"], [3, 3, 3, 3], [False, False, False, True])
+    assert Labels.from_columns(["v1", "v1\x00"], [3, 3], [False, True]).positive.tolist() == [False, True]
+
+
 def test_labels_sorted_and_dense():
     labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
     assert labels.video.tolist() == ["v1", "v1", "v2"] and labels.frame.tolist() == [1, 3, 0]
