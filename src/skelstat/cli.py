@@ -47,6 +47,7 @@ from .synth import (
 )
 
 _FEATURES = {f.value: f for f in FeatureType}
+_WRITE_CHARS = 1 << 16  # characters per write: bounds the encoded copy of an output
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -56,7 +57,8 @@ def atomic_write_text(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for a in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[a : a + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from skelstat.cli import atomic_write_text, main
+from skelstat.cli import _WRITE_CHARS, atomic_write_text, main
 
 
 def run(argv):
@@ -230,3 +230,10 @@ class TestErrorHandling:
         atomic_write_text(target, "hello")
         assert target.read_text() == "hello"
         assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
+
+    def test_atomic_write_in_slices_keeps_every_byte(self, tmp_path):
+        # three slices; a 4-byte character sits across the first boundary
+        text = "a" * (_WRITE_CHARS - 1) + "\U0001f600é" + "b\n" * _WRITE_CHARS + "€"
+        target = tmp_path / "big.txt"
+        atomic_write_text(target, text)
+        assert target.read_bytes() == text.encode("utf-8")
