@@ -25,7 +25,7 @@ from .core import (
     Split,
     WindowBatch,
 )
-from .ingest import DatasetBundle, _lines
+from .ingest import DatasetBundle
 
 logger = logging.getLogger(__name__)
 
@@ -272,14 +272,13 @@ def serialize_windows(windows: WindowBatch) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_windows(stream) -> WindowBatch:
+def parse_windows(text: str) -> WindowBatch:
     """Windows from a ``serialize_windows`` export; every line must have
     the first line's (T, k), and its label must follow from its split."""
     split_tokens = {s.value: s for s in Split}
     shape = None
     coords, masks, videos, starts, splits, tracks = [], [], [], [], [], []
-    for line_number, line in enumerate(_lines(stream), start=1):
-        line = line.rstrip("\n")
+    for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

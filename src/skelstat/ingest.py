@@ -73,14 +73,6 @@ class DatasetBundle:
             raise DataError(f"detections have {k} keypoints, configured k={self.config.k}")
 
 
-def _lines(stream) -> Iterable[str]:
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return (line.decode("utf-8") if isinstance(line, bytes) else line for line in stream)
-
-
 def _parse_float(text: str, what: str, line_number: int) -> float:
     try:
         value = float(text)
@@ -156,7 +148,7 @@ def _parse_block(rows, k: int):
     return frames, kp
 
 
-def parse_tracklets(stream, k: int) -> Detections:
+def parse_tracklets(text: str, k: int) -> Detections:
     """Parse the tracklet file into a Detections table.
 
     Rejects malformed lines, keypoint counts other than ``k``, duplicate
@@ -165,8 +157,8 @@ def parse_tracklets(stream, k: int) -> Detections:
     that passes the array checks is converted whole, any other block line
     by line.
     """
-    lines = list(_lines(stream))
-    numbered = [(n, line.rstrip("\n")) for n, line in enumerate(lines, start=1) if line.strip()]
+    lines = text.splitlines()
+    numbered = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
     frame = np.empty(len(numbered), dtype=np.int64)
     kp = np.empty((len(numbered), k, 3), dtype=np.float64)
     videos, tracks = [], []
@@ -178,7 +170,7 @@ def parse_tracklets(stream, k: int) -> Detections:
             try:
                 rows = [_parse_detection(text, n, k) for n, text in block]
             except ParseError as exc:
-                parse_tracklets(lines[: exc.line_number - 1], k)  # a repeat on an earlier line wins
+                parse_tracklets("\n".join(lines[: exc.line_number - 1]), k)  # a repeat on an earlier line wins
                 raise
             parsed = np.array([r[1] for r in rows]), np.reshape([r[3] for r in rows], (-1, k, 3))
         frame[a : a + len(rows)], kp[a : a + len(rows)] = parsed
@@ -216,14 +208,14 @@ def _columns(lines: List[str]) -> Optional[Tuple[List[str], np.ndarray, List[str
         return None
 
 
-def parse_labels(stream) -> Labels:
+def parse_labels(text: str) -> Labels:
     """Parse the frame-label CSV; 1 marks an Anomalous frame, 0 a Normal one.
 
     Valid text is converted column by column. On any fault, a repeated
     (video, frame) included, the lines are checked one by one, and the
     first bad line is raised as a ParseError.
     """
-    lines = list(_lines(stream))
+    lines = text.splitlines()
     columns = _columns(lines)
     if columns is not None and set(columns[2]) <= {"0", "1"} and not (columns[1] < 0).any():
         video, frame, label = columns
@@ -265,13 +257,13 @@ def serialize_labels(labels: Labels) -> str:
 _SPLIT_TOKENS = {s.value: s for s in Split}
 
 
-def parse_embeddings(stream) -> Tuple[np.ndarray, np.ndarray, List[Optional[str]], EmbeddingPrior]:
+def parse_embeddings(text: str) -> Tuple[np.ndarray, np.ndarray, List[Optional[str]], EmbeddingPrior]:
     """Parse the embedding file; the header carries the prior mean.
 
     Returns the (n, d) vectors, their split tokens (``Split`` values), the
     source window ids (None where a line has none) and the prior.
     """
-    lines = iter(enumerate(_lines(stream), start=1))
+    lines = iter(enumerate(text.splitlines(), start=1))
     header = None
     for line_number, line in lines:
         if line.strip():
@@ -294,7 +286,6 @@ def parse_embeddings(stream) -> Tuple[np.ndarray, np.ndarray, List[Optional[str]
 
     vectors, splits, sources = [], [], []
     for line_number, line in lines:
-        line = line.rstrip("\n")
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -330,7 +321,7 @@ def serialize_embeddings(
     return "\n".join(lines) + "\n"
 
 
-def parse_scores(stream, polarity: ScorePolarity, labels: Labels) -> FrameScores:
+def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameScores:
     """Parse per-frame scores and join them against known frame labels,
     sorted by (video, frame).
 
@@ -340,7 +331,7 @@ def parse_scores(stream, polarity: ScorePolarity, labels: Labels) -> FrameScores
     any fault the lines are checked one by one, and the first bad line is
     raised as a ParseError.
     """
-    lines = list(_lines(stream))
+    lines = text.splitlines()
     columns = _columns(lines)
     if columns is not None:
         video, frame, texts = columns
@@ -402,10 +393,7 @@ def serialize_scores(rows: Iterable[Tuple[str, int, float]]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_manifest(stream) -> Dict[str, VideoMeta]:
-    text = stream if isinstance(stream, str) else stream.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def parse_manifest(text: str) -> Dict[str, VideoMeta]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
