@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -111,11 +111,6 @@ class Detections(NamedTuple):
         video_id, track_id = self.video_ids[self.video[i]], self.track_ids[self.track[i]]
         return f"duplicate detection for ({video_id}, {track_id}, frame {self.frame[i]})", int(self.line[i])
 
-    def take(self, rows: slice) -> "Detections":
-        """The table restricted to a slice of rows; name tables are shared."""
-        columns = ("video", "track", "frame", "kp", "line")
-        return self._replace(**{name: getattr(self, name)[rows] for name in columns})
-
     def tracklet_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(starts, stops) row offsets of each tracklet."""
         new = (np.diff(self.video) != 0) | (np.diff(self.track) != 0)
@@ -127,20 +122,24 @@ class Detections(NamedTuple):
         new = (np.diff(self.video) != 0) | (np.diff(self.track) != 0) | (np.diff(self.frame) != 1)
         return _bounds(new, len(self.frame))
 
-    def per_video(self) -> Dict[str, "Detections"]:
-        """The rows of each video that has detections, by video id."""
-        starts, stops = _bounds(np.diff(self.video) != 0, len(self.frame))
-        return {
-            self.video_ids[self.video[a]]: self.take(slice(a, b))
-            for a, b in zip(starts.tolist(), stops.tolist())
-        }
-
 
 def run_codes(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(names, codes) of a sorted object column of ids: one name per run of
     equal ids, and each row's run number. Exact for ids with a trailing NUL."""
     head = np.r_[True, ids[1:] != ids[:-1]][: ids.size]
     return ids[head], np.cumsum(head) - 1
+
+
+def frame_extent(n: int, *columns) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, last) frame of each code below n over pairs of (codes,
+    frames) columns; (0, -1) for a code without rows, so last - first + 1
+    is always the length of the span."""
+    first, last = np.full(n, np.iinfo(np.int64).max), np.full(n, -1)
+    for code, frame in columns:
+        np.minimum.at(first, code, frame)
+        np.maximum.at(last, code, frame)
+    first[last < 0] = 0
+    return first, last
 
 
 class Labels(NamedTuple):
@@ -166,14 +165,6 @@ class Labels(NamedTuple):
         if same.size:
             raise DataError(f"duplicate label for ({labels.video[same[0]]}, frame {labels.frame[same[0]]})")
         return labels
-
-    def dense(self, video_id: str) -> np.ndarray:
-        """One video's labels by frame index: -1 unlabeled, 0 normal, 1
-        anomalous, up to its last labeled frame."""
-        lo, hi = (int(np.searchsorted(self.video, video_id, side)) for side in ("left", "right"))
-        out = np.full(int(self.frame[hi - 1]) + 1 if hi > lo else 0, -1, dtype=np.int8)
-        out[self.frame[lo:hi]] = self.positive[lo:hi]
-        return out
 
 
 @dataclass(frozen=True)
@@ -363,15 +354,7 @@ class MetricsReport:
             raise DataError("eer_threshold must be finite")
 
     def to_dict(self) -> dict:
-        return {
-            "auc_roc": self.auc_roc,
-            "auc_pr": self.auc_pr,
-            "eer": self.eer,
-            "eer_threshold": self.eer_threshold,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "uncovered_frames": self.uncovered_frames,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -392,10 +375,4 @@ class BoxStats:
             raise DataError(f"box statistics must be ordered, got {values}")
 
     def to_dict(self) -> dict:
-        return {
-            "lower_fence": self.lower_fence,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "upper_fence": self.upper_fence,
-        }
+        return asdict(self)

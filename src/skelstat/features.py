@@ -24,6 +24,7 @@ from .core import (
     ParseError,
     Split,
     WindowBatch,
+    frame_extent,
 )
 from .ingest import DatasetBundle
 
@@ -156,14 +157,9 @@ def _social_windows(bundle: DatasetBundle, truncate: bool) -> WindowBatch:
     """
     detections, labels, cfg = bundle.detections, bundle.labels, bundle.config
     T, stride, N = cfg.T, cfg.stride, cfg.N
-    video_ids = np.array(sorted(bundle.videos), dtype=object)
-    row_video = np.searchsorted(video_ids, np.array(detections.video_ids, dtype=object))[detections.video]
-    first = np.full(len(video_ids), np.iinfo(np.int64).max)
-    last = np.full(len(video_ids), -1)
-    for video, frame in ((row_video, detections.frame), (np.searchsorted(video_ids, labels.video), labels.frame)):
-        np.minimum.at(first, video, frame)
-        np.maximum.at(last, video, frame)
-    window_video, start = window_starts(first, np.where(last >= 0, last - first + 1, 0), T, stride)
+    video_ids, row_video, label_video = bundle.manifest_codes()
+    first, last = frame_extent(len(video_ids), (row_video, detections.frame), (label_video, labels.frame))
+    window_video, start = window_starts(first, last - first + 1, T, stride)
     n_windows = np.bincount(window_video, minlength=len(video_ids))
 
     # candidate windows of a tracklet: those whose T frames overlap its first..last frame

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     ParseError,
     Split,
     WindowingConfig,
+    frame_extent,
     run_codes,
 )
 
@@ -71,6 +72,13 @@ class DatasetBundle:
         k = self.detections.kp.shape[1]
         if k != self.config.k:
             raise DataError(f"detections have {k} keypoints, configured k={self.config.k}")
+
+    def manifest_codes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted manifest ids as an object array, and the code into it
+        of each detection row and of each label row."""
+        video_ids = np.array(sorted(self.videos), dtype=object)
+        detection_video = np.searchsorted(video_ids, np.array(self.detections.video_ids, dtype=object))
+        return video_ids, detection_video[self.detections.video], np.searchsorted(video_ids, self.labels.video)
 
 
 def _parse_float(text: str, what: str, line_number: int) -> float:
@@ -416,87 +424,64 @@ def serialize_manifest(videos: Mapping[str, VideoMeta]) -> str:
     return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class VideoReport:
+class VideoReport(NamedTuple):
     video_id: str
     split: str
     n_tracklets: int
     n_detections: int
-    frame_range: Optional[Tuple[int, int]]  # None for videos with no detections
+    frame_range: Optional[Tuple[int, int]]  # first and last detected frame, None without detections
     n_labeled: int
     n_anomalous: int
     label_gaps: int  # labeled-range frames without a label
     window_eligible_frames: int  # frames inside contiguous runs of length >= T
 
-    def to_dict(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "split": self.split,
-            "n_tracklets": self.n_tracklets,
-            "n_detections": self.n_detections,
-            "frame_range": list(self.frame_range) if self.frame_range else None,
-            "n_labeled": self.n_labeled,
-            "n_anomalous": self.n_anomalous,
-            "label_gaps": self.label_gaps,
-            "window_eligible_frames": self.window_eligible_frames,
-        }
 
-
-@dataclass
-class ValidationReport:
-    videos: List[VideoReport] = field(default_factory=list)
-    fatal_errors: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    videos: List[VideoReport]
+    fatal_errors: List[str]
+    warnings: List[str]
 
     @property
     def ok(self) -> bool:
         return not self.fatal_errors
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "videos": [v.to_dict() for v in self.videos],
-            "fatal_errors": list(self.fatal_errors),
-            "warnings": list(self.warnings),
-        }
+        return {**self._asdict(), "ok": self.ok, "videos": [v._asdict() for v in self.videos]}
 
 
 def validate_bundle(bundle: DatasetBundle) -> ValidationReport:
     """Cross-check tracklets, labels and manifest; anomalous labels inside
-    the training split are fatal (the setting is unsupervised)."""
-    report = ValidationReport()
-    labels = bundle.labels
-    by_video = bundle.detections.per_video()
-    T = bundle.config.T
-    for video_id in sorted(bundle.videos):
-        meta = bundle.videos[video_id]
-        dense = labels.dense(video_id)
-        labeled = np.flatnonzero(dense >= 0)
-        n_anomalous = int(np.count_nonzero(dense == 1))
-        if meta.split == "train" and n_anomalous:
-            report.fatal_errors.append(
-                f"training video {video_id!r} has {n_anomalous} anomalous-labeled frames"
-            )
-        gaps = int(labeled[-1] - labeled[0] + 1) - labeled.size if labeled.size else 0
-        if gaps:
-            report.warnings.append(f"video {video_id!r}: {gaps} unlabeled frames inside label range")
-        detections = by_video.get(video_id, bundle.detections.take(slice(0)))
-        starts, stops = detections.run_bounds()
-        runs = stops - starts
-        report.videos.append(
-            VideoReport(
-                video_id=video_id,
-                split=meta.split,
-                n_tracklets=len(detections.tracklet_bounds()[0]),
-                n_detections=detections.frame.size,
-                frame_range=(int(detections.frame.min()), int(detections.frame.max())) if runs.size else None,
-                n_labeled=labeled.size,
-                n_anomalous=n_anomalous,
-                label_gaps=gaps,
-                window_eligible_frames=int(runs[runs >= T].sum()),
-            )
-        )
-    return report
+    the training split are fatal (the setting is unsupervised). Every count
+    is one reduction over a whole table by manifest video code."""
+    detections, labels = bundle.detections, bundle.labels
+    video_ids, row_video, label_video = bundle.manifest_codes()
+    n = len(video_ids)
+    starts, stops = detections.run_bounds()
+    runs = stops - starts
+    first, last = frame_extent(n, (row_video, detections.frame))
+    label_first, label_last = frame_extent(n, (label_video, labels.frame))
+    n_labeled = np.bincount(label_video, minlength=n)
+    videos = list(map(
+        VideoReport,
+        video_ids.tolist(),
+        [bundle.videos[v].split for v in video_ids],
+        np.bincount(row_video[detections.tracklet_bounds()[0]], minlength=n).tolist(),
+        np.bincount(row_video, minlength=n).tolist(),
+        [(a, b) if b >= 0 else None for a, b in zip(first.tolist(), last.tolist())],
+        n_labeled.tolist(),
+        np.bincount(label_video[labels.positive], minlength=n).tolist(),
+        (label_last - label_first + 1 - n_labeled).tolist(),
+        np.bincount(row_video[np.repeat(runs >= bundle.config.T, runs)], minlength=n).tolist(),
+    ))
+    fatal = [
+        f"training video {v.video_id!r} has {v.n_anomalous} anomalous-labeled frames"
+        for v in videos if v.split == "train" and v.n_anomalous
+    ]
+    warnings = [
+        f"video {v.video_id!r}: {v.label_gaps} unlabeled frames inside label range"
+        for v in videos if v.label_gaps
+    ]
+    return ValidationReport(videos, fatal, warnings)
 
 
 def load_bundle(

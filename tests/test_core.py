@@ -174,8 +174,7 @@ def test_repeated_label_refused():
     assert Labels.from_columns(["v1", "v1\x00"], [3, 3], [False, True]).positive.tolist() == [False, True]
 
 
-def test_labels_sorted_and_dense():
+def test_labels_sorted():
     labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
     assert labels.video.tolist() == ["v1", "v1", "v2"] and labels.frame.tolist() == [1, 3, 0]
-    assert labels.dense("v1").tolist() == [-1, 0, -1, 1]
-    assert labels.dense("v3").size == 0
+    assert labels.positive.tolist() == [False, True, False]

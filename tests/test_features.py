@@ -52,10 +52,13 @@ def tracklet_from_frames(frames, rng=None, video="v1", track="t1", k=17):
     return table([detection(f, rng.uniform(0, 100, size=(k, 2)), video, track) for f in frames])
 
 
-def normal_labels(frames, video="v1"):
-    """Dense labels of one video, Normal on ``frames``."""
+def normal_labels(frames):
+    """Dense labels of one video by frame (-1 unlabeled, 0 normal, 1
+    anomalous), Normal on ``frames``."""
     frames = list(frames)
-    return Labels.from_columns([video] * len(frames), frames, [False] * len(frames)).dense(video)
+    labels = np.full(max(frames, default=-1) + 1, -1, dtype=np.int8)
+    labels[frames] = 0
+    return labels
 
 
 NO_LABELS = normal_labels([])

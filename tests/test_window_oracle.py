@@ -107,4 +107,6 @@ def test_validate_bundle_matches_oracle(case):
     k, T, _, _, _, tracklets, labels, manifest = case
     cfg = WindowingConfig(T=T, k=k)
     bundle = DatasetBundle(parse_tracklets(tracklets, k), parse_labels(labels), parse_manifest(manifest), cfg)
-    assert validate_bundle(bundle).to_dict() == validation(read_dataset(tracklets, labels, manifest, k), T)
+    # compared as validation.json text: the report's frame ranges are tuples, the oracle's lists
+    got = json.dumps(validate_bundle(bundle).to_dict(), sort_keys=True)
+    assert got == json.dumps(validation(read_dataset(tracklets, labels, manifest, k), T), sort_keys=True)
