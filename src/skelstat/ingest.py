@@ -172,11 +172,11 @@ def parse_tracklets(text: str, k: int) -> Detections:
     videos, tracks = [], []
     for a in range(0, len(numbered), _BLOCK_LINES):
         block = numbered[a : a + _BLOCK_LINES]
-        rows = [text.split("\t") for _, text in block]
+        rows = [line.split("\t") for _, line in block]
         parsed = _parse_block(rows, k)
         if parsed is None:
             try:
-                rows = [_parse_detection(text, n, k) for n, text in block]
+                rows = [_parse_detection(line, n, k) for n, line in block]
             except ParseError as exc:
                 parse_tracklets("\n".join(lines[: exc.line_number - 1]), k)  # a repeat on an earlier line wins
                 raise
