@@ -4,20 +4,26 @@ Every ``ParseError`` is pinned by its exact text and line number; the bad
 line always follows valid lines and one blank line, so the count includes
 blank lines. The round trips check that serializing a parsed file gives
 the canonically sorted text, whatever the line order, gaps, track-id churn
-and blank lines of the input.
+and blank lines of the input, and that a serialized manifest or embedding
+file parses back to the same values and text.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelstat.core import Labels, ParseError
+from skelstat.core import EmbeddingPrior, Labels, ParseError, Split
 from skelstat.ingest import (
     ScorePolarity,
+    VideoMeta,
+    parse_embeddings,
     parse_labels,
+    parse_manifest,
     parse_scores,
     parse_tracklets,
+    serialize_embeddings,
     serialize_labels,
+    serialize_manifest,
     serialize_scores,
     serialize_tracklets,
 )
@@ -275,6 +281,46 @@ def test_score_text_round_trip(case, polarity):
     assert list(map(repr, frames.score.tolist())) == [repr(sign * s) for _, _, s in expected]
     positive = dict(zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist()))
     assert frames.positive.tolist() == [positive[v, f] for v, f, _ in expected]
+
+
+# a manifest id is a JSON string, so any character fits; an embedding source
+# is the last tab-separated field of a line, so it holds no tab and no line break
+ANY_CHAR = st.characters(blacklist_categories=("Cs",))
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
+SOURCE_CHAR = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t" + LINE_BREAKS)
+SIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.dictionaries(
+    st.text(ANY_CHAR, max_size=4), st.builds(VideoMeta, st.sampled_from(["train", "val"]), SIZE, SIZE), max_size=4,
+))
+def test_manifest_round_trip(videos):
+    text = serialize_manifest(videos)
+    assert parse_manifest(text) == videos
+    assert serialize_manifest(parse_manifest(text)) == text
+
+
+@st.composite
+def embedding_files(draw):
+    """(vectors, split tokens, sources, prior mean) of a small embedding file."""
+    dim = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.lists(FINITE, min_size=dim, max_size=dim), max_size=5))
+    splits = [draw(st.sampled_from([s.value for s in Split])) for _ in vectors]
+    sources = [draw(st.none() | st.text(SOURCE_CHAR, max_size=4)) for _ in vectors]
+    return vectors, splits, sources, draw(st.lists(FINITE, min_size=dim, max_size=dim))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(embedding_files())
+def test_embedding_round_trip(case):
+    vectors, splits, sources, mu = case
+    text = serialize_embeddings(vectors, splits, sources, EmbeddingPrior(mu))
+    got_vectors, got_splits, got_sources, prior = parse_embeddings(text)
+    assert [list(map(repr, row)) for row in got_vectors.tolist()] == [list(map(repr, row)) for row in vectors]
+    assert (got_splits.tolist(), got_sources) == (splits, sources)
+    assert list(map(repr, prior.mu_normal.tolist())) == list(map(repr, mu))
+    assert serialize_embeddings(got_vectors, got_splits, got_sources, prior) == text
 
 
 def test_ids_are_kept_exactly():
