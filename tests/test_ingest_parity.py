@@ -285,9 +285,9 @@ def test_score_text_round_trip(case, polarity):
 
 # a manifest id is a JSON string, so any character fits; an embedding source
 # is the last tab-separated field of a line, so it holds no tab and no line break
-ANY_CHAR = st.characters(blacklist_categories=("Cs",))
+ANY_CHAR = st.characters(exclude_categories=("Cs",))
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
-SOURCE_CHAR = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t" + LINE_BREAKS)
+SOURCE_CHAR = st.characters(exclude_categories=("Cs",), exclude_characters="\t" + LINE_BREAKS)
 SIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
