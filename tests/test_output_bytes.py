@@ -1,8 +1,10 @@
-"""Golden bytes of ``metrics``, ``dist-hist`` and ``validate`` outputs.
+"""Golden bytes of ``metrics``, ``dist-hist``, ``report``, ``sdom`` and
+``validate`` outputs.
 
 Test 09 checks that two runs write the same bytes; this test checks that
 the bytes are the ones recorded before the score path and the CSV writer
-moved to columns, and before validation moved to whole-table counts.
+moved to columns, before validation moved to whole-table counts, and
+before the histogram CSVs and the curve rates got one formatting path each.
 Inputs are built from exact binary fractions, so they do not depend on a
 random generator or on libm.
 """
@@ -121,6 +123,50 @@ def test_dist_hist_bytes(tmp_path, extra):
             "--keypoints", 4, "--t", 4, "--stride", 2, "--feature", "pose", *extra]
     assert main([str(a) for a in argv]) == 0
     assert digests(out) == DISTHIST_GOLDEN[extra]
+
+
+REPORT_GOLDEN = {
+    (): {
+        "hist_pose_train.csv": "b2f19b1abbed7c4b", "hist_pose_val_anomalous.csv": "fbb6c208914f57b4",
+        "hist_pose_val_normal.csv": "aed1a05a3b925e5b", "hist_social_train.csv": "b4d49af506cc6621",
+        "hist_social_val_anomalous.csv": "0bd9ed834fe3f285", "hist_social_val_normal.csv": "308329bd5368c82b",
+        "hist_traj_train.csv": "7f3f64aea2424529", "hist_traj_val_anomalous.csv": "3a25de228630f8be",
+        "hist_traj_val_normal.csv": "5286683e568347f3", "report.json": "7283871e01302670",
+    },
+    ("--binning", "count:7", "--no-center"): {
+        "hist_pose_train.csv": "014a84b09d724f9e", "hist_pose_val_anomalous.csv": "f7b908378fbabb78",
+        "hist_pose_val_normal.csv": "25f568f79f1e4181", "hist_social_train.csv": "d53ef8acd8f65580",
+        "hist_social_val_anomalous.csv": "4d1718ed03129c88", "hist_social_val_normal.csv": "aa1938e2ada6a90f",
+        "hist_traj_train.csv": "6306938387641f95", "hist_traj_val_anomalous.csv": "5ad542244902aa5b",
+        "hist_traj_val_normal.csv": "8b92972eb2be21b0", "report.json": "13fd3503460950fe",
+    },
+}
+
+SDOM_SOCIAL_GOLDEN = {
+    (): {"sdom.json": "b70b9cb4e784d112"},
+    ("--no-center", "--nodes", "1", "--truncate-social"): {"sdom.json": "82f7abb8f2f5ff55"},
+}
+
+
+def tracklet_argv(directory, command, extra):
+    argv = [command, "--out", directory / "out", "--tracklets", directory / "tracklets.txt",
+            "--labels", directory / "labels.csv", "--manifest", directory / "manifest.json",
+            "--keypoints", 4, "--t", 4, "--stride", 2, *extra]
+    return [str(a) for a in argv]
+
+
+@pytest.mark.parametrize("extra", list(REPORT_GOLDEN))
+def test_report_bytes(tmp_path, extra):
+    write_tracklet_inputs(tmp_path)
+    assert main(tracklet_argv(tmp_path, "report", extra)) == 0
+    assert digests(tmp_path / "out") == REPORT_GOLDEN[extra]
+
+
+@pytest.mark.parametrize("extra", list(SDOM_SOCIAL_GOLDEN))
+def test_sdom_social_bytes(tmp_path, extra):
+    write_tracklet_inputs(tmp_path)
+    assert main(tracklet_argv(tmp_path, "sdom", ("--feature", "social", *extra))) == 0
+    assert digests(tmp_path / "out") == SDOM_SOCIAL_GOLDEN[extra]
 
 
 # (exit code, sha256 prefix of validation.json) by whether a training video has an anomalous label
