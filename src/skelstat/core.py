@@ -152,14 +152,17 @@ class Labels(NamedTuple):
 
     @classmethod
     def from_columns(cls, video, frame, positive) -> "Labels":
-        """Labels sorted by (video, frame); refuses negative frames and
-        repeated (video, frame) rows."""
+        """Labels sorted by (video, frame); refuses columns of unequal
+        length, negative frames and repeated (video, frame) rows."""
         video, frame = np.array(video, dtype=object), np.asarray(frame, dtype=np.int64)
+        positive = np.asarray(positive, dtype=bool)
+        if not len(video) == len(frame) == len(positive):
+            raise DataError(f"label columns must have one length, got {len(video)}, {len(frame)}, {len(positive)}")
         if (frame < 0).any():
             raise DataError(f"frame_index must be non-negative, got {frame.min()}")
         order = np.argsort(video, kind="stable")  # cheap on a sorted column; lexsort over objects is not
         order = order[np.lexsort((frame[order], run_codes(video[order])[1]))]
-        labels = cls(video[order], frame[order], np.asarray(positive, dtype=bool)[order])
+        labels = cls(video[order], frame[order], positive[order])
         same = np.flatnonzero(labels.frame[1:] == labels.frame[:-1])
         same = same[labels.video[same] == labels.video[same + 1]]
         if same.size:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ class TestMeanTensor:
         mu = mean_tensor(batch(windows))
         expected = np.mean(windows, axis=0)
         assert np.allclose(mu.values, expected, atol=1e-12)
+
+    def test_compensation_keeps_ones_beside_a_huge_window(self):
+        # 1535 windows of 1.0, one of 1e16 that closes the third 512-row
+        # chunk, then 1535 more of 1.0: adding rows one by one, forward or in
+        # reverse, rounds most of the ones after the 1e16 away (relative error
+        # ~1.5e-13); compensated chunk sums stay within about one ulp
+        side = 3 * 512 - 1
+        values = [1.0] * side + [1e16] + [1.0] * side
+        exact = Fraction(sum(map(Fraction, values)), len(values))
+        mu = mean_tensor(batch(np.multiply.outer(values, np.ones((2, 1, 2)))))
+        assert all(abs(Fraction(v) - exact) <= exact / 10**15 for v in mu.values.ravel())
 
     def test_single_window_is_identity(self):
         rng = np.random.default_rng(2)

@@ -174,6 +174,16 @@ def test_repeated_label_refused():
     assert Labels.from_columns(["v1", "v1\x00"], [3, 3], [False, True]).positive.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("video, frame, positive", [
+    (["v"], [0], [True, False]),  # an extra flag was dropped
+    (["v", "v"], [0, 1], [True]),  # a short flag column raised IndexError
+    (["v", "v"], [0], [True, False]),
+])
+def test_label_columns_of_unequal_length_refused(video, frame, positive):
+    with pytest.raises(DataError, match="one length"):
+        Labels.from_columns(video, frame, positive)
+
+
 def test_labels_sorted():
     labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
     assert labels.video.tolist() == ["v1", "v1", "v2"] and labels.frame.tolist() == [1, 3, 0]
