@@ -18,35 +18,15 @@ from itertools import chain
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis import distances_to_mean, latent_distances, mean_tensor, sdom_report, windows_by_split
-from .core import DataError, FeatureType, SkelstatError, Split, WindowingConfig
-from .features import CenterPolicy, build_windows, serialize_windows
-from .ingest import (
-    DatasetBundle,
-    ScorePolarity,
-    load_bundle,
-    parse_embeddings,
-    parse_labels,
-    parse_manifest,
-    parse_scores,
-    serialize_labels,
-    serialize_manifest,
-    serialize_scores,
-    serialize_tracklets,
-    validate_bundle,
-)
-from .metrics import metrics_report, metrics_report_per_video, pr_curve, roc_curve
-from .stats import Histogram, box_stats, difficulty_report, histogram, histogram_rows, parse_binning
-from .synth import (
-    GroupConverge,
-    PoseDeform,
-    SynthSpec,
-    TrajectoryShift,
-    generate,
-    oracle_scores,
-)
+import numpy as np
+
+# Each command imports the other layers it runs inside its own body, so a
+# run loads (and compiles, where no bytecode is cached) only those modules.
+from .core import DataError, FeatureType, SkelstatError, WindowingConfig
+from .ingest import DatasetBundle, ScorePolarity, load_bundle
 
 _FEATURES = {f.value: f for f in FeatureType}
+_HIST_HEADER = ["bin_left", "bin_right", "count", "split"]
 _WRITE_CHARS = 1 << 16  # characters per write: bounds the encoded copy of an output
 
 
@@ -78,6 +58,16 @@ def _csv_text(header: List[str], columns: List[list]) -> str:
     return (",".join(header) + "\n" + rows) % tuple(chain.from_iterable(zip(*columns)))
 
 
+def _distinct_text(values: np.ndarray) -> List[str]:
+    """``str`` of each float, formatting each distinct value once: a curve
+    rate is a count over n, so it takes at most n + 1 values. ``np.unique``
+    merges only equal floats, and of those only -0.0 and 0.0 differ in text;
+    no rate is -0.0."""
+    distinct, index = np.unique(values, return_inverse=True)
+    text = list(map(str, distinct.tolist()))
+    return [text[i] for i in index.tolist()]
+
+
 def _load_bundle(args) -> DatasetBundle:
     # validate takes no --stride or --nodes; its config keeps their defaults
     windowing = {"stride": args.stride, "N": args.nodes} if "stride" in args else {}
@@ -85,43 +75,51 @@ def _load_bundle(args) -> DatasetBundle:
     return load_bundle(args.tracklets, args.labels, args.manifest, config)
 
 
-def _center_policy(args) -> CenterPolicy:
+def _center_policy(args):
+    from .features import CenterPolicy
     return CenterPolicy.NONE if args.no_center else CenterPolicy.FIRST_POSE_TO_FRAME_CENTER
 
 
-def _feature(args, default: str = "pose") -> FeatureType:
-    return _FEATURES[args.feature or default]
+def _windows(args):
+    """The --feature (pose when unset) and the bundle's windows of it."""
+    from .features import build_windows
+    feature = _FEATURES[args.feature or "pose"]
+    return feature, build_windows(_load_bundle(args), feature, _center_policy(args), args.truncate_social)
 
 
 def cmd_validate(args) -> int:
+    from .ingest import validate_bundle
     report = validate_bundle(_load_bundle(args))
     atomic_write_text(Path(args.out) / "validation.json", _json_text(report.to_dict()))
     return 0 if report.ok else 1
 
 
 def cmd_windows(args) -> int:
-    feature = _feature(args)
-    windows = build_windows(_load_bundle(args), feature, _center_policy(args), args.truncate_social)
+    from .features import serialize_windows
+    feature, windows = _windows(args)
     atomic_write_text(Path(args.out) / f"windows_{feature.value}.txt", serialize_windows(windows))
     return 0
 
 
 def cmd_sdom(args) -> int:
-    feature = _feature(args)
-    windows = build_windows(_load_bundle(args), feature, _center_policy(args), args.truncate_social)
+    from .analysis import sdom_report
+    feature, windows = _windows(args)
     report = sdom_report(windows, feature)
     atomic_write_text(Path(args.out) / "sdom.json", _json_text(report.to_dict()))
     return 0
 
 
-def _write_histogram(out: Path, tag: str, hist: Histogram) -> None:
-    columns = list(zip(*histogram_rows(hist)))
-    atomic_write_text(
-        out / f"hist_{tag}_{hist.split}.csv", _csv_text(["bin_left", "bin_right", "count", "split"], columns)
-    )
+def _write_histogram(out: Path, tag: str, hist: dict) -> None:
+    """One histogram's CSV from its ``Histogram.to_dict()`` form."""
+    from .stats import histogram_columns
+    columns = histogram_columns(**hist)
+    atomic_write_text(out / f"hist_{tag}_{hist['split']}.csv", _csv_text(_HIST_HEADER, columns))
 
 
 def cmd_disthist(args) -> int:
+    from .analysis import latent_distances
+    from .ingest import parse_embeddings
+    from .stats import box_stats, distance_series, histogram, parse_binning
     binning = parse_binning(args.binning)
     out = Path(args.out)
     if args.embeddings:
@@ -132,29 +130,20 @@ def cmd_disthist(args) -> int:
         series_by_split = latent_distances(vectors, splits, prior)
         tag = "latent"
     else:
-        feature = _feature(args)
-        windows = build_windows(
-            _load_bundle(args), feature, _center_policy(args), args.truncate_social
-        )
-        by_split = windows_by_split(windows)
-        if not len(by_split[Split.TRAIN]):
-            raise DataError("no training windows; cannot compute the training mean")
-        mu_tn = mean_tensor(windows, Split.TRAIN)
-        series_by_split = {
-            split: distances_to_mean(windows, mu_tn, split, feature.value)
-            for split in Split
-            if len(by_split[split])
-        }
+        feature, windows = _windows(args)
+        series_by_split = distance_series(windows, feature)
         tag = feature.value
-    boxes = {}
-    for split, series in sorted(series_by_split.items(), key=lambda kv: kv[0].value):
+    boxes = {}  # box_{tag}.json sorts its keys
+    for split, series in series_by_split.items():
         boxes[split.value] = box_stats(series).to_dict()
-        _write_histogram(out, tag, histogram(series, binning))
+        _write_histogram(out, tag, histogram(series, binning).to_dict())
     atomic_write_text(out / f"box_{tag}.json", _json_text(boxes))
     return 0
 
 
 def cmd_metrics(args) -> int:
+    from .ingest import parse_labels, parse_manifest, parse_scores
+    from .metrics import metrics_report, metrics_report_per_video, pr_curve, roc_curve
     with open(args.manifest, "r", encoding="utf-8") as fh:
         parse_manifest(fh.read())  # validates the manifest is well-formed
     with open(args.labels, "r", encoding="utf-8") as fh:
@@ -173,16 +162,17 @@ def cmd_metrics(args) -> int:
     atomic_write_text(out / "metrics.json", _json_text(report.to_dict()))
     # both curves come from one threshold table: roc.csv's rows after its
     # (inf, 0, 0) row hold pr.csv's thresholds, and tpr is recall (tp / n_pos),
-    # so those two columns are formatted once
-    thresholds, recall = (list(map(str, column)) for column in pr[:, :2].T.tolist())
+    # so those two columns are formatted once, and a rate once per distinct value
+    thresholds, recall = list(map(str, pr[:, 0].tolist())), _distinct_text(pr[:, 1])
     pr_columns = [thresholds, recall, pr[:, 2].tolist()]
     atomic_write_text(out / "pr.csv", _csv_text(["threshold", "recall", "precision"], pr_columns))
-    roc_columns = [["inf", *thresholds], roc[:, 1].tolist(), ["0.0", *recall]]
+    roc_columns = [["inf", *thresholds], _distinct_text(roc[:, 1]), ["0.0", *recall]]
     atomic_write_text(out / "roc.csv", _csv_text(["threshold", "fpr", "tpr"], roc_columns))
     return 0
 
 
 def parse_anomaly_mode(text: str):
+    from .synth import GroupConverge, PoseDeform, TrajectoryShift
     kind, _, value = text.partition(":")
     try:
         if kind == "traj-shift":
@@ -200,6 +190,8 @@ def parse_anomaly_mode(text: str):
 
 
 def cmd_synth(args) -> int:
+    from .ingest import serialize_labels, serialize_manifest, serialize_scores, serialize_tracklets
+    from .synth import SynthSpec, generate, oracle_scores
     spec = SynthSpec(
         n_train_videos=args.videos,
         n_val_videos=args.val_videos,
@@ -231,6 +223,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .stats import difficulty_report, parse_binning
     report = difficulty_report(
         _load_bundle(args),
         feature_types=tuple(FeatureType),
@@ -242,7 +235,7 @@ def cmd_report(args) -> int:
     atomic_write_text(out / "report.json", _json_text(report))
     for feature_value, entry in report["features"].items():
         for hist in entry.get("histograms", {}).values():
-            _write_histogram(out, feature_value, Histogram(**hist))
+            _write_histogram(out, feature_value, hist)
     return 0
 
 

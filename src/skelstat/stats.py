@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import DistanceSeries, distances_to_mean, mean_tensor, sdom_report, windows_by_split
-from .core import BoxStats, DataError, FeatureType, Split
+from .core import BoxStats, DataError, FeatureType, Split, WindowBatch
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle
 
@@ -128,12 +128,19 @@ def box_stats(series: DistanceSeries) -> BoxStats:
     return BoxStats(lower_fence=lower, q1=q1, median=median, q3=q3, upper_fence=upper)
 
 
-def histogram_rows(hist: Histogram) -> List[tuple]:
-    """(bin_left, bin_right, count, split) rows for CSV export."""
-    return [
-        (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]), hist.split)
-        for i in range(hist.counts.size)
-    ]
+def distance_series(windows: WindowBatch, feature_type: FeatureType) -> Dict[Split, DistanceSeries]:
+    """Distances to the training mean of the windows of each split that has any."""
+    by_split = windows_by_split(windows)
+    if not len(by_split[Split.TRAIN]):
+        raise DataError("no training windows; cannot compute the training mean")
+    mu_tn = mean_tensor(windows, Split.TRAIN)
+    return {s: distances_to_mean(windows, mu_tn, s, feature_type.value) for s in Split if len(by_split[s])}
+
+
+def histogram_columns(bin_edges: List[float], counts: List[int], split: str) -> List[list]:
+    """(bin_left, bin_right, count, split) CSV columns of one histogram from
+    the Python lists of ``Histogram.to_dict()``."""
+    return [bin_edges[:-1], bin_edges[1:], counts, [split] * len(counts)]
 
 
 _SPLIT_ORDER = (Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)
@@ -181,11 +188,8 @@ def difficulty_report(
         sr = sdom_report(windows, feature_type)
         entry["sdom"] = sr.to_dict()
         sdom_by_feature[feature_type.value] = sr.sdom
-        mu_tn = mean_tensor(windows, Split.TRAIN)
-        entry["box_stats"] = {}
-        entry["histograms"] = {}
-        for split in _SPLIT_ORDER:
-            series = distances_to_mean(windows, mu_tn, split, feature_type.value)
+        entry["box_stats"], entry["histograms"] = {}, {}
+        for split, series in distance_series(windows, feature_type).items():
             entry["box_stats"][split.value] = box_stats(series).to_dict()
             entry["histograms"][split.value] = histogram(series, binning).to_dict()
         report["features"][feature_type.value] = entry

@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skelstat.cli import _WRITE_CHARS, atomic_write_text, main
+import skelstat
+from skelstat.cli import _WRITE_CHARS, _distinct_text, atomic_write_text, main
+from test_output_bytes import write_score_inputs, write_tracklet_inputs
 
 
 def run(argv):
@@ -237,3 +246,45 @@ class TestErrorHandling:
         target = tmp_path / "big.txt"
         atomic_write_text(target, text)
         assert target.read_bytes() == text.encode("utf-8")
+
+
+LAYERS = {"analysis", "features", "stats", "synth", "metrics"}
+
+
+def loaded_layers(code):
+    """The skelstat modules a fresh interpreter holds after running ``code``."""
+    probe = code + "\nimport sys; print(*(m for m in sys.modules if m.startswith('skelstat.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(skelstat.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return {name.split(".", 1)[1] for name in proc.stdout.split()}
+
+
+def test_import_loads_no_layer_module():
+    assert loaded_layers("import skelstat.cli") & LAYERS == set()
+
+
+@pytest.mark.parametrize("command, skipped", [
+    ("metrics", {"analysis", "features", "stats", "synth"}),
+    ("sdom", {"stats", "synth", "metrics"}),
+    ("report", {"synth", "metrics"}),
+])
+def test_command_loads_only_its_layers(tmp_path, command, skipped):
+    if command == "metrics":
+        write_score_inputs(tmp_path)
+        inputs = ["--scores", tmp_path / "scores.csv"]
+    else:
+        write_tracklet_inputs(tmp_path)
+        inputs = ["--tracklets", tmp_path / "tracklets.txt", "--keypoints", 4, "--t", 4]
+    argv = [command, "--out", tmp_path / "out", "--labels", tmp_path / "labels.csv",
+            "--manifest", tmp_path / "manifest.json", *inputs]
+    loaded = loaded_layers(f"from skelstat.cli import main; assert main({[str(a) for a in argv]!r}) == 0")
+    assert loaded & LAYERS == LAYERS - skipped
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 10**7).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), max_size=50))))
+def test_rate_text_is_the_repr_of_each_rate(case):
+    # a curve rate is a count over n; 0 and n are the curves' end points
+    n, counts = case
+    counts = [0, *counts, n]
+    assert _distinct_text(np.array(counts) / n) == [repr(c / n) for c in counts]

@@ -12,7 +12,7 @@ from skelstat.stats import (
     box_stats,
     difficulty_report,
     histogram,
-    histogram_rows,
+    histogram_columns,
     parse_binning,
 )
 from skelstat.synth import SynthSpec, TrajectoryShift, generate
@@ -79,12 +79,11 @@ class TestHistogram:
         with pytest.raises(DataError):
             histogram(series([]))
 
-    def test_rows_round_trip(self):
+    def test_csv_columns(self):
         h = histogram(series([0.0, 1.0, 2.0]), FixedCount(2))
-        rows = histogram_rows(h)
-        assert len(rows) == 2
-        assert rows[0] == (0.0, 1.0, 1, "train")
-        assert sum(r[2] for r in rows) == 3
+        columns = histogram_columns(**h.to_dict())
+        assert columns == [[0.0, 1.0], [1.0, 2.0], [1, 2], ["train", "train"]]
+        assert [type(c[0]) for c in columns] == [float, float, int, str]
 
 
 class TestBoxStats:
