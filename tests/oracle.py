@@ -8,7 +8,8 @@ text files. The analysis part (split means, S-DoM and distances to the
 training mean) works on ``Window`` tuples, one coordinate at a time. The
 score part (AUC-ROC and the equal error rate) counts sample pairs and
 thresholds one score at a time. ``validation`` counts what ``validate``
-reports, one video and one frame at a time.
+reports, one video and one frame at a time. ``read_labels`` and
+``read_scores`` read the label and score CSVs one line at a time.
 
 A window is a ``Window`` tuple of plain Python values; ``OracleError``
 carries the text of the error the program must raise.
@@ -275,3 +276,76 @@ def eer_crossing(scores: List[float], positive: List[bool]) -> Tuple[Tuple[float
             return previous, (threshold, fpr, fnr)
         previous = (threshold, fpr, fnr)
     raise AssertionError("FPR reaches 1 and FNR 0 at the lowest score")
+
+
+class LineFault(NamedTuple):
+    """The first faulty line of a file: the error text and its line number."""
+
+    message: str
+    line: int
+
+
+INT64_MAX = 2**63 - 1
+
+
+def read_csv(text: str, field: str, check):
+    """The ``video_id,frame_index,<field>`` rows of a text, or the first
+    ``LineFault``. Lines are those of ``str.splitlines``, stripped; blank
+    lines are skipped. A frame index is a Python ``int`` within int64.
+    ``check(video, frame, value)`` returns the row's kept value, or the
+    text of a fault that outranks a repeated (video, frame)."""
+    rows, seen = [], set()
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            return LineFault(f"expected 'video_id,frame_index,{field}', got {line!r}", number)
+        video, frame_text, value = fields
+        try:
+            frame = int(frame_text)
+        except ValueError:
+            return LineFault(f"invalid frame index {frame_text!r}", number)
+        if frame > INT64_MAX:
+            return LineFault(f"frame index {frame} too large", number)
+        kept = check(video, frame, value)
+        if isinstance(kept, str):
+            return LineFault(kept, number)
+        if (video, frame) in seen:
+            return LineFault(f"duplicate {field} for ({video}, frame {frame})", number)
+        seen.add((video, frame))
+        rows.append((video, frame, kept))
+    return sorted(rows)
+
+
+def read_labels(text: str):
+    """Sorted (video, frame, anomalous) rows of a labels.csv text, or its
+    first ``LineFault``."""
+    def check(video, frame, value):
+        if frame < 0:
+            return f"negative frame index {frame}"
+        if value not in ("0", "1"):
+            return f"label must be 0 or 1, got {value!r}"
+        return value == "1"
+    return read_csv(text, "label", check)
+
+
+def read_scores(text: str, labels: Dict[Tuple[str, int], bool], sign: float):
+    """Sorted (video, frame, sign * score, anomalous) rows of a scores.csv
+    text joined to ``labels`` ((video, frame) -> anomalous), or its first
+    ``LineFault``."""
+    def check(video, frame, value):
+        try:
+            score = float(value)
+        except ValueError:
+            return f"invalid score {value!r}"
+        if not math.isfinite(score):
+            return f"non-finite score {value!r}"
+        if (video, frame) not in labels:
+            return f"score for unlabeled frame ({video}, {frame})"
+        return score
+    rows = read_csv(text, "score", check)
+    if isinstance(rows, LineFault):
+        return rows
+    return [(video, frame, sign * score, labels[video, frame]) for video, frame, score in rows]

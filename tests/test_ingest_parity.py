@@ -5,13 +5,16 @@ line always follows valid lines and one blank line, so the count includes
 blank lines. The round trips check that serializing a parsed file gives
 the canonically sorted text, whatever the line order, gaps, track-id churn
 and blank lines of the input, and that a serialized manifest or embedding
-file parses back to the same values and text.
+file parses back to the same values and text. The differential fuzz
+checks the label and score parsers against the line-by-line readers of
+``oracle.py`` on mutated files.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import LineFault, read_labels, read_scores
 from skelstat.core import EmbeddingPrior, Labels, ParseError, Split
 from skelstat.ingest import (
     ScorePolarity,
@@ -329,3 +332,72 @@ def test_ids_are_kept_exactly():
     assert serialize_tracklets(parse_tracklets(tracklets, k=2)) == tracklets
     labels = "v\x00,0,1\nv\x00,1,0\n"
     assert serialize_labels(parse_labels(labels)) == labels
+
+
+# edits of the differential fuzz: (kind, line, position, token); a "token"
+# edit replaces a field, a "nul" edit suffixes the line's id with NUL
+EDIT = st.tuples(
+    st.sampled_from(["comma", "newline", "space", "token", "repeat", "nul"]),
+    st.integers(0, 1000),
+    st.integers(0, 1000),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "99999999999999999999", "-99999999999999999999", "-1", "2", "0"]),
+)
+
+
+def mutate(text, edits):
+    """The text with each edit applied to one of its lines."""
+    lines = text.split("\n")
+    for kind, at, position, token in edits:
+        i = at % len(lines)
+        line, fields = lines[i], lines[i].split(",")
+        if kind in ("comma", "newline", "space"):
+            cut = position % (len(line) + 1)
+            lines[i] = line[:cut] + {"comma": ",", "newline": "\n", "space": " "}[kind] + line[cut:]
+        elif kind == "repeat":
+            lines.insert(position % (len(lines) + 1), line)
+        elif kind == "token":
+            fields[position % len(fields)] = token
+            lines[i] = ",".join(fields)
+        else:
+            lines[i] = ",".join([fields[0] + "\x00", *fields[1:]])
+    return "\n".join(lines)
+
+
+@st.composite
+def csv_rows(draw, values):
+    """Shuffled ``video,frame,value`` lines of distinct (video, frame) keys."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b", "v\x00"]), st.integers(0, 9)), unique=True, max_size=8))
+    return [f"{video},{frame},{draw(values)}" for video, frame in draw(st.permutations(keys))]
+
+
+def outcome(parse, text):
+    """A parser's table as a list of rows, or the ``LineFault`` of its ParseError."""
+    try:
+        return [tuple(row) for row in zip(*(column.tolist() for column in parse(text)))]
+    except ParseError as exc:
+        return LineFault(str(exc).partition(": ")[2], exc.line_number)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(csv_rows(st.sampled_from("01")), st.lists(EDIT, min_size=1, max_size=3))
+def test_labels_match_the_line_reader_on_mutated_files(lines, edits):
+    text = mutate("\n".join(lines) + "\n", edits)
+    assert outcome(parse_labels, text) == read_labels(text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    csv_rows(st.sampled_from(["0.5", "-1.25", "3", "1e-300", "-0.0"])),
+    st.lists(EDIT, min_size=1, max_size=3),
+    st.sampled_from(ScorePolarity),
+)
+def test_scores_match_the_line_reader_on_mutated_files(lines, edits, polarity):
+    labels = parse_labels("".join(f"{video},{frame},{frame % 2}\n" for video in ("a", "b", "v\x00") for frame in range(8)))
+    text = mutate("\n".join(lines) + "\n", edits)
+    known = dict(zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist()))
+    sign = -1.0 if polarity is ScorePolarity.NORMALITY else 1.0
+    got = outcome(lambda t: parse_scores(t, polarity, labels), text)
+    expected = read_scores(text, known, sign)
+    assert got == expected
+    if not isinstance(expected, LineFault):
+        assert [repr(row[2]) for row in got] == [repr(row[2]) for row in expected]  # the sign of zero too

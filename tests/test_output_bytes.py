@@ -1,5 +1,5 @@
 """Golden bytes of ``metrics``, ``dist-hist``, ``report``, ``sdom`` and
-``validate`` outputs.
+``validate`` outputs, and of the spec ``synth`` writes.
 
 Test 09 checks that two runs write the same bytes; this test checks that
 the bytes are the ones recorded before the score path and the CSV writer
@@ -182,3 +182,17 @@ def test_validate_bytes(tmp_path, anomalous_train):
             "--keypoints", 2, "--t", 5]
     code = main([str(a) for a in argv])
     assert (code, digests(out)["validation.json"]) == VALIDATE_GOLDEN[anomalous_train]
+
+
+SYNTH_ARGS = (
+    "--videos", 1, "--val-videos", 1, "--frames", 24, "--persons", 2, "--keypoints", 4, "--t", 4, "--stride", 2,
+    "--nodes", 3, "--width", 640, "--height", 360, "--drift", 1.5, "--jitter", 0.25, "--spawn-radius", 40.5,
+    "--anomaly-mode", "traj-shift:12.5", "--anomaly-mode", "pose-deform:0.75", "--anomaly-mode", "group-converge:0.5",
+    "--anomaly-fraction", 0.25, "--seed", 7,
+)
+
+
+def test_synth_spec_bytes(tmp_path):
+    # the other synth files depend on the generator and libm; parity runs cover them
+    assert main([str(a) for a in ("synth", "--out", tmp_path, *SYNTH_ARGS)]) == 0
+    assert digests(tmp_path)["synth_spec.json"] == "742845de5cba58e7"
