@@ -139,6 +139,15 @@ def distances_to_mean(
     return DistanceSeries(values=out, split=split, tag=tag)
 
 
+def distance_series(windows: WindowBatch, feature_type: FeatureType) -> Dict[Split, DistanceSeries]:
+    """Distances to the training mean of the windows of each split that has any."""
+    by_split = windows_by_split(windows)
+    if not len(by_split[Split.TRAIN]):
+        raise DataError("no training windows; cannot compute the training mean")
+    mu_tn = mean_tensor(windows, Split.TRAIN)
+    return {s: distances_to_mean(windows, mu_tn, s, feature_type.value) for s in Split if len(by_split[s])}
+
+
 def latent_distances(
     vectors: np.ndarray,
     splits: np.ndarray,

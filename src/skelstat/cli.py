@@ -117,9 +117,9 @@ def _write_histogram(out: Path, tag: str, hist: dict) -> None:
 
 
 def cmd_disthist(args) -> int:
-    from .analysis import latent_distances
+    from .analysis import distance_series, latent_distances
     from .ingest import parse_embeddings
-    from .stats import box_stats, distance_series, histogram, parse_binning
+    from .stats import box_stats, histogram, parse_binning
     binning = parse_binning(args.binning)
     out = Path(args.out)
     if args.embeddings:
@@ -151,13 +151,14 @@ def cmd_metrics(args) -> int:
     polarity = ScorePolarity(args.polarity)
     with open(args.scores, "r", encoding="utf-8") as fh:
         frames = parse_scores(fh.read(), polarity, labels)
+    uncovered = len(labels.frame) - len(frames.frame)  # each score joins one label row, and no two the same
     if args.per_video_average:
-        report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video)
+        report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video, uncovered)
         if skipped:
             logging.getLogger(__name__).warning("skipped single-class videos: %s", skipped)
         roc, pr = roc_curve(frames.score, frames.positive), pr_curve(frames.score, frames.positive)
     else:
-        report, roc, pr = metrics_report(frames.score, frames.positive)
+        report, roc, pr = metrics_report(frames.score, frames.positive, uncovered)
     out = Path(args.out)
     atomic_write_text(out / "metrics.json", _json_text(report.to_dict()))
     # both curves come from one threshold table: roc.csv's rows after its

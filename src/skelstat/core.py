@@ -300,17 +300,8 @@ class SdomReport:
             raise DataError("sdom must equal delta_a - delta_n exactly")
 
     def to_dict(self) -> dict:
-        return {
-            "delta_n": self.delta_n,
-            "delta_a": self.delta_a,
-            "sdom": self.sdom,
-            "feature_type": self.feature_type.value,
-            "counts": {
-                "train": self.counts[0],
-                "val_normal": self.counts[1],
-                "val_anomalous": self.counts[2],
-            },
-        }
+        counts = dict(zip([s.value for s in Split], self.counts))
+        return {**asdict(self), "feature_type": self.feature_type.value, "counts": counts}
 
 
 @dataclass(frozen=True)

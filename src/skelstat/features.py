@@ -21,7 +21,6 @@ from .core import (
     DataError,
     FeatureType,
     Label,
-    ParseError,
     Split,
     WindowBatch,
     frame_extent,
@@ -267,48 +266,3 @@ def serialize_windows(windows: WindowBatch) -> str:
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def parse_windows(text: str) -> WindowBatch:
-    """Windows from a ``serialize_windows`` export; every line must have
-    the first line's (T, k), and its label must follow from its split."""
-    split_tokens = {s.value: s for s in Split}
-    shape = None
-    coords, masks, videos, starts, splits, tracks = [], [], [], [], [], []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 9:
-            raise ParseError(f"expected 9 tab-separated fields, got {len(parts)}", line_number)
-        video_id, start_text, split_text, label_text, T_text, k_text, track_text, coords_text, mask_text = parts
-        try:
-            start_frame, T, k = int(start_text), int(T_text), int(k_text)
-        except ValueError:
-            raise ParseError("start_frame, T and k must be integers", line_number) from None
-        if split_text not in split_tokens:
-            raise ParseError(f"unknown split/label ({split_text!r}, {label_text!r})", line_number)
-        if label_text != _label(split_tokens[split_text]).value:
-            raise ParseError(f"label {label_text!r} does not match split {split_text!r}", line_number)
-        shape = shape or (T, k)
-        if (T, k) != shape:
-            raise ParseError(f"window shape {(T, k)} differs from the first window's {shape}", line_number)
-        values = coords_text.split(",")
-        if len(values) != T * k * 2:
-            raise ParseError(f"expected {T * k * 2} coordinates, got {len(values)}", line_number)
-        if len(mask_text) != T * k:
-            raise ParseError(f"expected {T * k} mask bits, got {len(mask_text)}", line_number)
-        try:
-            coords.append([float(v) for v in values])
-        except ValueError:
-            raise ParseError("invalid coordinate value", line_number) from None
-        masks.append([c == "1" for c in mask_text])
-        videos.append(video_id)
-        starts.append(start_frame)
-        splits.append(split_tokens[split_text])
-        tracks.append(track_text.split("|") if track_text else [])
-    T, k = shape or (0, 0)
-    return WindowBatch.from_columns(
-        np.array(coords, dtype=np.float64).reshape(len(coords), T, k, 2),
-        np.array(masks, dtype=bool).reshape(len(masks), T, k),
-        videos, starts, splits, tracks,
-    )

@@ -231,11 +231,20 @@ def parse_labels(text: str) -> Labels:
             return Labels.from_columns(video, frame, np.fromiter(map("1".__eq__, label), bool, len(label)))
         except DataError:
             pass
-    _raise_first_label_fault(lines)
+    _raise_first_fault(lines, "label", _check_label)
 
 
-def _raise_first_label_fault(lines: List[str]) -> NoReturn:
-    """Check label lines one by one and raise the first fault."""
+def _check_label(key: Tuple[str, int], text: str, line_number: int) -> None:
+    if key[1] < 0:
+        raise ParseError(f"negative frame index {key[1]}", line_number)
+    if text not in ("0", "1"):
+        raise ParseError(f"label must be 0 or 1, got {text!r}", line_number)
+
+
+def _raise_first_fault(lines: List[str], field: str, check) -> NoReturn:
+    """Check ``video_id,frame_index,<field>`` lines one by one and raise the
+    first fault: a field count, a frame index, what ``check((video, frame),
+    field text, line number)`` raises, then a repeated (video, frame)."""
     seen = set()
     for line_number, line in enumerate(lines, start=1):
         line = line.strip()
@@ -243,17 +252,13 @@ def _raise_first_label_fault(lines: List[str]) -> NoReturn:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise ParseError(f"expected 'video_id,frame_index,label', got {line!r}", line_number)
-        frame_index = _parse_int(parts[1], "frame index", line_number)
-        if frame_index < 0:
-            raise ParseError(f"negative frame index {frame_index}", line_number)
-        if parts[2] not in ("0", "1"):
-            raise ParseError(f"label must be 0 or 1, got {parts[2]!r}", line_number)
-        key = (parts[0], frame_index)
+            raise ParseError(f"expected 'video_id,frame_index,{field}', got {line!r}", line_number)
+        key = (parts[0], _parse_int(parts[1], "frame index", line_number))
+        check(key, parts[2], line_number)
         if key in seen:
-            raise ParseError(f"duplicate label for ({parts[0]}, frame {frame_index})", line_number)
+            raise ParseError(f"duplicate {field} for ({key[0]}, frame {key[1]})", line_number)
         seen.add(key)
-    raise AssertionError("the column checks refused labels the line checks accept")
+    raise AssertionError(f"the column checks refused {field}s the line checks accept")
 
 
 def serialize_labels(labels: Labels) -> str:
@@ -356,7 +361,14 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
                 if polarity is ScorePolarity.NORMALITY:
                     score = -score
                 return FrameScores(video[order], frame[order], score[order], labels.positive[row])
-    _raise_first_score_fault(lines, labels)
+    labeled = set(zip(labels.video.tolist(), labels.frame.tolist()))
+
+    def check(key: Tuple[str, int], text: str, line_number: int) -> None:
+        _parse_float(text, "score", line_number)
+        if key not in labeled:
+            raise ParseError(f"score for unlabeled frame ({key[0]}, {key[1]})", line_number)
+
+    _raise_first_fault(lines, "score", check)
 
 
 def _label_rows(labels: Labels, video: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -372,28 +384,6 @@ def _label_rows(labels: Labels, video: np.ndarray, frame: np.ndarray) -> np.ndar
     key = code * frames.size + rank
     row = np.minimum(np.searchsorted(label_key, key), label_key.size - 1)
     return np.where((names[code] == video) & (frames[rank] == frame) & (label_key[row] == key), row, -1)
-
-
-def _raise_first_score_fault(lines: List[str], labels: Labels) -> NoReturn:
-    """Check score lines one by one and raise the first fault."""
-    labeled = set(zip(labels.video.tolist(), labels.frame.tolist()))
-    seen = set()
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 'video_id,frame_index,score', got {line!r}", line_number)
-        frame_index = _parse_int(parts[1], "frame index", line_number)
-        _parse_float(parts[2], "score", line_number)
-        key = (parts[0], frame_index)
-        if key not in labeled:
-            raise ParseError(f"score for unlabeled frame ({parts[0]}, {frame_index})", line_number)
-        if key in seen:
-            raise ParseError(f"duplicate score for ({parts[0]}, frame {frame_index})", line_number)
-        seen.add(key)
-    raise AssertionError("the column checks refused scores the line checks accept")
 
 
 def serialize_scores(rows: Iterable[Tuple[str, int, float]]) -> str:

@@ -16,7 +16,7 @@ Areas are summed left to right with ``np.cumsum``: pairwise summation
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -126,17 +126,14 @@ def windows_to_frame_scores(
     scores,
     labels: Labels,
     rows=None,
-    default_score: Optional[float] = None,
-    drop_uncovered: bool = False,
 ) -> Tuple[FrameScores, List[Tuple[str, int]]]:
     """Per-frame anomaly score = max over all scored windows covering the frame.
 
     ``scores[i]`` is the score of window ``rows[i]`` (of window i when
-    ``rows`` is None). Labeled frames no window covers get
-    ``default_score`` (the least anomalous covered frame's score when
-    unset), or are dropped when ``drop_uncovered`` is set. Returns the
-    labeled frames' scores sorted by (video, frame) and the uncovered frame
-    keys.
+    ``rows`` is None). Labeled frames no window covers get the least
+    anomalous covered frame's score (0.0 when no frame is covered). Returns
+    every labeled frame's score, sorted by (video, frame), and the uncovered
+    frame keys.
     """
     rows = np.arange(len(windows)) if rows is None else np.asarray(rows, dtype=np.int64)
     window_scores = np.asarray(scores, dtype=np.float64)
@@ -163,18 +160,10 @@ def windows_to_frame_scores(
 
     frame_best = best[offset[label_video] + labels.frame]
     covered = np.isfinite(frame_best)
-    if default_score is None:
-        observed = best[np.isfinite(best)]
-        default_score = observed.min() if observed.size else 0.0
+    observed = best[np.isfinite(best)]
+    score = np.where(covered, frame_best, observed.min() if observed.size else 0.0)
     uncovered = list(zip(labels.video[~covered].tolist(), labels.frame[~covered].tolist()))
-    keep = covered if drop_uncovered else np.ones(len(labels.frame), dtype=bool)
-    frames = FrameScores(
-        video=labels.video[keep],
-        frame=labels.frame[keep],
-        score=np.where(covered, frame_best, default_score)[keep],
-        positive=labels.positive[keep],
-    )
-    return frames, uncovered
+    return FrameScores(labels.video, labels.frame, score, labels.positive), uncovered
 
 
 def metrics_report(

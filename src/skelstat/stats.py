@@ -8,8 +8,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import DistanceSeries, distances_to_mean, mean_tensor, sdom_report, windows_by_split
-from .core import BoxStats, DataError, FeatureType, Split, WindowBatch
+from .analysis import DistanceSeries, distance_series, sdom_report, windows_by_split
+from .core import BoxStats, DataError, FeatureType, Split
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle
 
@@ -126,15 +126,6 @@ def box_stats(series: DistanceSeries) -> BoxStats:
     lower = min(float(inside_lo.min()), q1) if inside_lo.size else q1
     upper = max(float(inside_hi.max()), q3) if inside_hi.size else q3
     return BoxStats(lower_fence=lower, q1=q1, median=median, q3=q3, upper_fence=upper)
-
-
-def distance_series(windows: WindowBatch, feature_type: FeatureType) -> Dict[Split, DistanceSeries]:
-    """Distances to the training mean of the windows of each split that has any."""
-    by_split = windows_by_split(windows)
-    if not len(by_split[Split.TRAIN]):
-        raise DataError("no training windows; cannot compute the training mean")
-    mu_tn = mean_tensor(windows, Split.TRAIN)
-    return {s: distances_to_mean(windows, mu_tn, s, feature_type.value) for s in Split if len(by_split[s])}
 
 
 def histogram_columns(bin_edges: List[float], counts: List[int], split: str) -> List[list]:

@@ -10,12 +10,12 @@ so identical specs serialize byte-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .analysis import distances_to_mean, mean_tensor, windows_by_split
+from .analysis import distance_series, windows_by_split
 from .core import DataError, Detections, FeatureType, Labels, Split, WindowingConfig
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle, VideoMeta
@@ -26,6 +26,7 @@ from .metrics import windows_to_frame_scores
 class TrajectoryShift:
     """Displace every joint by delta pixels in x during anomalous frames."""
 
+    kind: ClassVar[str] = "trajectory_shift"
     delta: float
 
     def __post_init__(self):
@@ -37,6 +38,7 @@ class TrajectoryShift:
 class PoseDeform:
     """Scale the skeleton's joint offsets by (1 + amplitude) during anomalies."""
 
+    kind: ClassVar[str] = "pose_deform"
     amplitude: float
 
     def __post_init__(self):
@@ -48,6 +50,7 @@ class PoseDeform:
 class GroupConverge:
     """Pull everyone toward the group centroid at the given rate."""
 
+    kind: ClassVar[str] = "group_converge"
     rate: float
 
     def __post_init__(self):
@@ -103,33 +106,8 @@ class SynthSpec:
         )
 
     def to_dict(self) -> dict:
-        modes = []
-        for mode in self.anomaly_modes:
-            if isinstance(mode, TrajectoryShift):
-                modes.append({"kind": "trajectory_shift", "delta": mode.delta})
-            elif isinstance(mode, PoseDeform):
-                modes.append({"kind": "pose_deform", "amplitude": mode.amplitude})
-            else:
-                modes.append({"kind": "group_converge", "rate": mode.rate})
-        return {
-            "n_train_videos": self.n_train_videos,
-            "n_val_videos": self.n_val_videos,
-            "frames_per_video": self.frames_per_video,
-            "persons_per_video": self.persons_per_video,
-            "k": self.k,
-            "frame_width": self.frame_width,
-            "frame_height": self.frame_height,
-            "drift_speed": self.drift_speed,
-            "jitter_std": self.jitter_std,
-            "spawn_radius": self.spawn_radius,
-            "anomaly_modes": modes,
-            "anomaly_fraction": self.anomaly_fraction,
-            "seed": self.seed,
-            "T": self.T,
-            "stride": self.stride,
-            "N": self.N,
-            "rng": "numpy PCG64, one SeedSequence child per video",
-        }
+        modes = [{"kind": mode.kind, **asdict(mode)} for mode in self.anomaly_modes]
+        return {**asdict(self), "anomaly_modes": modes, "rng": "numpy PCG64, one SeedSequence child per video"}
 
 
 def _skeleton_template(k: int, hip_indices: Tuple[int, int]) -> np.ndarray:
@@ -260,7 +238,7 @@ def oracle_scores(
     val = np.concatenate([by_split[Split.VAL_NORMAL], by_split[Split.VAL_ANOMALOUS]])
     if not len(by_split[Split.TRAIN]) or not len(val):
         raise DataError("distance oracle needs both training and validation windows")
-    mu_tn = mean_tensor(windows, Split.TRAIN)
-    series = distances_to_mean(windows, mu_tn)
-    frames, _ = windows_to_frame_scores(windows, series.values[val], labels, rows=val)
+    series = distance_series(windows, FeatureType.ABSOLUTE_TRAJECTORY)
+    scores = np.concatenate([series[s].values for s in (Split.VAL_NORMAL, Split.VAL_ANOMALOUS) if s in series])
+    frames, _ = windows_to_frame_scores(windows, scores, labels, rows=val)
     return list(zip(frames.video.tolist(), frames.frame.tolist(), frames.score.tolist()))

@@ -4,7 +4,8 @@ from the README.
 The program builds windows with array arithmetic; these functions rebuild
 them one frame at a time from plain dicts, so the two can be compared on
 any dataset. Only the parsers come from skelstat: both sides read the same
-text files. The analysis part (split means, S-DoM and distances to the
+text files. ``export_text`` writes ``Window`` tuples in the windows export
+format. The analysis part (split means, S-DoM and distances to the
 training mean) works on ``Window`` tuples, one coordinate at a time. The
 score part (AUC-ROC and the equal error rate) counts sample pairs and
 thresholds one score at a time. ``validation`` counts what ``validate``
@@ -197,6 +198,22 @@ def social_windows(
             out.append(Window(video, tuple(present), start, split, coords, mask))
             start += stride
     return sorted(out, key=lambda w: (w.video, w.track_ids, w.start))
+
+
+def export_text(windows: List[Window]) -> str:
+    """The README's windows export, one tab-separated line per window: id,
+    start, split, label (anomalous only for val_anomalous), T, k, the track
+    ids joined by "|", the T x k x 2 coordinates as ``repr`` texts joined by
+    ",", and one "1" or "0" mask bit per point."""
+    lines = []
+    for w in windows:
+        label = "anomalous" if w.split == "val_anomalous" else "normal"
+        coords = ",".join(repr(v) for row in w.coords for point in row for v in point)
+        bits = "".join("1" if m else "0" for row in w.mask for m in row)
+        lines.append("\t".join(map(str, (
+            w.video, w.start, w.split, label, len(w.coords), len(w.coords[0]), "|".join(w.track_ids), coords, bits,
+        ))))
+    return "".join(line + "\n" for line in lines)
 
 
 SPLIT_NAMES = {"train": "train-normal", "val_normal": "val-normal", "val_anomalous": "val-anomalous"}

@@ -208,6 +208,16 @@ class TestMetrics:
         report = json.loads((out / "metrics.json").read_text())
         assert 0.0 <= report["auc_roc"] <= 1.0
 
+    @pytest.mark.parametrize("extra", [(), ("--per-video-average",)])
+    def test_labeled_frames_without_a_score_are_counted(self, tmp_path, extra):
+        (tmp_path / "labels.csv").write_text("".join(f"v1,{f},{f % 2}\n" for f in range(6)))
+        (tmp_path / "scores.csv").write_text("v1,2,0.5\nv1,0,0.25\nv1,1,0.75\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({"v1": {"split": "val", "width": 64, "height": 48}}))
+        out = tmp_path / "out"
+        assert self.run_metrics(tmp_path, out, "scores.csv", *extra) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        assert (report["auc_roc"], report["n_pos"] + report["n_neg"], report["uncovered_frames"]) == (1.0, 3, 3)
+
 
 class TestReport:
     def test_full_report(self, dataset, tmp_path):

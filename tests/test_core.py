@@ -91,8 +91,8 @@ class TestWindowingConfig:
 
 
 class TestFeatureWindow:
-    """The window checks of ``WindowBatch.from_columns``, the constructor
-    for windows read from outside (``parse_windows``), on one window."""
+    """The window checks of ``WindowBatch.from_columns``, the checked
+    constructor for windows built outside ``build_windows``, on one window."""
 
     def make(self, T=4, k=2, coords=None, mask=None):
         coords = np.ones((T, k, 2)) if coords is None else coords

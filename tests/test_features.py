@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracle import export_text, read_dataset, track_windows
 from skelstat.core import (
     SPLITS,
     DataError,
@@ -10,7 +11,6 @@ from skelstat.core import (
     FeatureType,
     Label,
     Labels,
-    ParseError,
     Split,
     WindowingConfig,
 )
@@ -18,12 +18,11 @@ from skelstat.features import (
     CenterPolicy,
     build_windows,
     center_window,
-    parse_windows,
     person_center,
     serialize_windows,
     window_starts,
 )
-from skelstat.ingest import DatasetBundle, VideoMeta
+from skelstat.ingest import DatasetBundle, VideoMeta, serialize_labels, serialize_manifest, serialize_tracklets
 
 CFG = WindowingConfig(T=24, stride=6, k=17)
 CENTER = (50.0, 50.0)  # the frame center of the 100 x 100 videos of ``bundle_of``
@@ -383,30 +382,13 @@ class TestWindowStartsHelper:
 
 class TestWindowSerialization:
     def test_bit_exact_round_trip(self):
+        # the export against the oracle's windows as oracle.export_text writes them
         rng = np.random.default_rng(21)
         t = tracklet_from_frames(range(30), rng)
-        windows = build_windows(bundle_of(t, normal_labels(range(30))), FeatureType.POSE)
-        parsed = parse_windows(serialize_windows(windows))
-        assert len(parsed) == len(windows)
-        for a, b in zip(unbatch(windows), unbatch(parsed)):
-            assert np.array_equal(a.coords, b.coords)
-            assert np.array_equal(a.mask, b.mask)
-            assert (a.video_id, a.start_frame, a.track_ids, a.split) == (
-                b.video_id,
-                b.start_frame,
-                b.track_ids,
-                b.split,
-            )
-
-
-    def test_parse_refuses_what_no_export_holds(self):
-        bundle = bundle_of(tracklet_from_frames(range(24)), normal_labels(range(24)))
-        pose = serialize_windows(build_windows(bundle, FeatureType.POSE))
-        traj = serialize_windows(build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY))
-        with pytest.raises(ParseError, match=r"line 2: window shape \(24, 1\) differs from the first window's \(24, 17\)"):
-            parse_windows(pose + traj)
-        with pytest.raises(ParseError, match="line 1: label 'anomalous' does not match split 'val_normal'"):
-            parse_windows(pose.replace("\tnormal\t", "\tanomalous\t"))
+        bundle = bundle_of(t, normal_labels(range(30)))
+        texts = serialize_tracklets(t), serialize_labels(bundle.labels), serialize_manifest(bundle.videos)
+        expected = track_windows(read_dataset(*texts, k=17), "pose", 24, 6, CFG.hip_indices, center=True)
+        assert serialize_windows(build_windows(bundle, FeatureType.POSE)) == export_text(expected)
 
 
 def test_build_windows_uses_manifest_resolution():

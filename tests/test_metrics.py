@@ -245,15 +245,11 @@ class TestWindowsToFrameScores:
             expected = max(covering) if covering else min(scores)
             assert by_frame[frame] == expected
 
-    def test_uncovered_default_and_drop(self):
+    def test_uncovered_default(self):
         windows = make_windows(["v1"], [0])
         out, uncovered = windows_to_frame_scores(windows, [2.0], self.labels(6))
         assert uncovered == [("v1", 4), ("v1", 5)]
         assert out.score.tolist() == [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]  # default = min observed
-        out2, _ = windows_to_frame_scores(windows, [2.0], self.labels(6), default_score=-9.0)
-        assert out2.score[-2:].tolist() == [-9.0, -9.0]
-        out3, _ = windows_to_frame_scores(windows, [2.0], self.labels(6), drop_uncovered=True)
-        assert len(out3.score) == 4
 
     def test_labels_carried_through(self):
         out, _ = windows_to_frame_scores(make_windows(["v1"], [0]), [1.0], self.labels(4, anomalous={2}))

@@ -6,8 +6,9 @@ detections, k in {2, 4, 17}, small T and stride, more tracks in a window
 than social slots, and label files with and without gaps. numpy draws the
 coordinates from a drawn seed. Each feature must give the oracle's
 windows, bit for bit and in the same order, or raise the oracle's error
-text; the windows export must parse back to the same text. The
-``validate`` report of the same datasets must be the oracle's.
+text; the windows export must be the text ``oracle.export_text`` writes
+for the oracle's windows. The ``validate`` report of the same datasets
+must be the oracle's.
 """
 
 import json
@@ -16,9 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import OracleError, Window, read_dataset, social_windows, track_windows, validation
+from oracle import OracleError, Window, export_text, read_dataset, social_windows, track_windows, validation
 from skelstat.core import SPLITS, DataError, FeatureType, WindowingConfig
-from skelstat.features import CenterPolicy, build_windows, parse_windows, serialize_windows
+from skelstat.features import CenterPolicy, build_windows, serialize_windows
 from skelstat.ingest import DatasetBundle, parse_labels, parse_manifest, parse_tracklets, validate_bundle
 
 SPAN = 24  # frames 0..SPAN-1 hold the detections
@@ -94,11 +95,11 @@ def test_build_windows_matches_oracle(case, center):
     }
     for feature in FEATURES:
         windows = outcome(lambda: build_windows(bundle, feature, policy, truncate))
+        oracle = outcome(expected[feature])
         got = windows if isinstance(windows, tuple) else records(windows)
-        assert got == outcome(expected[feature]), feature
+        assert got == oracle, feature
         if not isinstance(windows, tuple):
-            text = serialize_windows(windows)
-            assert serialize_windows(parse_windows(text)) == text
+            assert serialize_windows(windows) == export_text(oracle)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
