@@ -151,7 +151,7 @@ def cmd_metrics(args) -> int:
     polarity = ScorePolarity(args.polarity)
     with open(args.scores, "r", encoding="utf-8") as fh:
         frames = parse_scores(fh.read(), polarity, labels)
-    uncovered = len(labels.frame) - len(frames.frame)  # each score joins one label row, and no two the same
+    uncovered = len(labels.frame) - len(frames.frame)  # parse_scores joins each score to its own label row
     if args.per_video_average:
         report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video, uncovered)
         if skipped:

@@ -235,6 +235,7 @@ def parse_labels(text: str) -> Labels:
 
 
 def _check_label(key: Tuple[str, int], text: str, line_number: int) -> None:
+    """A label line's checks after its frame index: a negative frame, then a label other than 0/1."""
     if key[1] < 0:
         raise ParseError(f"negative frame index {key[1]}", line_number)
     if text not in ("0", "1"):
