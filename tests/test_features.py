@@ -382,7 +382,7 @@ class TestWindowStartsHelper:
 
 class TestWindowSerialization:
     def test_bit_exact_round_trip(self):
-        # the export against the oracle's windows as oracle.export_text writes them
+        # the export is the text oracle.export_text writes for the oracle's windows
         rng = np.random.default_rng(21)
         t = tracklet_from_frames(range(30), rng)
         bundle = bundle_of(t, normal_labels(range(30)))

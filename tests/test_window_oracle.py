@@ -95,11 +95,11 @@ def test_build_windows_matches_oracle(case, center):
     }
     for feature in FEATURES:
         windows = outcome(lambda: build_windows(bundle, feature, policy, truncate))
-        oracle = outcome(expected[feature])
+        want = outcome(expected[feature])
         got = windows if isinstance(windows, tuple) else records(windows)
-        assert got == oracle, feature
+        assert got == want, feature
         if not isinstance(windows, tuple):
-            assert serialize_windows(windows) == export_text(oracle)
+            assert serialize_windows(windows) == export_text(want)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
