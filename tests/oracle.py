@@ -10,7 +10,9 @@ training mean) works on ``Window`` tuples, one coordinate at a time. The
 score part (AUC-ROC and the equal error rate) counts sample pairs and
 thresholds one score at a time. ``validation`` counts what ``validate``
 reports, one video and one frame at a time. ``read_labels`` and
-``read_scores`` read the label and score CSVs one line at a time.
+``read_scores`` read the label and score CSVs one line at a time, and
+``tracklet_text``, ``label_text``, ``score_text`` and ``embedding_text``
+write those files one line at a time.
 
 A window is a ``Window`` tuple of plain Python values; ``OracleError``
 carries the text of the error the program must raise.
@@ -213,6 +215,38 @@ def export_text(windows: List[Window]) -> str:
         lines.append("\t".join(map(str, (
             w.video, w.start, w.split, label, len(w.coords), len(w.coords[0]), "|".join(w.track_ids), coords, bits,
         ))))
+    return "".join(line + "\n" for line in lines)
+
+
+def tracklet_text(rows) -> str:
+    """Tracklet lines of (video, frame, track, k x 3 values) rows: the
+    values as ``repr`` texts, "x,y,c" per joint, joints joined by ";"."""
+    lines = []
+    for video, frame, track, values in rows:
+        joints = [",".join(repr(v) for v in values[j : j + 3]) for j in range(0, len(values), 3)]
+        lines.append(f"{video}\t{frame}\t{track}\t{';'.join(joints)}")
+    return "".join(line + "\n" for line in lines)
+
+
+def label_text(rows) -> str:
+    """labels.csv lines of (video, frame, anomalous) rows."""
+    return "".join(f"{video},{frame},{1 if anomalous else 0}\n" for video, frame, anomalous in rows)
+
+
+def score_text(rows) -> str:
+    """scores.csv lines of (video, frame, score) rows, each score as the
+    ``repr`` of a Python float."""
+    return "".join(f"{video},{frame},{float(score)!r}\n" for video, frame, score in rows)
+
+
+def embedding_text(vectors, splits, sources, mu) -> str:
+    """The embedding file: the "dim=<d> mu=<v1,...,vd>" header, then per
+    vector its split, its values and, unless it is None, its source, joined
+    by tabs. Values are ``repr`` texts of Python floats."""
+    lines = [f"dim={len(mu)} mu=" + ",".join(repr(float(v)) for v in mu)]
+    for vector, split, source in zip(vectors, splits, sources):
+        fields = [split, ",".join(repr(float(v)) for v in vector)]
+        lines.append("\t".join(fields if source is None else fields + [source]))
     return "".join(line + "\n" for line in lines)
 
 

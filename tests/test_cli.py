@@ -145,6 +145,23 @@ class TestDistHist:
         assert (out / "box_latent.json").exists()
         assert (out / "hist_latent_train.csv").exists()
 
+    def test_histogram_csv_text(self, tmp_path):
+        # latent distances 5, 1 and 2 in three bins: counts as ints, edges as repr
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=2 mu=0,0\ntrain\t3,4\ntrain\t0,1\ntrain\t0,2\nval_normal\t2,0\nval_anomalous\t5,0\n")
+        out = tmp_path / "out"
+        code = run(
+            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "count:3",
+             "--tracklets", "x", "--labels", "x", "--manifest", "x"]
+        )
+        assert code == 0
+        assert (out / "hist_latent_train.csv").read_text() == (
+            "bin_left,bin_right,count,split\n"
+            "1.0,2.333333333333333,2,train\n"
+            "2.333333333333333,3.6666666666666665,0,train\n"
+            "3.6666666666666665,5.0,1,train\n"
+        )
+
     def test_embeddings_and_feature_conflict(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
         emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")

@@ -12,7 +12,6 @@ from skelstat.stats import (
     box_stats,
     difficulty_report,
     histogram,
-    histogram_columns,
     parse_binning,
 )
 from skelstat.synth import SynthSpec, TrajectoryShift, generate
@@ -78,12 +77,6 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             histogram(series([]))
-
-    def test_csv_columns(self):
-        h = histogram(series([0.0, 1.0, 2.0]), FixedCount(2))
-        columns = histogram_columns(**h.to_dict())
-        assert columns == [[0.0, 1.0], [1.0, 2.0], [1, 2], ["train", "train"]]
-        assert [type(c[0]) for c in columns] == [float, float, int, str]
 
 
 class TestBoxStats:
