@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import tempfile
-from itertools import chain
 from pathlib import Path
 from typing import List, Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 # Each command imports the other layers it runs inside its own body, so a
 # run loads (and compiles, where no bytecode is cached) only those modules.
 from .core import DataError, FeatureType, SkelstatError, WindowingConfig
-from .ingest import DatasetBundle, ScorePolarity, load_bundle
+from .ingest import DatasetBundle, ScorePolarity, format_rows, json_text, load_bundle
 
 _FEATURES = {f.value: f for f in FeatureType}
 _HIST_HEADER = ["bin_left", "bin_right", "count", "split"]
@@ -46,16 +45,9 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _csv_text(header: List[str], columns: List[list]) -> str:
-    """CSV text of equally long columns of Python numbers or strings, by
-    one %-format over all cells (``%s`` of a float is its shortest
-    round-trip ``repr``): no string is built per row."""
-    rows = (",".join(["%s"] * len(columns)) + "\n") * len(columns[0])
-    return (",".join(header) + "\n" + rows) % tuple(chain.from_iterable(zip(*columns)))
+    """CSV text of equally long columns of Python numbers or strings."""
+    return ",".join(header) + "\n" + format_rows(",".join(["%s"] * len(columns)), columns)
 
 
 def _distinct_text(values: np.ndarray) -> List[str]:
@@ -90,7 +82,7 @@ def _windows(args):
 def cmd_validate(args) -> int:
     from .ingest import validate_bundle
     report = validate_bundle(_load_bundle(args))
-    atomic_write_text(Path(args.out) / "validation.json", _json_text(report.to_dict()))
+    atomic_write_text(Path(args.out) / "validation.json", json_text(report.to_dict()))
     return 0 if report.ok else 1
 
 
@@ -105,14 +97,14 @@ def cmd_sdom(args) -> int:
     from .analysis import sdom_report
     feature, windows = _windows(args)
     report = sdom_report(windows, feature)
-    atomic_write_text(Path(args.out) / "sdom.json", _json_text(report.to_dict()))
+    atomic_write_text(Path(args.out) / "sdom.json", json_text(report.to_dict()))
     return 0
 
 
 def _write_histogram(out: Path, tag: str, hist: dict) -> None:
     """One histogram's CSV from its ``Histogram.to_dict()`` form."""
-    from .stats import histogram_columns
-    columns = histogram_columns(**hist)
+    edges, counts = hist["bin_edges"], hist["counts"]
+    columns = [edges[:-1], edges[1:], counts, [hist["split"]] * len(counts)]
     atomic_write_text(out / f"hist_{tag}_{hist['split']}.csv", _csv_text(_HIST_HEADER, columns))
 
 
@@ -137,7 +129,7 @@ def cmd_disthist(args) -> int:
     for split, series in series_by_split.items():
         boxes[split.value] = box_stats(series).to_dict()
         _write_histogram(out, tag, histogram(series, binning).to_dict())
-    atomic_write_text(out / f"box_{tag}.json", _json_text(boxes))
+    atomic_write_text(out / f"box_{tag}.json", json_text(boxes))
     return 0
 
 
@@ -160,7 +152,7 @@ def cmd_metrics(args) -> int:
     else:
         report, roc, pr = metrics_report(frames.score, frames.positive, uncovered)
     out = Path(args.out)
-    atomic_write_text(out / "metrics.json", _json_text(report.to_dict()))
+    atomic_write_text(out / "metrics.json", json_text(report.to_dict()))
     # both curves come from one threshold table: roc.csv's rows after its
     # (inf, 0, 0) row hold pr.csv's thresholds, and tpr is recall (tp / n_pos),
     # so those two columns are formatted once, and a rate once per distinct value
@@ -216,7 +208,7 @@ def cmd_synth(args) -> int:
     atomic_write_text(out / "tracklets.txt", serialize_tracklets(bundle.detections))
     atomic_write_text(out / "labels.csv", serialize_labels(bundle.labels))
     atomic_write_text(out / "manifest.json", serialize_manifest(bundle.videos))
-    atomic_write_text(out / "synth_spec.json", _json_text(spec.to_dict()))
+    atomic_write_text(out / "synth_spec.json", json_text(spec.to_dict()))
     for mode in args.oracle:
         rows = oracle_scores(bundle, mode, seed=args.seed)
         atomic_write_text(out / f"scores_{mode}.csv", serialize_scores(rows))
@@ -233,7 +225,7 @@ def cmd_report(args) -> int:
         truncate_social=args.truncate_social,
     )
     out = Path(args.out)
-    atomic_write_text(out / "report.json", _json_text(report))
+    atomic_write_text(out / "report.json", json_text(report))
     for feature_value, entry in report["features"].items():
         for hist in entry.get("histograms", {}).values():
             _write_histogram(out, feature_value, hist)

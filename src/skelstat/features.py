@@ -25,7 +25,7 @@ from .core import (
     WindowBatch,
     frame_extent,
 )
-from .ingest import DatasetBundle
+from .ingest import DatasetBundle, format_rows
 
 logger = logging.getLogger(__name__)
 
@@ -253,16 +253,14 @@ def _label(split: Split) -> Label:
 def serialize_windows(windows: WindowBatch) -> str:
     """Line-delimited export with bit-exact decimal round-trip."""
     W, T, k = windows.mask.shape
-    coords = windows.coords.reshape(W, T * k * 2).tolist()
     bits = (windows.mask.reshape(W, T * k).view(np.uint8) + ord("0")).tobytes().decode("ascii")
-    lines = []
-    rows = zip(windows.video.tolist(), windows.start.tolist(), windows.split.tolist(), windows.track.tolist())
-    for i, (video, start, split, track) in enumerate(rows):
-        split = SPLITS[split]
-        track_text = "|".join(windows.track_ids[code] for code in track if code >= 0)
-        lines.append(
-            f"{windows.video_ids[video]}\t{start}\t{split.value}\t{_label(split).value}"
-            f"\t{T}\t{k}\t{track_text}\t{','.join(map(repr, coords[i]))}\t{bits[i * T * k : (i + 1) * T * k]}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
+    columns = [
+        windows.video_ids[windows.video].tolist(),
+        windows.start.tolist(),
+        np.array([s.value for s in SPLITS], dtype=object)[windows.split].tolist(),
+        np.array([_label(s).value for s in SPLITS], dtype=object)[windows.split].tolist(),
+        ["|".join(windows.track_ids[code] for code in row if code >= 0) for row in windows.track.tolist()],
+        *windows.coords.reshape(W, T * k * 2).T.tolist(),
+        [bits[a : a + T * k] for a in range(0, W * T * k, T * k)],
+    ]
+    return format_rows(f"%s\t%s\t%s\t%s\t{T}\t{k}\t%s\t" + ",".join(["%r"] * (T * k * 2)) + "\t%s", columns)

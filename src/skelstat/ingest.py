@@ -15,8 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import Dict, Iterable, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Dict, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +79,18 @@ class DatasetBundle:
         video_ids = np.array(sorted(self.videos), dtype=object)
         detection_video = np.searchsorted(video_ids, np.array(self.detections.video_ids, dtype=object))
         return video_ids, detection_video[self.detections.video], np.searchsorted(video_ids, self.labels.video)
+
+
+def format_rows(template: str, columns: Sequence[list]) -> str:
+    """One ``template`` line per row of equally long columns of Python
+    values, by one %-format over all cells (``%s`` of a float is its
+    shortest round-trip ``repr``): no string is built per row."""
+    return ((template + "\n") * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def json_text(obj) -> str:
+    """The text of every JSON output: indented, keys sorted, newline-terminated."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_float(text: str, what: str, line_number: int) -> float:
@@ -195,10 +207,10 @@ def serialize_tracklets(detections: Detections) -> str:
     """The tracklet text of a table, one line per row in table order."""
     d = detections
     k = d.kp.shape[1]
-    template = "%s\t%d\t%s\t" + ";".join(["%r,%r,%r"] * k)
-    rows = zip(d.video.tolist(), d.frame.tolist(), d.track.tolist(), d.kp.reshape(-1, 3 * k).tolist())
-    lines = [template % (d.video_ids[v], frame, d.track_ids[t], *values) for v, frame, t, values in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+    video = np.array(d.video_ids, dtype=object)[d.video].tolist()
+    track = np.array(d.track_ids, dtype=object)[d.track].tolist()
+    columns = [video, d.frame.tolist(), track, *d.kp.reshape(-1, 3 * k).T.tolist()]
+    return format_rows("%s\t%d\t%s\t" + ";".join(["%r,%r,%r"] * k), columns)
 
 
 def _columns(lines: List[str]) -> Optional[Tuple[List[str], np.ndarray, List[str]]]:
@@ -263,9 +275,7 @@ def _raise_first_fault(lines: List[str], field: str, check) -> NoReturn:
 
 
 def serialize_labels(labels: Labels) -> str:
-    rows = zip(labels.video.tolist(), labels.frame.tolist(), labels.positive.tolist())
-    lines = [f"{video_id},{frame_index},{int(positive)}" for video_id, frame_index, positive in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return format_rows("%s,%s,%d", [labels.video.tolist(), labels.frame.tolist(), labels.positive.tolist()])
 
 
 _SPLIT_TOKENS = {s.value: s for s in Split}
@@ -325,14 +335,11 @@ def serialize_embeddings(
     vectors: np.ndarray, splits: Sequence[str], sources: Sequence[Optional[str]], prior: EmbeddingPrior
 ) -> str:
     """Inverse of ``parse_embeddings``."""
-    mu_text = ",".join(repr(float(v)) for v in prior.mu_normal)
-    lines = [f"dim={prior.mu_normal.size} mu={mu_text}"]
-    for vector, split, source in zip(np.asarray(vectors).tolist(), splits, sources):
-        line = f"{split}\t" + ",".join(repr(float(v)) for v in vector)
-        if source is not None:
-            line += f"\t{source}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    dim = prior.mu_normal.size
+    header = f"dim={dim} mu=" + ",".join(map(repr, prior.mu_normal.tolist())) + "\n"
+    values = np.asarray(vectors, dtype=np.float64).reshape(-1, dim).T.tolist()
+    tails = ["" if source is None else "\t" + source for source in sources]
+    return header + format_rows("%s\t" + ",".join(["%r"] * dim) + "%s", [list(splits), *values, tails])
 
 
 def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameScores:
@@ -387,9 +394,10 @@ def _label_rows(labels: Labels, video: np.ndarray, frame: np.ndarray) -> np.ndar
     return np.where((names[code] == video) & (frames[rank] == frame) & (label_key[row] == key), row, -1)
 
 
-def serialize_scores(rows: Iterable[Tuple[str, int, float]]) -> str:
-    lines = [f"{video_id},{frame_index},{float(score)!r}" for video_id, frame_index, score in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+def serialize_scores(rows: Sequence[Tuple[str, int, float]]) -> str:
+    video, frame, score = zip(*rows) if rows else ((), (), ())
+    # float(): under numpy 2 the repr of a numpy scalar is "np.float64(...)"
+    return format_rows("%s,%s,%r", [video, frame, list(map(float, score))])
 
 
 def parse_manifest(text: str) -> Dict[str, VideoMeta]:
@@ -412,7 +420,7 @@ def serialize_manifest(videos: Mapping[str, VideoMeta]) -> str:
         video_id: {"split": meta.split, "width": meta.width, "height": meta.height}
         for video_id, meta in sorted(videos.items())
     }
-    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
+    return json_text(raw)
 
 
 class VideoReport(NamedTuple):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -126,12 +126,6 @@ def box_stats(series: DistanceSeries) -> BoxStats:
     lower = min(float(inside_lo.min()), q1) if inside_lo.size else q1
     upper = max(float(inside_hi.max()), q3) if inside_hi.size else q3
     return BoxStats(lower_fence=lower, q1=q1, median=median, q3=q3, upper_fence=upper)
-
-
-def histogram_columns(bin_edges: List[float], counts: List[int], split: str) -> List[list]:
-    """(bin_left, bin_right, count, split) CSV columns of one histogram from
-    the Python lists of ``Histogram.to_dict()``."""
-    return [bin_edges[:-1], bin_edges[1:], counts, [split] * len(counts)]
 
 
 _SPLIT_ORDER = (Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)
