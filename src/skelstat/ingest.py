@@ -411,7 +411,11 @@ def parse_manifest(text: str) -> Dict[str, VideoMeta]:
     for video_id, meta in raw.items():
         if not isinstance(meta, dict) or not {"split", "width", "height"} <= set(meta):
             raise ParseError(f"manifest entry for {video_id!r} needs split, width and height")
-        videos[video_id] = VideoMeta(meta["split"], float(meta["width"]), float(meta["height"]))
+        try:
+            width, height = float(meta["width"]), float(meta["height"])
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"manifest entry for {video_id!r}: width and height must be finite numbers") from None
+        videos[video_id] = VideoMeta(meta["split"], width, height)
     return videos
 
 

@@ -36,7 +36,7 @@ def parse_binning(text: str) -> Binning:
     try:
         if kind == "count":
             return FixedCount(int(value))
-        if kind == "width":
+        if kind == "width" and math.isfinite(float(value)):  # histogram refuses widths <= 0
             return FixedWidth(float(value))
     except ValueError:
         pass
@@ -104,6 +104,7 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
         if binning.width <= 0:
             raise DataError(f"bin width must be positive, got {binning.width}")
         n_bins = max(1, math.ceil((hi - lo) / binning.width)) if hi > lo else 1
+        n_bins += lo + binning.width * n_bins < hi  # the rounded quotient can leave hi past the last edge
         edges = lo + binning.width * np.arange(n_bins + 1)
     else:
         raise DataError(f"unknown binning {binning!r}")

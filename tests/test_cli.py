@@ -162,6 +162,14 @@ class TestDistHist:
             "3.6666666666666665,5.0,1,train\n"
         )
 
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_bin_width_is_refused(self, dataset, tmp_path, capsys, width):
+        out = tmp_path / "out"
+        code = run(["dist-hist", "--out", out, *data_args(dataset), "--binning", f"width:{width}"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"invalid binning spec 'width:{width}'")
+        assert not out.exists()
+
     def test_embeddings_and_feature_conflict(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
         emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")
@@ -234,6 +242,21 @@ class TestMetrics:
         assert self.run_metrics(tmp_path, out, "scores.csv", *extra) == 0
         report = json.loads((out / "metrics.json").read_text())
         assert (report["auc_roc"], report["n_pos"] + report["n_neg"], report["uncovered_frames"]) == (1.0, 3, 3)
+
+
+@pytest.mark.parametrize("size", ['"wide"', "[1]", "1" + "0" * 400], ids=["text", "list", "huge-int"])
+@pytest.mark.parametrize("command", ["validate", "metrics"])
+def test_non_numeric_manifest_size_is_refused(tmp_path, capsys, size, command):
+    (tmp_path / "labels.csv").write_text("v1,0,0\nv1,1,1\n")
+    (tmp_path / "scores.csv").write_text("v1,0,0.25\nv1,1,0.75\n")
+    (tmp_path / "tracklets.txt").write_text("")
+    (tmp_path / "manifest.json").write_text(f'{{"v1": {{"split": "val", "width": {size}, "height": 48}}}}')
+    files = {"--labels": "labels.csv", "--manifest": "manifest.json"}
+    files.update({"--scores": "scores.csv"} if command == "metrics" else {"--tracklets": "tracklets.txt"})
+    argv = [command, "--out", tmp_path / "out", *(a for flag, name in files.items() for a in (flag, tmp_path / name))]
+    assert run(argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "manifest entry for 'v1': width and height must be finite numbers"
 
 
 class TestReport:

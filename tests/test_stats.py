@@ -27,7 +27,9 @@ class TestParseBinning:
         assert parse_binning("count:25") == FixedCount(25)
         assert parse_binning("width:0.5") == FixedWidth(0.5)
 
-    @pytest.mark.parametrize("text", ["", "count:", "count:x", "width:", "bins:3", "auto:5"])
+    @pytest.mark.parametrize(
+        "text", ["", "count:", "count:x", "width:", "bins:3", "auto:5", "width:nan", "width:inf", "width:-inf"]
+    )
     def test_invalid(self, text):
         with pytest.raises(DataError):
             parse_binning(text)
@@ -67,6 +69,13 @@ class TestHistogram:
         h = histogram(series([0.0, 0.9, 2.1]), FixedWidth(1.0))
         assert np.allclose(h.bin_edges, [0.0, 1.0, 2.0, 3.0])
         assert h.counts.tolist() == [2, 0, 1]
+
+    def test_fixed_width_keeps_the_largest_value(self):
+        # (hi - lo) / width rounds to exactly 55, and lo + 55 * width is one ulp below hi
+        values = [54.23138678015194, 100.0, 204.66348120829545]
+        h = histogram(series(values), FixedWidth(2.735128989602609))
+        assert h.counts.sum() == 3
+        assert h.bin_edges.size == 57 and h.bin_edges[-2] < values[-1] <= h.bin_edges[-1]
 
     def test_auto_zero_iqr_falls_back(self):
         values = [5.0] * 98 + [1.0, 9.0]  # IQR is 0
