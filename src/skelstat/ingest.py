@@ -81,7 +81,7 @@ class DatasetBundle:
         return video_ids, detection_video[self.detections.video], np.searchsorted(video_ids, self.labels.video)
 
 
-def format_rows(template: str, columns: Sequence[list]) -> str:
+def format_rows(template: str, columns: Sequence[Sequence]) -> str:
     """One ``template`` line per row of equally long columns of Python
     values, by one %-format over all cells (``%s`` of a float is its
     shortest round-trip ``repr``): no string is built per row."""
@@ -337,7 +337,7 @@ def serialize_embeddings(
     """Inverse of ``parse_embeddings``."""
     dim = prior.mu_normal.size
     header = f"dim={dim} mu=" + ",".join(map(repr, prior.mu_normal.tolist())) + "\n"
-    values = np.asarray(vectors, dtype=np.float64).reshape(-1, dim).T.tolist()
+    values = np.asarray(vectors, dtype=np.float64).reshape(len(splits), dim).T.tolist()
     tails = ["" if source is None else "\t" + source for source in sources]
     return header + format_rows("%s\t" + ",".join(["%r"] * dim) + "%s", [list(splits), *values, tails])
 

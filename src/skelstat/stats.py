@@ -104,7 +104,8 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
         if binning.width <= 0:
             raise DataError(f"bin width must be positive, got {binning.width}")
         n_bins = max(1, math.ceil((hi - lo) / binning.width)) if hi > lo else 1
-        n_bins += lo + binning.width * n_bins < hi  # the rounded quotient can leave hi past the last edge
+        if lo + binning.width * n_bins < hi:  # the rounded quotient left hi past the last edge
+            n_bins += 1
         edges = lo + binning.width * np.arange(n_bins + 1)
     else:
         raise DataError(f"unknown binning {binning!r}")

@@ -2,17 +2,13 @@
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT
 
-Each command runs as ``python -m skelstat.cli`` with OUT as its working
-directory; its ``--out`` files land in OUT/<name>/, its standard error in
-OUT/<name>.stderr and its exit code in OUT/<name>.code. Run the script
-once per source tree, with that tree's ``src`` on PYTHONPATH, into two
-directories; ``diff -r`` of the two is then the parity check.
-
-The inputs are two ``skelstat synth`` datasets (seed 3, every oracle and
-anomaly mode, two frame sizes) and the benchmark's REPORT_M, CROWD and
-score-eval inputs at seed 1 (``perfbench/inputs.py``, which never imports
-skelstat). The runs include refusals: non-finite and zero bin widths, and
-manifests with a non-numeric size.
+Each command runs as ``python -m skelstat.cli`` in OUT; its ``--out``
+files land in OUT/<name>/, its stderr in OUT/<name>.stderr and its exit
+code in OUT/<name>.code. Run it once per source tree, with that tree's
+``src`` on PYTHONPATH; ``diff -r`` of the two OUT trees is the parity check.
+Inputs: ``skelstat synth`` seed 3 (every oracle and anomaly mode, two frame
+sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
+(``perfbench/inputs.py`` never imports skelstat). Some runs are refusals.
 """
 
 import subprocess
