@@ -8,7 +8,9 @@ code in OUT/<name>.code. Run it once per source tree, with that tree's
 ``src`` on PYTHONPATH; ``diff -r`` of the two OUT trees is the parity check.
 Inputs: ``skelstat synth`` seed 3 (every oracle and anomaly mode, two frame
 sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
-(``perfbench/inputs.py`` never imports skelstat). Some runs are refusals.
+(``perfbench/inputs.py`` never imports skelstat), a copy of the synth
+labels without one validation frame, and a seeded embedding file. Some
+runs are refusals.
 """
 
 import subprocess
@@ -17,6 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
+import numpy as np  # noqa: E402
 from run import CROWD, REPORT_M, SCORE_FRAMES, SCORE_VIDEOS  # noqa: E402
 
 MODES = ["traj-shift:100", "pose-deform:0.5", "group-converge:0.5"]
@@ -78,6 +81,39 @@ def main(out: Path) -> None:
         files = ["--labels", "synth/labels.csv", "--manifest", f"manifest_{tag}.json"]
         run(out, f"refuse_manifest_{tag}_validate", "validate", *files, "--tracklets", "synth/tracklets.txt")
         run(out, f"refuse_manifest_{tag}_metrics", "metrics", *files, "--scores", "synth/scores_random.csv")
+
+    # social capacity: refused, truncated to 3 and to 1 node, and short dense windows
+    for name in ("report_m", "crowd"):
+        for tag, options in (("n3", ["--nodes", "3"]), ("n3_truncate", ["--nodes", "3", "--truncate-social"]),
+                             ("n1_truncate", ["--nodes", "1", "--truncate-social"]),
+                             ("t5_s1_n40", ["--t", "5", "--stride", "1", "--nodes", "40"])):
+            for command in ("sdom", "windows"):
+                run(out, f"{name}_{command}_social_{tag}", command, *datasets[name][0], *options, "--feature", "social")
+
+    # a validation frame without a label, inside windows of every feature
+    (out / "unlabeled").mkdir()
+    labels = (out / "synth" / "labels.csv").read_text().splitlines(keepends=True)
+    labels.remove("val000,50,0\n")
+    (out / "unlabeled" / "labels.csv").write_text("".join(labels))
+    files = ["--tracklets", "synth/tracklets.txt", "--labels", "unlabeled/labels.csv",
+             "--manifest", "synth/manifest.json"]
+    for feature in ("pose", "social"):
+        run(out, f"refuse_unlabeled_sdom_{feature}", "sdom", *files, "--feature", feature)
+    run(out, "refuse_unlabeled_sdom_social_n1_truncate", "sdom", *files, "--feature", "social",
+        "--nodes", "1", "--truncate-social")
+
+    # latent distances of a seeded embedding file
+    rng = np.random.default_rng(3)
+    rows = [f"dim=4 mu={','.join(map(repr, rng.normal(size=4).tolist()))}"]
+    for i, split in enumerate(["train"] * 20 + ["val_normal"] * 10 + ["val_anomalous"] * 10):
+        vector = rng.normal(loc=2.0 if split == "val_anomalous" else 0.0, size=4)
+        rows.append(f"{split}\t{','.join(map(repr, vector.tolist()))}" + (f"\tw{i}" if i % 2 else ""))
+    (out / "embeddings.txt").write_text("\n".join(rows) + "\n")
+    for tag, extra in (("auto", []), ("width", ["--binning", "width:0.5"])):
+        run(out, f"dist-hist_embeddings_{tag}", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
+            *extra)
+    run(out, "refuse_embeddings_feature", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
+        "--feature", "pose")
 
 
 if __name__ == "__main__":
