@@ -1,13 +1,15 @@
-"""Error parity and text round trips of the tracklet, label and score parsers.
+"""Error parity and text round trips of the tracklet, label, score and
+embedding parsers.
 
 Every ``ParseError`` is pinned by its exact text and line number; the bad
-line always follows valid lines and one blank line, so the count includes
-blank lines. The round trips check that serializing a parsed file gives
-the canonically sorted text, whatever the line order, gaps, track-id churn
-and blank lines of the input, and that a serialized manifest or embedding
-file parses back to the same values and text. The differential fuzz
-checks the label and score parsers against the line-by-line readers of
-``oracle.py`` on mutated files.
+line always follows valid lines and one blank line (a bad embedding header
+follows blank lines only), so the count includes blank lines. The round
+trips check that serializing a parsed file gives the canonically sorted
+text, whatever the line order, gaps, track-id churn and blank lines of
+the input, and that a serialized manifest or embedding file parses back
+to the same values and text. The differential fuzz checks the label and
+score parsers against the line-by-line readers of ``oracle.py`` on
+mutated files.
 """
 
 import pytest
@@ -203,6 +205,61 @@ class TestScoreErrors:
         frames = parse_anomaly_scores("\n \n")
         assert [len(c) for c in frames] == [0, 0, 0, 0]
         assert frames.video.dtype == object
+
+
+EMBEDDINGS = "dim=2 mu=0.5,1.5\ntrain\t1.0,2.0\nval_normal\t3.0,4.0\tw1\n\n"  # lines 1-3, blank line 4
+
+
+class TestEmbeddingErrors:
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_file(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_embeddings(text)
+        assert str(info.value) == "embedding file is empty; missing 'dim=... mu=...' header"
+        assert info.value.line_number is None
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("dim=2", "header must be 'dim=<d> mu=<v1,...,vd>', got 'dim=2'"),
+            ("dim=2 mu=0,0 x", "header must be 'dim=<d> mu=<v1,...,vd>', got 'dim=2 mu=0,0 x'"),
+            ("mu=0,0 dim=2", "header must be 'dim=<d> mu=<v1,...,vd>', got 'mu=0,0 dim=2'"),
+            ("dim=x mu=0", "invalid dimension 'x'"),
+            ("dim=2.0 mu=0,0", "invalid dimension '2.0'"),
+            ("dim=99999999999999999999 mu=0", "dimension 99999999999999999999 too large"),
+            ("dim=0 mu=", "dimension must be positive, got 0"),
+            ("dim=-2 mu=0,0", "dimension must be positive, got -2"),
+            ("dim=2 mu=0.5", "prior mean has 1 values, expected 2"),
+            ("dim=2 mu=0.5,1,2", "prior mean has 3 values, expected 2"),
+            ("dim=2 mu=0.5,a", "invalid prior value 'a'"),
+            ("dim=2 mu=,0.5", "invalid prior value ''"),
+            ("dim=2 mu=0.5,nan", "non-finite prior value 'nan'"),
+            ("dim=2 mu=1e999,0.5", "non-finite prior value '1e999'"),
+        ],
+    )
+    def test_header_message_and_line(self, bad, message):
+        raises_at(parse_embeddings, "\n \n" + bad + "\n" + EMBEDDINGS.split("\n", 1)[1], message, 3)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("train", "expected 'split<TAB>v1,...,vd', got 'train'"),
+            ("train\t1,2\tw\tx", "expected 'split<TAB>v1,...,vd', got 'train\\t1,2\\tw\\tx'"),
+            ("test\t1,2", "unknown split 'test'; expected one of ['train', 'val_anomalous', 'val_normal']"),
+            (" train\t1,2", "unknown split ' train'; expected one of ['train', 'val_anomalous', 'val_normal']"),
+            ("train\t1", "vector has 1 values, expected 2"),
+            ("val_anomalous\t1,2,3\tw2", "vector has 3 values, expected 2"),
+            ("train\t1,x", "invalid embedding value 'x'"),
+            ("train\t,2", "invalid embedding value ''"),
+            ("train\t1,inf", "non-finite embedding value 'inf'"),
+            ("train\t-1e999,2", "non-finite embedding value '-1e999'"),
+            # the split is checked before the vector, the length before the values
+            ("test\t1,x", "unknown split 'test'; expected one of ['train', 'val_anomalous', 'val_normal']"),
+            ("train\tx", "vector has 1 values, expected 2"),
+        ],
+    )
+    def test_message_and_line(self, bad, message):
+        raises_at(parse_embeddings, EMBEDDINGS + bad + "\ntrain\t5.0,6.0\n", message, 5)
 
 
 IDS = st.text(alphabet="abvtAB019_-.", min_size=1, max_size=3)
