@@ -11,10 +11,27 @@ sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
 labels without one validation frame, and a seeded embedding file. Some
 runs are refusals.
+
+    PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
+
+also records which ``src/`` statements the commands reach: each child runs
+the CLI under a ``sys.settrace`` hook, FILE gets one ``<module>.py:<line>``
+per reached statement, and the script prints reached and total statements
+per module. A statement is any AST statement other than ``def``, ``class``,
+an import or a docstring. What only tests reach, and the test that imports
+it: ``features.center_window`` (test_acceptance, test_features),
+``metrics.error_rates`` (test_acceptance, test_metrics),
+``WindowBatch.from_columns`` (test_acceptance, test_analysis, test_core,
+test_metrics) and ``ingest.serialize_embeddings`` (test_ingest,
+test_ingest_parity, test_writer_oracle).
 """
 
+import argparse
+import ast
 import subprocess
 import sys
+import tempfile
+from importlib.util import find_spec
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -28,8 +45,37 @@ SYNTH = ["--seed", "3", "--videos", "2", "--val-videos", "2", "--frames", "120",
          *(a for o in ("perfect", "random", "distance") for a in ("--oracle", o))]
 
 
+# The child under --lines: record (file, line) of every line run in the skelstat
+# package, append them to the file named by its first argument, then exit as the CLI does.
+TRACE = """
+import runpy, sys
+from importlib.util import find_spec
+package = find_spec("skelstat").submodule_search_locations[0]
+reached = set()
+
+def line(frame, event, arg):
+    if event == "line":
+        reached.add((frame.f_code.co_filename, frame.f_lineno))
+    return line
+
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename.startswith(package) else None
+
+record, sys.argv = sys.argv[1], ["skelstat", *sys.argv[2:]]
+sys.settrace(call)
+try:
+    runpy.run_module("skelstat.cli", run_name="__main__")
+finally:
+    sys.settrace(None)
+    with open(record, "a") as fh:
+        fh.writelines(f"{path}:{number}\\n" for path, number in reached)
+"""
+RECORD = None  # the file the traced children append to, when --lines is given
+
+
 def run(out: Path, name: str, *argv: str) -> None:
-    proc = subprocess.run([sys.executable, "-m", "skelstat.cli", argv[0], "--out", name, *argv[1:]],
+    child = ["-m", "skelstat.cli"] if RECORD is None else ["-c", TRACE, str(RECORD)]
+    proc = subprocess.run([sys.executable, *child, argv[0], "--out", name, *argv[1:]],
                           cwd=out, capture_output=True, text=True)
     (out / f"{name}.stderr").write_text(proc.stderr)
     (out / f"{name}.code").write_text(f"{proc.returncode}\n")
@@ -116,5 +162,41 @@ def main(out: Path) -> None:
         "--feature", "pose")
 
 
+def statements(path: Path) -> list:
+    """Line numbers of a module's statements, other than def, class, imports and docstrings."""
+    skip = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.stmt) and not isinstance(node, skip)
+            and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                     and isinstance(node.value.value, str))]
+
+
+def report_lines(record: Path, lines_file: Path) -> None:
+    """Write the reached statements to ``lines_file``; print reached/total per module."""
+    package = Path(find_spec("skelstat").submodule_search_locations[0])
+    hits = {(Path(path).name, int(number)) for path, number in
+            (entry.rsplit(":", 1) for entry in record.read_text().splitlines())}
+    reached_all, totals = [], [0, 0]
+    for path in sorted(package.glob("*.py")):
+        lines = statements(path)
+        reached = [n for n in lines if (path.name, n) in hits]
+        reached_all += [f"{path.name}:{n}" for n in sorted(set(reached))]
+        totals = [totals[0] + len(reached), totals[1] + len(lines)]
+        print(f"{path.stem:10} {len(reached):5} / {len(lines)}")
+    print(f"{'total':10} {totals[0]:5} / {totals[1]}")
+    lines_file.write_text("".join(entry + "\n" for entry in reached_all))
+
+
 if __name__ == "__main__":
-    main(Path(sys.argv[1]))
+    parser = argparse.ArgumentParser(description="Run every skelstat command on fixed inputs.")
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--lines", type=Path, help="write the src/ statements the commands reach here")
+    cli = parser.parse_args()
+    if cli.lines is None:
+        main(cli.out)
+    else:
+        with tempfile.TemporaryDirectory() as scratch:
+            RECORD = Path(scratch) / "reached"
+            RECORD.touch()
+            main(cli.out)
+            report_lines(RECORD, cli.lines.resolve())
