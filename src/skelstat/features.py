@@ -161,29 +161,19 @@ def _social_windows(bundle: DatasetBundle, truncate: bool) -> WindowBatch:
     window_video, start = window_starts(first, last - first + 1, T, stride)
     n_windows = np.bincount(window_video, minlength=len(video_ids))
 
-    # candidate windows of a tracklet: those whose T frames overlap its first..last frame
-    tracklet_start, tracklet_stop = detections.tracklet_bounds()
-    video = row_video[tracklet_start]
-    lo = first[video]
-    j_lo = np.maximum(-((lo + T - 1 - detections.frame[tracklet_start]) // stride), 0)
-    j_hi = np.minimum((detections.frame[tracklet_stop - 1] - lo) // stride, n_windows[video] - 1)
-    tracklet, offset = _expand(np.maximum(j_hi - j_lo + 1, 0))
-    window = (np.cumsum(n_windows) - n_windows)[video[tracklet]] + j_lo[tracklet] + offset
-
-    # a candidate is kept when its tracklet has rows in [start, start + T): the rows'
-    # (tracklet, frame rank) keys ascend, so one searchsorted per bound finds them
-    frames = np.unique(detections.frame)
-    width = len(frames) + 1
-    key = np.repeat(np.arange(len(tracklet_start)), tracklet_stop - tracklet_start) * width
-    key += np.searchsorted(frames, detections.frame)
-    base = tracklet * width
-    row_lo = np.searchsorted(key, base + np.searchsorted(frames, start[window]))
-    row_hi = np.searchsorted(key, base + np.searchsorted(frames, start[window] + T))
-    present = np.flatnonzero(row_hi > row_lo)
-    present = present[np.argsort(window[present], kind="stable")]  # by window, then track
-    tracklet, window, row_lo, row_hi = tracklet[present], window[present], row_lo[present], row_hi[present]
-    counts = np.bincount(window, minlength=len(start))
-    slot = np.arange(len(window)) - (np.cumsum(counts) - counts)[window]
+    # (window, row) pairs: a row lies in the windows of its video whose T frames hold its frame
+    rel = detections.frame - first[row_video]
+    j_lo = np.maximum(-((T - 1 - rel) // stride), 0)
+    j_hi = np.minimum(rel // stride, n_windows[row_video] - 1)
+    row, offset = _expand(np.maximum(j_hi - j_lo + 1, 0))
+    window = (np.cumsum(n_windows) - n_windows)[row_video[row]] + j_lo[row] + offset
+    # a window lies in one video, so (window, track) names a tracklet: the distinct
+    # pairs, ascending, are the occupied slots by window, then track id
+    n_tracks = len(detections.track_ids)
+    occupied, pair = np.unique(window * n_tracks + detections.track[row], return_inverse=True)
+    slot_window, slot_track = np.divmod(occupied, n_tracks)
+    counts = np.bincount(slot_window, minlength=len(start))
+    slot = np.arange(len(occupied)) - (np.cumsum(counts) - counts)[slot_window]
 
     split, unlabeled = _window_splits(bundle, video_ids, window_video, start, T)
     stop = unlabeled[0] if unlabeled else len(start)
@@ -204,19 +194,18 @@ def _social_windows(bundle: DatasetBundle, truncate: bool) -> WindowBatch:
         raise unlabeled[1]
 
     kept = slot < N
-    tracklet, window, row_lo, row_hi, slot = (a[kept] for a in (tracklet, window, row_lo, row_hi, slot))
     track = np.full((len(start), N), -1, dtype=np.int64)
-    track[window, slot] = detections.track[tracklet_start[tracklet]]
+    track[slot_window[kept], slot[kept]] = slot_track[kept]
     order = np.lexsort((start, *track.T[::-1], window_video))
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
 
-    slot_of_row, offset = _expand(row_hi - row_lo)
-    rows = row_lo[slot_of_row] + offset
-    at = (position[window[slot_of_row]], detections.frame[rows] - start[window[slot_of_row]], slot[slot_of_row])
+    held = kept[pair]  # the (window, row) pairs whose tracklet kept its slot
+    row, window, slot = row[held], window[held], slot[pair[held]]
+    at = (position[window], detections.frame[row] - start[window], slot)
     coords = np.zeros((len(start), T, N, 2), dtype=np.float64)
     mask = np.zeros((len(start), T, N), dtype=bool)
-    coords[at] = person_center(detections.kp, cfg.hip_indices)[rows]
+    coords[at] = person_center(detections.kp, cfg.hip_indices)[row]
     mask[at] = True
     return WindowBatch(
         coords, mask, video_ids, window_video[order], start[order], split[order],
