@@ -26,6 +26,7 @@ class FixedWidth:
 
 AUTO = "auto"
 Binning = Union[FixedCount, FixedWidth, str]
+MAX_BINS = 10**6  # the most bins one histogram may have; auto gives at most 200
 
 
 def parse_binning(text: str) -> Binning:
@@ -96,19 +97,25 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
     if isinstance(binning, FixedCount):
         if binning.n < 1:
             raise DataError(f"bin count must be positive, got {binning.n}")
-        if lo == hi:
-            edges = np.linspace(lo - 0.5, hi + 0.5, binning.n + 1)
-        else:
-            edges = np.linspace(lo, hi, binning.n + 1)
+        n_bins, spec = binning.n, f"count:{binning.n}"
     elif isinstance(binning, FixedWidth):
         if binning.width <= 0:
             raise DataError(f"bin width must be positive, got {binning.width}")
-        n_bins = max(1, math.ceil((hi - lo) / binning.width)) if hi > lo else 1
+        # capped before ceil: the quotient is inf when the width underflows the range
+        n_bins = max(1, math.ceil(min((hi - lo) / binning.width, MAX_BINS + 1)))
+        spec = f"width:{binning.width!r}"
         if lo + binning.width * n_bins < hi:  # the rounded quotient left hi past the last edge
             n_bins += 1
-        edges = lo + binning.width * np.arange(n_bins + 1)
     else:
         raise DataError(f"unknown binning {binning!r}")
+    if n_bins > MAX_BINS:
+        raise DataError(f"binning {spec} needs more than {MAX_BINS} bins")
+    if isinstance(binning, FixedWidth):
+        edges = lo + binning.width * np.arange(n_bins + 1)
+    elif lo == hi:
+        edges = np.linspace(lo - 0.5, hi + 0.5, n_bins + 1)
+    else:
+        edges = np.linspace(lo, hi, n_bins + 1)
     counts, _ = np.histogram(values, bins=edges)
     return Histogram(bin_edges=edges, counts=counts, split=split_tag)
 

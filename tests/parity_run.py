@@ -5,7 +5,8 @@
 Each command runs as ``python -m skelstat.cli`` in OUT; its ``--out``
 files land in OUT/<name>/, its stderr in OUT/<name>.stderr and its exit
 code in OUT/<name>.code. Run it once per source tree, with that tree's
-``src`` on PYTHONPATH; ``diff -r`` of the two OUT trees is the parity check.
+``src`` on PYTHONPATH (the children get the package's absolute path);
+``diff -r`` of the two OUT trees is the parity check.
 Inputs: ``skelstat synth`` seed 3 (every oracle and anomaly mode, two frame
 sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
@@ -28,6 +29,7 @@ test_ingest_parity, test_writer_oracle).
 
 import argparse
 import ast
+import os
 import subprocess
 import sys
 import tempfile
@@ -71,12 +73,15 @@ finally:
         fh.writelines(f"{path}:{number}\\n" for path, number in reached)
 """
 RECORD = None  # the file the traced children append to, when --lines is given
+# The package the children import: the one this process finds, by an absolute path,
+# since the children run in OUT, where a relative PYTHONPATH would find none
+PACKAGE = Path(find_spec("skelstat").origin).parent
 
 
 def run(out: Path, name: str, *argv: str) -> None:
     child = ["-m", "skelstat.cli"] if RECORD is None else ["-c", TRACE, str(RECORD)]
-    proc = subprocess.run([sys.executable, *child, argv[0], "--out", name, *argv[1:]],
-                          cwd=out, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *child, argv[0], "--out", name, *argv[1:]], cwd=out,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     (out / f"{name}.stderr").write_text(proc.stderr)
     (out / f"{name}.code").write_text(f"{proc.returncode}\n")
 
@@ -122,6 +127,10 @@ def main(out: Path) -> None:
     for width in ("nan", "inf", "0"):
         run(out, f"refuse_width_{width}", "dist-hist", *datasets["synth"][0],
             "--feature", "pose", "--binning", f"width:{width}")
+    # more bins than the cap; neither size can be allocated
+    for tag, spec in (("width_1e-310", "width:1e-310"), ("count_2e62", f"count:{2**62}")):
+        for command in ("dist-hist", "report"):
+            run(out, f"refuse_bins_{tag}_{command}", command, *datasets["synth"][0], "--binning", spec)
     for tag, size in (("text", '"wide"'), ("list", "[1]")):
         (out / f"manifest_{tag}.json").write_text(f'{{"v": {{"split": "val", "width": {size}, "height": 48}}}}\n')
         files = ["--labels", "synth/labels.csv", "--manifest", f"manifest_{tag}.json"]
@@ -173,11 +182,10 @@ def statements(path: Path) -> list:
 
 def report_lines(record: Path, lines_file: Path) -> None:
     """Write the reached statements to ``lines_file``; print reached/total per module."""
-    package = Path(find_spec("skelstat").submodule_search_locations[0])
     hits = {(Path(path).name, int(number)) for path, number in
             (entry.rsplit(":", 1) for entry in record.read_text().splitlines())}
     reached_all, totals = [], [0, 0]
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         lines = statements(path)
         reached = [n for n in lines if (path.name, n) in hits]
         reached_all += [f"{path.name}:{n}" for n in sorted(set(reached))]

@@ -170,6 +170,14 @@ class TestDistHist:
         assert json.loads(capsys.readouterr().err)["error"].startswith(f"invalid binning spec 'width:{width}'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dist-hist", "report"])
+    @pytest.mark.parametrize("spec", ["width:1e-310", "count:4611686018427387904"])
+    def test_bin_count_above_the_cap_is_refused(self, dataset, tmp_path, capsys, command, spec):
+        out = tmp_path / "out"
+        assert run([command, "--out", out, *data_args(dataset), "--binning", spec]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"binning {spec} needs more than 1000000 bins"}
+        assert not out.exists()
+
     def test_embeddings_and_feature_conflict(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
         emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")

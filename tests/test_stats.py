@@ -6,6 +6,7 @@ from skelstat.analysis import DistanceSeries
 from skelstat.core import DataError, FeatureType, Split
 from skelstat.stats import (
     AUTO,
+    MAX_BINS,
     REPORT_SCHEMA,
     FixedCount,
     FixedWidth,
@@ -86,6 +87,24 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             histogram(series([]))
+
+    def test_bin_count_at_the_cap(self):
+        assert histogram(series([0.0, 1.0]), FixedCount(MAX_BINS)).counts.size == MAX_BINS
+
+    @pytest.mark.parametrize(
+        "binning,spec",
+        [
+            (FixedCount(MAX_BINS + 1), "count:1000001"),
+            (FixedCount(2**62), "count:4611686018427387904"),
+            (FixedWidth(1e-7), "width:1e-07"),
+            (FixedWidth(1e-310), "width:1e-310"),  # the quotient overflows to inf
+            (FixedWidth(5e-324), "width:5e-324"),
+        ],
+    )
+    def test_bin_count_above_the_cap_is_refused(self, binning, spec):
+        with pytest.raises(DataError) as info:
+            histogram(series([0.0, 1.0]), binning)
+        assert str(info.value) == f"binning {spec} needs more than 1000000 bins"
 
 
 class TestBoxStats:
