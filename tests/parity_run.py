@@ -32,9 +32,9 @@ import ast
 import os
 import subprocess
 import sys
-import tempfile
 from importlib.util import find_spec
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
@@ -72,18 +72,6 @@ finally:
     with open(record, "a") as fh:
         fh.writelines(f"{path}:{number}\\n" for path, number in reached)
 """
-RECORD = None  # the file the traced children append to, when --lines is given
-# The package the children import: the one this process finds, by an absolute path,
-# since the children run in OUT, where a relative PYTHONPATH would find none
-PACKAGE = Path(find_spec("skelstat").origin).parent
-
-
-def run(out: Path, name: str, *argv: str) -> None:
-    child = ["-m", "skelstat.cli"] if RECORD is None else ["-c", TRACE, str(RECORD)]
-    proc = subprocess.run([sys.executable, *child, argv[0], "--out", name, *argv[1:]], cwd=out,
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    (out / f"{name}.stderr").write_text(proc.stderr)
-    (out / f"{name}.code").write_text(f"{proc.returncode}\n")
 
 
 def data(directory: str, k: int) -> list:
@@ -91,10 +79,25 @@ def data(directory: str, k: int) -> list:
             "--manifest", f"{directory}/manifest.json", "--keypoints", str(k)]
 
 
-def main(out: Path) -> None:
+def main(out: Path, lines: Optional[Path] = None) -> None:
+    """Run every command in ``out``; with ``lines``, under the trace, then report the reach there."""
+    # the package this process finds, by an absolute path: the children run in out,
+    # where a relative PYTHONPATH would find none
+    package = Path(find_spec("skelstat").origin).parent
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    child = ["-m", "skelstat.cli"] if lines is None else ["-c", TRACE, str(lines)]
+
+    def run(name: str, *argv: str) -> None:
+        proc = subprocess.run([sys.executable, *child, argv[0], "--out", name, *argv[1:]],
+                              cwd=out, capture_output=True, text=True, env=env)
+        (out / f"{name}.stderr").write_text(proc.stderr)
+        (out / f"{name}.code").write_text(f"{proc.returncode}\n")
+
     out.mkdir(parents=True)
-    run(out, "synth", "synth", *SYNTH)
-    run(out, "synth_small", "synth", *SYNTH, "--width", "640", "--height", "360", "--keypoints", "4")
+    if lines is not None:
+        lines.write_text("")  # the children append what they reach
+    run("synth", "synth", *SYNTH)
+    run("synth_small", "synth", *SYNTH, "--width", "640", "--height", "360", "--keypoints", "4")
     for name, spec in (("report_m", REPORT_M), ("crowd", CROWD)):
         (out / "inputs" / name).mkdir(parents=True)
         inputs.write_tracklet_inputs(inputs.make_tracklet_dataset(spec, 1), out / "inputs" / name)
@@ -106,15 +109,15 @@ def main(out: Path) -> None:
     datasets = {"synth": (data("synth", 17), []), "report_m": (data("inputs/report_m", REPORT_M.k), []),
                 "crowd": (data("inputs/crowd", CROWD.k), nodes)}
     for name, (files, windowing) in datasets.items():
-        run(out, f"{name}_validate", "validate", *files)
+        run(f"{name}_validate", "validate", *files)
         for feature in ("pose", "traj", "social"):
             for command in ("windows", "sdom", "dist-hist"):
-                run(out, f"{name}_{command}_{feature}", command, *files, *windowing, "--feature", feature)
-            run(out, f"{name}_dist-hist_{feature}_width", "dist-hist", *files, *windowing,
+                run(f"{name}_{command}_{feature}", command, *files, *windowing, "--feature", feature)
+            run(f"{name}_dist-hist_{feature}_width", "dist-hist", *files, *windowing,
                 "--feature", feature, "--binning", "width:25")
         for tag, extra in (("auto", []), ("count", ["--binning", "count:7", "--no-center"]),
                            ("width", ["--binning", "width:25"])):
-            run(out, f"{name}_report_{tag}", "report", *files, *windowing, *extra)
+            run(f"{name}_report_{tag}", "report", *files, *windowing, *extra)
 
     scores = [f"{d}/scores_{o}.csv" for d in ("synth", "synth_small") for o in ("perfect", "random", "distance")]
     for path in [*scores, "inputs/score_eval/scores.csv"]:
@@ -122,20 +125,20 @@ def main(out: Path) -> None:
         files = ["--labels", f"{directory}/labels.csv", "--manifest", f"{directory}/manifest.json", "--scores", path]
         for tag, extra in (("plain", []), ("per_video", ["--per-video-average"]),
                            ("normality", ["--polarity", "normality"])):
-            run(out, f"metrics_{path.replace('/', '_')[:-4]}_{tag}", "metrics", *files, *extra)
+            run(f"metrics_{path.replace('/', '_')[:-4]}_{tag}", "metrics", *files, *extra)
 
     for width in ("nan", "inf", "0"):
-        run(out, f"refuse_width_{width}", "dist-hist", *datasets["synth"][0],
+        run(f"refuse_width_{width}", "dist-hist", *datasets["synth"][0],
             "--feature", "pose", "--binning", f"width:{width}")
     # more bins than the cap; neither size can be allocated
     for tag, spec in (("width_1e-310", "width:1e-310"), ("count_2e62", f"count:{2**62}")):
         for command in ("dist-hist", "report"):
-            run(out, f"refuse_bins_{tag}_{command}", command, *datasets["synth"][0], "--binning", spec)
+            run(f"refuse_bins_{tag}_{command}", command, *datasets["synth"][0], "--binning", spec)
     for tag, size in (("text", '"wide"'), ("list", "[1]")):
         (out / f"manifest_{tag}.json").write_text(f'{{"v": {{"split": "val", "width": {size}, "height": 48}}}}\n')
         files = ["--labels", "synth/labels.csv", "--manifest", f"manifest_{tag}.json"]
-        run(out, f"refuse_manifest_{tag}_validate", "validate", *files, "--tracklets", "synth/tracklets.txt")
-        run(out, f"refuse_manifest_{tag}_metrics", "metrics", *files, "--scores", "synth/scores_random.csv")
+        run(f"refuse_manifest_{tag}_validate", "validate", *files, "--tracklets", "synth/tracklets.txt")
+        run(f"refuse_manifest_{tag}_metrics", "metrics", *files, "--scores", "synth/scores_random.csv")
 
     # social capacity: refused, truncated to 3 and to 1 node, and short dense windows
     for name in ("report_m", "crowd"):
@@ -143,9 +146,9 @@ def main(out: Path) -> None:
                              ("n1_truncate", ["--nodes", "1", "--truncate-social"]),
                              ("t5_s1_n40", ["--t", "5", "--stride", "1", "--nodes", "40"])):
             for command in ("sdom", "windows"):
-                run(out, f"{name}_{command}_social_{tag}", command, *datasets[name][0], *options, "--feature", "social")
+                run(f"{name}_{command}_social_{tag}", command, *datasets[name][0], *options, "--feature", "social")
 
-    # a validation frame without a label, inside windows of every feature
+    # a validation frame without a label, inside pose and social windows
     (out / "unlabeled").mkdir()
     labels = (out / "synth" / "labels.csv").read_text().splitlines(keepends=True)
     labels.remove("val000,50,0\n")
@@ -153,8 +156,8 @@ def main(out: Path) -> None:
     files = ["--tracklets", "synth/tracklets.txt", "--labels", "unlabeled/labels.csv",
              "--manifest", "synth/manifest.json"]
     for feature in ("pose", "social"):
-        run(out, f"refuse_unlabeled_sdom_{feature}", "sdom", *files, "--feature", feature)
-    run(out, "refuse_unlabeled_sdom_social_n1_truncate", "sdom", *files, "--feature", "social",
+        run(f"refuse_unlabeled_sdom_{feature}", "sdom", *files, "--feature", feature)
+    run("refuse_unlabeled_sdom_social_n1_truncate", "sdom", *files, "--feature", "social",
         "--nodes", "1", "--truncate-social")
 
     # latent distances of a seeded embedding file
@@ -165,10 +168,12 @@ def main(out: Path) -> None:
         rows.append(f"{split}\t{','.join(map(repr, vector.tolist()))}" + (f"\tw{i}" if i % 2 else ""))
     (out / "embeddings.txt").write_text("\n".join(rows) + "\n")
     for tag, extra in (("auto", []), ("width", ["--binning", "width:0.5"])):
-        run(out, f"dist-hist_embeddings_{tag}", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
+        run(f"dist-hist_embeddings_{tag}", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
             *extra)
-    run(out, "refuse_embeddings_feature", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
+    run("refuse_embeddings_feature", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
         "--feature", "pose")
+    if lines is not None:
+        report_lines(package, lines)
 
 
 def statements(path: Path) -> list:
@@ -180,19 +185,20 @@ def statements(path: Path) -> list:
                      and isinstance(node.value.value, str))]
 
 
-def report_lines(record: Path, lines_file: Path) -> None:
-    """Write the reached statements to ``lines_file``; print reached/total per module."""
+def report_lines(package: Path, lines: Path) -> None:
+    """Replace the (file, line) entries the children appended to ``lines`` with
+    the statements they reach, and print reached/total statements per module."""
     hits = {(Path(path).name, int(number)) for path, number in
-            (entry.rsplit(":", 1) for entry in record.read_text().splitlines())}
+            (entry.rsplit(":", 1) for entry in lines.read_text().splitlines())}
     reached_all, totals = [], [0, 0]
-    for path in sorted(PACKAGE.glob("*.py")):
-        lines = statements(path)
-        reached = [n for n in lines if (path.name, n) in hits]
+    for path in sorted(package.glob("*.py")):
+        numbers = statements(path)
+        reached = [n for n in numbers if (path.name, n) in hits]
         reached_all += [f"{path.name}:{n}" for n in sorted(set(reached))]
-        totals = [totals[0] + len(reached), totals[1] + len(lines)]
-        print(f"{path.stem:10} {len(reached):5} / {len(lines)}")
+        totals = [totals[0] + len(reached), totals[1] + len(numbers)]
+        print(f"{path.stem:10} {len(reached):5} / {len(numbers)}")
     print(f"{'total':10} {totals[0]:5} / {totals[1]}")
-    lines_file.write_text("".join(entry + "\n" for entry in reached_all))
+    lines.write_text("".join(entry + "\n" for entry in reached_all))
 
 
 if __name__ == "__main__":
@@ -200,11 +206,4 @@ if __name__ == "__main__":
     parser.add_argument("out", type=Path)
     parser.add_argument("--lines", type=Path, help="write the src/ statements the commands reach here")
     cli = parser.parse_args()
-    if cli.lines is None:
-        main(cli.out)
-    else:
-        with tempfile.TemporaryDirectory() as scratch:
-            RECORD = Path(scratch) / "reached"
-            RECORD.touch()
-            main(cli.out)
-            report_lines(RECORD, cli.lines.resolve())
+    main(cli.out, cli.lines and cli.lines.resolve())
