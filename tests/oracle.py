@@ -9,8 +9,9 @@ format. The analysis part (split means, S-DoM and distances to the
 training mean) works on ``Window`` tuples, one coordinate at a time. The
 score part (AUC-ROC and the equal error rate) counts sample pairs and
 thresholds one score at a time. ``validation`` counts what ``validate``
-reports, one video and one frame at a time. ``read_labels`` and
-``read_scores`` read the label and score CSVs one line at a time, and
+reports, one video and one frame at a time. ``read_tracklets``,
+``read_labels`` and ``read_scores`` read the tracklet file and the label
+and score CSVs one line at a time, and
 ``tracklet_text``, ``label_text``, ``score_text`` and ``embedding_text``
 write those files one line at a time.
 
@@ -367,6 +368,54 @@ def read_csv(text: str, field: str, check):
             return LineFault(f"duplicate {field} for ({video}, frame {frame})", number)
         seen.add((video, frame))
         rows.append((video, frame, kept))
+    return sorted(rows)
+
+
+def read_tracklets(text: str, k: int):
+    """Sorted (video, track, frame, k x 3 values) rows of a tracklet text,
+    or its first ``LineFault``. Lines are those of ``str.splitlines``, not
+    stripped; blank lines are skipped. A frame index is a non-negative
+    Python ``int`` within int64, a value a finite Python ``float``, and a
+    confidence lies in [0, 1]. Each line's faults come in field order; a
+    repeated (video, track, frame) is reported at the repeating line."""
+    rows, seen = [], set()
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            return LineFault(f"expected 4 tab-separated fields, got {len(fields)}", number)
+        video, frame_text, track, keypoints = fields
+        try:
+            frame = int(frame_text)
+        except ValueError:
+            return LineFault(f"invalid frame index {frame_text!r}", number)
+        if frame > INT64_MAX:
+            return LineFault(f"frame index {frame} too large", number)
+        if frame < 0:
+            return LineFault(f"negative frame index {frame}", number)
+        joints = keypoints.split(";")
+        if len(joints) != k:
+            return LineFault(f"expected {k} keypoints, got {len(joints)}", number)
+        values = []
+        for joint in joints:
+            texts = joint.split(",")
+            if len(texts) != 3:
+                return LineFault(f"keypoint must be 'x,y,c', got {joint!r}", number)
+            for what, value_text in zip(("x coordinate", "y coordinate", "confidence"), texts):
+                try:
+                    value = float(value_text)
+                except ValueError:
+                    return LineFault(f"invalid {what} {value_text!r}", number)
+                if not math.isfinite(value):
+                    return LineFault(f"non-finite {what} {value_text!r}", number)
+                values.append(value)
+            if not 0.0 <= values[-1] <= 1.0:
+                return LineFault(f"confidence {values[-1]} outside [0, 1]", number)
+        if (video, track, frame) in seen:
+            return LineFault(f"duplicate detection for ({video}, {track}, frame {frame})", number)
+        seen.add((video, track, frame))
+        rows.append((video, track, frame, values))
     return sorted(rows)
 
 

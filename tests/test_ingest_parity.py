@@ -7,16 +7,20 @@ follows blank lines only), so the count includes blank lines. The round
 trips check that serializing a parsed file gives the canonically sorted
 text, whatever the line order, gaps, track-id churn and blank lines of
 the input, and that a serialized manifest or embedding file parses back
-to the same values and text. The differential fuzz checks the label and
-score parsers against the line-by-line readers of ``oracle.py`` on
-mutated files.
+to the same values and text. The differential fuzz checks the tracklet,
+label and score parsers against the line-by-line readers of ``oracle.py``
+on mutated files.
 """
+
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import LineFault, read_labels, read_scores
+from oracle import LineFault, read_labels, read_scores, read_tracklets
+from skelstat import ingest
 from skelstat.core import EmbeddingPrior, Labels, ParseError, Split
 from skelstat.ingest import (
     ScorePolarity,
@@ -458,3 +462,74 @@ def test_scores_match_the_line_reader_on_mutated_files(lines, edits, polarity):
     assert got == expected
     if not isinstance(expected, LineFault):
         assert [repr(row[2]) for row in got] == [repr(row[2]) for row in expected]  # the sign of zero too
+
+
+# edits of the tracklet fuzz: (kind, line, position, token); an "insert" edit
+# puts the token into the line, a "field" edit replaces the field the position
+# picks (ids, frame and every keypoint value are fields), a "nul" edit
+# suffixes the video or track id with NUL
+TRACKLET_EDIT = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 1000), st.integers(0, 1000), st.sampled_from("\t,; \n")),
+    st.tuples(
+        st.just("field"), st.integers(0, 1000), st.integers(0, 1000),
+        st.sampled_from(["nan", "inf", "1e999", "-1", "1.5", " 1.0 ", "1_0", "\u0661.\u0665", "99999999999999999999"]),
+    ),
+    st.tuples(st.sampled_from(["repeat", "blank", "nul"]), st.integers(0, 1000), st.integers(0, 1000), st.just("")),
+)
+
+
+def mutate_tracklets(text, edits):
+    """The tracklet text with each edit applied to one of its lines."""
+    lines = text.split("\n")
+    for kind, at, position, token in edits:
+        i = at % len(lines)
+        line, fields = lines[i], re.split("([\t,;])", lines[i])  # fields at even indices
+        if kind == "insert":
+            cut = position % (len(line) + 1)
+            lines[i] = line[:cut] + token + line[cut:]
+        elif kind == "field":
+            fields[2 * (position % ((len(fields) + 1) // 2))] = token
+            lines[i] = "".join(fields)
+        elif kind == "nul":
+            fields[min(4 * (position % 2), len(fields) - 1)] += "\x00"
+            lines[i] = "".join(fields)
+        else:
+            lines.insert(position % (len(lines) + 1), line if kind == "repeat" else "")
+    return "\n".join(lines)
+
+
+@st.composite
+def tracklet_lines(draw):
+    """Shuffled k = 2 tracklet lines of distinct (video, track, frame) keys."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["a", "v\x00"]), st.sampled_from(["t", "u"]), st.integers(0, 4)),
+        unique=True, max_size=8,
+    ))
+    coordinate = st.sampled_from(["0.5", "-1.25", "3", "1e-300", "-0.0"])
+    confidence = st.sampled_from(["0", "0.25", "1", "1.0"])
+    joint = st.builds(lambda x, y, c: f"{x},{y},{c}", coordinate, coordinate, confidence)
+    return [f"{video}\t{frame}\t{track}\t{draw(joint)};{draw(joint)}" for video, track, frame in keys]
+
+
+def tracklet_outcome(text):
+    """``parse_tracklets``' table as sorted (video, track, frame, values) rows, or its ``LineFault``."""
+    try:
+        d = ingest.parse_tracklets(text, 2)
+    except ParseError as exc:
+        return LineFault(str(exc).partition(": ")[2], exc.line_number)
+    return [
+        (d.video_ids[v], d.track_ids[t], f, values)
+        for v, t, f, values in zip(d.video.tolist(), d.track.tolist(), d.frame.tolist(), d.kp.reshape(-1, 6).tolist())
+    ]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tracklet_lines(), st.lists(TRACKLET_EDIT, min_size=1, max_size=3))
+def test_tracklets_match_the_line_reader_on_mutated_files(lines, edits):
+    text = mutate_tracklets("\n".join(lines) + "\n", edits)
+    expected = read_tracklets(text, 2)
+    got = tracklet_outcome(text)
+    with mock.patch.object(ingest, "_BLOCK_LINES", 2):  # a repeat in an earlier block, a fault in a later one
+        got_small = tracklet_outcome(text)
+    assert got == got_small == expected
+    assert repr(got) == repr(got_small) == repr(expected)  # the sign of zero too
