@@ -10,8 +10,10 @@ code in OUT/<name>.code. Run it once per source tree, with that tree's
 Inputs: ``skelstat synth`` seed 3 (every oracle and anomaly mode, two frame
 sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
-labels without one validation frame, and a seeded embedding file. Some
-runs are refusals.
+labels without one validation frame, a seeded embedding file, and one
+malformed tracklet, label, score and embedding file per fault family of
+its parser, made from those inputs. Some runs are refusals. One tracklet
+file with padded fields and non-ASCII digits is valid.
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
 
@@ -172,6 +174,70 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
             *extra)
     run("refuse_embeddings_feature", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
         "--feature", "pose")
+
+    # one malformed file per fault family of each parser: a valid file with a bad line
+    # appended, or with a bad header in place of its own
+    (out / "faults").mkdir()
+
+    def faulty(kind: str, texts: dict) -> dict:
+        """Write each (tag, text) to faults/<kind>_<tag>.txt; the paths by tag."""
+        for tag, text in texts.items():
+            (out / "faults" / f"{kind}_{tag}.txt").write_text(text)
+        return {tag: f"faults/{kind}_{tag}.txt" for tag in texts}
+
+    tracklets = (out / "synth_small" / "tracklets.txt").read_text()
+    first, rest = tracklets.split("\n", 1)
+    kp = ";".join(["1.0,2.0,0.5"] * 3)  # three of synth_small's four joints
+    paths = faulty("tracklets", {tag: tracklets + line + "\n" for tag, line in (
+        ("fields", "val000\t5\tzz"), ("frame", f"val000\tx\tzz\t{kp};{kp}"),
+        ("frame_large", f"val000\t99999999999999999999\tzz\t{kp};1,2,0"),
+        ("negative_frame", f"val000\t-1\tzz\t{kp};1,2,0"), ("keypoints", f"val000\t5\tzz\t{kp}"),
+        ("triple", f"val000\t5\tzz\t{kp};1.0,2.0"), ("number", f"val000\t5\tzz\t{kp};1.0,y,0.5"),
+        ("non_finite", f"val000\t5\tzz\tnan,2.0,0.5;{kp}"), ("confidence", f"val000\t5\tzz\t{kp};1.0,2.0,1.5"),
+        ("duplicate", first))})
+    # padded fields and non-ASCII digits, which Python's int() and float() read, are accepted
+    video, frame, track, values = first.split("\t")
+    digits = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))  # Arabic-Indic
+    values = values.replace(",", " , ").translate(digits)
+    paths.update(faulty("tracklets", {"padded": f"{video}\t {frame.translate(digits)} \t{track}\t{values}\n{rest}"}))
+    small = ["--labels", "synth_small/labels.csv", "--manifest", "synth_small/manifest.json"]
+    for tag, path in paths.items():
+        for command in ("validate", "sdom"):
+            run(f"fault_tracklets_{tag}_{command}", command, "--tracklets", path, *small, "--keypoints", "4")
+    # a repeat in an earlier parse block than the bad last line
+    report_m = (out / "inputs" / "report_m" / "tracklets.txt").read_text().splitlines(keepends=True)
+    report_m.insert(3000, report_m[0])
+    path = faulty("tracklets", {"report_m_repeat": "".join(report_m) + "v\t0\tt\tbad\n"})["report_m_repeat"]
+    for command in ("validate", "sdom"):
+        run(f"fault_tracklets_report_m_repeat_{command}", command, "--tracklets", path,
+            *data("inputs/report_m", REPORT_M.k)[2:])
+
+    labels = (out / "synth_small" / "labels.csv").read_text()
+    paths = faulty("labels", {tag: labels + line + "\n" for tag, line in (
+        ("fields", "val000,5"), ("frame", "val000,x,0"), ("negative_frame", "val000,-1,0"), ("label", "val000,5,2"),
+        ("duplicate", "val000,0,1"))})
+    for tag, path in paths.items():
+        files = ["--labels", path, "--manifest", "synth_small/manifest.json"]
+        run(f"fault_labels_{tag}_validate", "validate", *files, "--tracklets", "synth_small/tracklets.txt",
+            "--keypoints", "4")
+        run(f"fault_labels_{tag}_metrics", "metrics", *files, "--scores", "synth_small/scores_random.csv")
+
+    scores = (out / "synth_small" / "scores_random.csv").read_text()
+    paths = faulty("scores", {tag: scores + line + "\n" for tag, line in (
+        ("fields", "val000,5"), ("number", "val000,5,x"), ("non_finite", "val000,5,nan"),
+        ("unlabeled", "val000,99999,0.5"), ("duplicate", "val000,0,0.5"))})
+    for tag, path in paths.items():
+        run(f"fault_scores_{tag}_metrics", "metrics", *small, "--scores", path)
+
+    header, body = (out / "embeddings.txt").read_text().split("\n", 1)
+    paths = faulty("embeddings", {
+        "empty": "", "header": "dim=4\n" + body, "dimension": "dim=0 mu=\n" + body,
+        "prior_count": "dim=4 mu=0,0\n" + body, "prior_value": "dim=4 mu=0,0,0,x\n" + body,
+        **{tag: f"{header}\n{body}{line}\n" for tag, line in (
+            ("fields", "train"), ("split", "test\t1,2,3,4"), ("length", "train\t1,2"), ("value", "train\t1,2,3,inf"))},
+    })
+    for tag, path in paths.items():
+        run(f"fault_embeddings_{tag}", "dist-hist", *datasets["synth"][0], "--embeddings", path)
     if lines is not None:
         report_lines(package, lines)
 
