@@ -112,6 +112,8 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
         raise DataError(f"binning {spec} needs more than {MAX_BINS} bins")
     if isinstance(binning, FixedWidth):
         edges = lo + binning.width * np.arange(n_bins + 1)
+        if (np.diff(edges) <= 0).any():  # lo + width * i stopped growing
+            raise DataError(f"binning {spec} is below the float spacing of the distances")
     elif lo == hi:
         edges = np.linspace(lo - 0.5, hi + 0.5, n_bins + 1)
     else:

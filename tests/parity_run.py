@@ -174,6 +174,11 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
             *extra)
     run("refuse_embeddings_feature", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
         "--feature", "pose")
+    # one training vector: a split of one distance, in one bin narrower than the float spacing
+    header, *vectors = rows
+    (out / "embeddings_one_train.txt").write_text("\n".join([header, vectors[0], *vectors[20:]]) + "\n")
+    run("refuse_width_float_spacing", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings_one_train.txt",
+        "--binning", "width:1e-310")
 
     # one malformed file per fault family of each parser: a valid file with a bad line
     # appended, or with a bad header in place of its own

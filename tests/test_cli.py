@@ -178,6 +178,21 @@ class TestDistHist:
         assert json.loads(capsys.readouterr().err) == {"error": f"binning {spec} needs more than 1000000 bins"}
         assert not out.exists()
 
+    def test_width_below_the_float_spacing_is_refused(self, tmp_path, capsys):
+        # one training vector: a split of one distance, so lo == hi and one bin
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=2 mu=0,0\ntrain\t3,4\nval_normal\t2,0\nval_anomalous\t5,0\n")
+        out = tmp_path / "out"
+        code = run(
+            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "width:1e-310",
+             "--tracklets", "x", "--labels", "x", "--manifest", "x"]
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "binning width:1e-310 is below the float spacing of the distances"
+        }
+        assert not out.exists()
+
     def test_embeddings_and_feature_conflict(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
         emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")

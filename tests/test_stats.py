@@ -106,6 +106,18 @@ class TestHistogram:
             histogram(series([0.0, 1.0]), binning)
         assert str(info.value) == f"binning {spec} needs more than 1000000 bins"
 
+    @pytest.mark.parametrize(
+        "values,binning,spec",
+        [
+            ([1.0, 1.0], FixedWidth(1e-310), "width:1e-310"),
+            ([1e9, 1e9 + 1e-6], FixedWidth(1e-12), "width:1e-12"),  # a million bins, inside the cap
+        ],
+    )
+    def test_width_below_the_float_spacing_is_refused(self, values, binning, spec):
+        with pytest.raises(DataError) as info:
+            histogram(series(values), binning)
+        assert str(info.value) == f"binning {spec} is below the float spacing of the distances"
+
 
 class TestBoxStats:
     def test_constant_series(self):
