@@ -43,6 +43,12 @@ class TestTracklet:
         # rows are sorted, so frames out of order are not an error
         assert make_detections([5, 3]).frame.tolist() == [3, 5]
 
+    def test_first_repeat_in_table_order_is_named(self):
+        # (v2, t1, 3) repeats first in row order, (v1, t2, 7) first in (video, track, frame) order
+        with pytest.raises(DataError) as info:
+            make_detections([3, 3, 7, 1, 7], ["v2", "v2", "v1", "v1", "v1"], ["t1", "t1", "t2", "t2", "t2"])
+        assert str(info.value) == "duplicate detection for (v1, t2, frame 7)"
+
     def test_other_video_starts_new_tracklet(self):
         det = make_detections([0, 0], videos=["v2", "v1"])
         assert det.video_ids == ("v1", "v2")

@@ -104,6 +104,16 @@ class TestTrackletErrors:
         padded = "v1\t 3 \tt1\t 1.0 ,2.0,0.5;3.0, 4.0 ,0.25\n"
         assert serialize_tracklets(parse_tracklets(padded, k=2)) == f"v1\t3\tt1\t{KP}\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "v1\t1_0\tt1\t1.0,2.0,0.5;3.0,4.0,0.2_5\n",  # underscores, as int() and float() read them
+            "v1\t\u0661\u0660\tt1\t\u0661.0,2.0,0.5;3.0,4.0,0.25\n",  # and non-ASCII digits
+        ],
+    )
+    def test_python_number_syntax_is_accepted(self, text):
+        assert serialize_tracklets(parse_tracklets(text, k=2)) == f"v1\t10\tt1\t{KP}\n"
+
 
 LABELS = "v1,0,0\nv1,1,1\n\n"
 
