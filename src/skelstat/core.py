@@ -69,13 +69,13 @@ class Detections(NamedTuple):
     track: np.ndarray  # int64 codes into track_ids
     frame: np.ndarray  # int64 frame indices
     kp: np.ndarray  # (D, k, 3) float64 rows of (x, y, confidence)
-    line: np.ndarray  # int64 source line numbers, 0 for rows not read from text
 
     @classmethod
     def from_columns(cls, video, track, frame, kp) -> "Detections":
         """Sorted table from per-row video ids, track ids, frames and (D, k, 3)
         keypoints; refuses non-finite values, confidences outside [0, 1],
-        negative frames and repeated (video, track, frame) triples."""
+        negative frames and repeated (video, track, frame) triples, naming
+        the first repeat in table order."""
         frame, kp = np.asarray(frame, dtype=np.int64), np.asarray(kp, dtype=np.float64)
         if kp.ndim != 3 or kp.shape[2] != 3 or not len(video) == len(track) == len(frame) == len(kp):
             raise DataError(f"detection columns must have one length and (D, k, 3) keypoints, got {kp.shape}")
@@ -85,31 +85,16 @@ class Detections(NamedTuple):
             raise DataError("keypoint confidences must be in [0, 1]")
         if (frame < 0).any():
             raise DataError(f"frame_index must be non-negative, got {frame.min()}")
-        table = cls.sorted_rows(video, track, frame, kp, np.zeros(len(frame), dtype=np.int64))
-        repeat = table.first_repeat()
-        if repeat is not None:
-            raise DataError(repeat[0])
-        return table
-
-    @classmethod
-    def sorted_rows(cls, video, track, frame, kp, line) -> "Detections":
-        """Code the ids and sort the rows by (video, track, frame, line),
-        without checking them."""
         video_ids, video = _code(video)
         track_ids, track = _code(track)
-        order = np.lexsort((line, frame, track, video))
-        return cls(video_ids, video[order], track_ids, track[order], frame[order], kp[order], line[order])
-
-    def first_repeat(self) -> Optional[Tuple[str, int]]:
-        """Message and source line of the first row, in line order, that
-        repeats the (video, track, frame) of an earlier row; None if none."""
-        same = (np.diff(self.video) == 0) & (np.diff(self.track) == 0) & (np.diff(self.frame) == 0)
-        if not same.any():
-            return None
-        rows = np.flatnonzero(same) + 1
-        i = rows[np.argmin(self.line[rows])]
-        video_id, track_id = self.video_ids[self.video[i]], self.track_ids[self.track[i]]
-        return f"duplicate detection for ({video_id}, {track_id}, frame {self.frame[i]})", int(self.line[i])
+        order = np.lexsort((frame, track, video))
+        table = cls(video_ids, video[order], track_ids, track[order], frame[order], kp[order])
+        same = (np.diff(table.video) == 0) & (np.diff(table.track) == 0) & (np.diff(table.frame) == 0)
+        if same.any():
+            i = same.argmax()
+            video_id, track_id = video_ids[table.video[i]], track_ids[table.track[i]]
+            raise DataError(f"duplicate detection for ({video_id}, {track_id}, frame {table.frame[i]})")
+        return table
 
     def tracklet_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(starts, stops) row offsets of each tracklet."""

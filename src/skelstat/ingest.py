@@ -119,12 +119,21 @@ def _parse_int(text: str, what: str, line_number: int) -> int:
 
 # Lines per parse block: bounds the per-field strings alive at once.
 _BLOCK_LINES = 2048
-_DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")  # leaves only field separators
 
 
-def _parse_detection(line: str, line_number: int, k: int) -> Tuple[str, int, str, List[float]]:
-    """One tracklet line as (video, frame, track, k*3 values), with the
-    first fault of the line raised as a ParseError."""
+class _Separators(dict):
+    """A ``str.translate`` table that keeps the field separators (tab, comma,
+    semicolon) and drops every other character; it stores each character's
+    entry when translate first meets it."""
+
+    def __missing__(self, code: int) -> Optional[int]:
+        self[code] = kept = code if chr(code) in "\t,;" else None
+        return kept
+
+
+def _check_detection(line: str, line_number: int, k: int) -> Tuple[str, str, int]:
+    """The (video, track, frame) key of a tracklet line, with the first
+    fault of the line raised as a ParseError."""
     parts = line.split("\t")
     if len(parts) != 4:
         raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_number)
@@ -135,27 +144,27 @@ def _parse_detection(line: str, line_number: int, k: int) -> Tuple[str, int, str
     triples = kp_text.split(";")
     if len(triples) != k:
         raise ParseError(f"expected {k} keypoints, got {len(triples)}", line_number)
-    values = []
     for triple in triples:
         fields = triple.split(",")
         if len(fields) != 3:
             raise ParseError(f"keypoint must be 'x,y,c', got {triple!r}", line_number)
-        x = _parse_float(fields[0], "x coordinate", line_number)
-        y = _parse_float(fields[1], "y coordinate", line_number)
+        _parse_float(fields[0], "x coordinate", line_number)
+        _parse_float(fields[1], "y coordinate", line_number)
         c = _parse_float(fields[2], "confidence", line_number)
         if not 0.0 <= c <= 1.0:
             raise ParseError(f"confidence {c} outside [0, 1]", line_number)
-        values += (x, y, c)
-    return video_id, frame_index, track_id, values
+    return video_id, track_id, frame_index
 
 
-def _parse_block(rows, k: int):
-    """(frames, (n, k, 3) keypoints) of split lines whose structure, numbers
-    and ranges all pass the array checks, else None."""
+def _parse_block(lines: List[str], k: int):
+    """(video ids, track ids, frames, (n, k, 3) keypoints) of tracklet lines
+    with four tab-separated fields and k ``x,y,c`` triples, whose frames
+    ``int()`` reads within int64 and whose values ``float()`` reads, else None."""
+    rows = [line.split("\t") for line in lines]
     if any(len(r) != 4 for r in rows):
         return None
     kp_texts = "\t".join(r[3] for r in rows)
-    if kp_texts.translate(_DROP_NUMBER_CHARS) != "\t".join([",,;" * (k - 1) + ",,"] * len(rows)):
+    if kp_texts.translate(_Separators()) != "\t".join([",,;" * (k - 1) + ",,"] * len(rows)):
         return None
     try:
         frames = np.array([int(r[1]) for r in rows], dtype=np.int64)
@@ -163,44 +172,34 @@ def _parse_block(rows, k: int):
         kp = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(len(rows), k, 3)
     except (ValueError, OverflowError):
         return None
-    if (frames < 0).any() or not np.isfinite(kp).all() or not ((kp[:, :, 2] >= 0) & (kp[:, :, 2] <= 1)).all():
-        return None
-    return frames, kp
+    return [r[0] for r in rows], [r[2] for r in rows], frames, kp
 
 
 def parse_tracklets(text: str, k: int) -> Detections:
     """Parse the tracklet file into a Detections table.
 
-    Rejects malformed lines, keypoint counts other than ``k``, duplicate
-    (video, track, frame) triples and non-finite coordinates; the error
-    names the first offending line. Lines are parsed in blocks: a block
-    that passes the array checks is converted whole, any other block line
-    by line.
+    Valid text is converted block by block and checked as a whole table.
+    On any fault, malformed lines, keypoint counts other than ``k``,
+    non-finite values and repeated (video, track, frame) triples included,
+    the lines are checked one by one, and the first bad line is raised as a
+    ParseError.
     """
     lines = text.splitlines()
-    numbered = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
-    frame = np.empty(len(numbered), dtype=np.int64)
-    kp = np.empty((len(numbered), k, 3), dtype=np.float64)
-    videos, tracks = [], []
-    for a in range(0, len(numbered), _BLOCK_LINES):
-        block = numbered[a : a + _BLOCK_LINES]
-        rows = [line.split("\t") for _, line in block]
-        parsed = _parse_block(rows, k)
+    kept = list(filter(str.strip, lines))
+    video, track = [None] * len(kept), [None] * len(kept)
+    frame, kp = np.empty(len(kept), dtype=np.int64), np.empty((len(kept), k, 3))
+    for a in range(0, len(kept), _BLOCK_LINES):
+        block = slice(a, a + _BLOCK_LINES)
+        parsed = _parse_block(kept[block], k)
         if parsed is None:
-            try:
-                rows = [_parse_detection(line, n, k) for n, line in block]
-            except ParseError as exc:
-                parse_tracklets("\n".join(lines[: exc.line_number - 1]), k)  # a repeat on an earlier line wins
-                raise
-            parsed = np.array([r[1] for r in rows]), np.reshape([r[3] for r in rows], (-1, k, 3))
-        frame[a : a + len(rows)], kp[a : a + len(rows)] = parsed
-        videos += [r[0] for r in rows]
-        tracks += [r[2] for r in rows]
-    table = Detections.sorted_rows(videos, tracks, frame, kp, np.array([n for n, _ in numbered]))
-    repeat = table.first_repeat()
-    if repeat is not None:
-        raise ParseError(*repeat)
-    return table
+            break
+        video[block], track[block], frame[block], kp[block] = parsed
+    else:
+        try:
+            return Detections.from_columns(video, track, frame, kp)
+        except DataError:
+            pass
+    _raise_first_fault(lines, "detection", lambda line, line_number: _check_detection(line, line_number, k))
 
 
 def serialize_tracklets(detections: Detections) -> str:
@@ -246,32 +245,40 @@ def parse_labels(text: str) -> Labels:
     _raise_first_fault(lines, "label", _check_label)
 
 
-def _check_label(key: Tuple[str, int], text: str, line_number: int) -> None:
-    """A label line's checks after its frame index: a negative frame, then a label other than 0/1."""
+def _csv_fields(line: str, field: str, line_number: int) -> Tuple[Tuple[str, int], str]:
+    """The (video, frame) key and the last field of a stripped
+    ``video_id,frame_index,<field>`` line, with a field count or frame
+    index fault raised as a ParseError."""
+    line = line.strip()
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise ParseError(f"expected 'video_id,frame_index,{field}', got {line!r}", line_number)
+    return (parts[0], _parse_int(parts[1], "frame index", line_number)), parts[2]
+
+
+def _check_label(line: str, line_number: int) -> Tuple[str, int]:
+    """A label line's key, after its checks: the fields, a negative frame, then a label other than 0/1."""
+    key, text = _csv_fields(line, "label", line_number)
     if key[1] < 0:
         raise ParseError(f"negative frame index {key[1]}", line_number)
     if text not in ("0", "1"):
         raise ParseError(f"label must be 0 or 1, got {text!r}", line_number)
+    return key
 
 
-def _raise_first_fault(lines: List[str], field: str, check) -> NoReturn:
-    """Check ``video_id,frame_index,<field>`` lines one by one and raise the
-    first fault: a field count, a frame index, what ``check((video, frame),
-    field text, line number)`` raises, then a repeated (video, frame)."""
+def _raise_first_fault(lines: List[str], what: str, check) -> NoReturn:
+    """Check the non-blank lines one by one and raise the first fault: what
+    ``check(line, line number)`` raises, then a repeat of the key it
+    returns, ``(ids..., frame)``."""
     seen = set()
     for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 'video_id,frame_index,{field}', got {line!r}", line_number)
-        key = (parts[0], _parse_int(parts[1], "frame index", line_number))
-        check(key, parts[2], line_number)
+        key = check(line, line_number)
         if key in seen:
-            raise ParseError(f"duplicate {field} for ({key[0]}, frame {key[1]})", line_number)
+            raise ParseError(f"duplicate {what} for ({', '.join(key[:-1])}, frame {key[-1]})", line_number)
         seen.add(key)
-    raise AssertionError(f"the column checks refused {field}s the line checks accept")
+    raise AssertionError(f"the column checks refused {what}s the line checks accept")
 
 
 def serialize_labels(labels: Labels) -> str:
@@ -371,10 +378,12 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
                 return FrameScores(video[order], frame[order], score[order], labels.positive[row])
     labeled = set(zip(labels.video.tolist(), labels.frame.tolist()))
 
-    def check(key: Tuple[str, int], text: str, line_number: int) -> None:
+    def check(line: str, line_number: int) -> Tuple[str, int]:
+        key, text = _csv_fields(line, "score", line_number)
         _parse_float(text, "score", line_number)
         if key not in labeled:
             raise ParseError(f"score for unlabeled frame ({key[0]}, {key[1]})", line_number)
+        return key
 
     _raise_first_fault(lines, "score", check)
 

@@ -25,10 +25,10 @@ def kp_text(k, base=0.0):
     return ";".join(f"{base + i},{base + 2 * i},0.9" for i in range(k))
 
 
-def assert_same_rows(a, b, lines=True):
-    """Equal Detections tables; source line numbers compared when ``lines``."""
+def assert_same_rows(a, b):
+    """Equal Detections tables."""
     assert (a.video_ids, a.track_ids) == (b.video_ids, b.track_ids)
-    for name in ("video", "track", "frame", "kp") + (("line",) if lines else ()):
+    for name in ("video", "track", "frame", "kp"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -49,7 +49,6 @@ class TestParseTracklets:
         det = parse_tracklets(text, k=17)
         assert len(det.tracklet_bounds()[0]) == 1
         assert det.frame.tolist() == [3, 5]
-        assert det.line.tolist() == [2, 1]
 
     def test_keypoint_count_mismatch_names_line(self):
         text = f"v1\t0\tt1\t{kp_text(17)}\nv1\t1\tt1\t{kp_text(16)}\n"
@@ -86,7 +85,7 @@ class TestParseTracklets:
     def test_order_insensitive(self):
         text = f"v1\t0\tt1\t{kp_text(4)}\nv1\t1\tt1\t{kp_text(4, 9)}\nv2\t0\tt1\t{kp_text(4)}\n"
         shuffled = "\n".join(reversed(text.strip().split("\n"))) + "\n"
-        assert_same_rows(parse_tracklets(text, k=4), parse_tracklets(shuffled, k=4), lines=False)
+        assert_same_rows(parse_tracklets(text, k=4), parse_tracklets(shuffled, k=4))
 
 
 class TestParseLabels:
