@@ -11,9 +11,9 @@ Inputs: ``skelstat synth`` seed 3 (every oracle and anomaly mode, two frame
 sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
 labels without one validation frame, a seeded embedding file, and one
-malformed tracklet, label, score and embedding file per fault family of
-its parser, made from those inputs. Some runs are refusals. One tracklet
-file with padded fields and non-ASCII digits is valid.
+malformed tracklet, label, score, embedding and manifest file per fault
+family of its parser, made from those inputs. Some runs are refusals.
+One tracklet file with padded fields and non-ASCII digits is valid.
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
 
@@ -26,7 +26,11 @@ it: ``features.center_window`` (test_acceptance, test_features),
 ``metrics.error_rates`` (test_acceptance, test_metrics),
 ``WindowBatch.from_columns`` (test_acceptance, test_analysis, test_core,
 test_metrics) and ``ingest.serialize_embeddings`` (test_ingest,
-test_ingest_parity, test_writer_oracle).
+test_ingest_parity, test_writer_oracle). No input reaches the closing
+``AssertionError`` of ``ingest._raise_first_fault``: it marks a file that
+a parser's column or block checks refuse and its line checks accept. Nor
+does one reach ``DatasetBundle``'s keypoint-count check, since the CLI
+parses the tracklets with the configured k.
 """
 
 import argparse
@@ -180,8 +184,8 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     run("refuse_width_float_spacing", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings_one_train.txt",
         "--binning", "width:1e-310")
 
-    # one malformed file per fault family of each parser: a valid file with a bad line
-    # appended, or with a bad header in place of its own
+    # one malformed file per fault family of each parser: a valid file with a blank line
+    # and a bad line appended, or with a bad header in place of its own
     (out / "faults").mkdir()
 
     def faulty(kind: str, texts: dict) -> dict:
@@ -193,7 +197,7 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     tracklets = (out / "synth_small" / "tracklets.txt").read_text()
     first, rest = tracklets.split("\n", 1)
     kp = ";".join(["1.0,2.0,0.5"] * 3)  # three of synth_small's four joints
-    paths = faulty("tracklets", {tag: tracklets + line + "\n" for tag, line in (
+    paths = faulty("tracklets", {tag: f"{tracklets}\n{line}\n" for tag, line in (
         ("fields", "val000\t5\tzz"), ("frame", f"val000\tx\tzz\t{kp};{kp}"),
         ("frame_large", f"val000\t99999999999999999999\tzz\t{kp};1,2,0"),
         ("negative_frame", f"val000\t-1\tzz\t{kp};1,2,0"), ("keypoints", f"val000\t5\tzz\t{kp}"),
@@ -218,7 +222,7 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
             *data("inputs/report_m", REPORT_M.k)[2:])
 
     labels = (out / "synth_small" / "labels.csv").read_text()
-    paths = faulty("labels", {tag: labels + line + "\n" for tag, line in (
+    paths = faulty("labels", {tag: f"{labels}\n{line}\n" for tag, line in (
         ("fields", "val000,5"), ("frame", "val000,x,0"), ("negative_frame", "val000,-1,0"), ("label", "val000,5,2"),
         ("duplicate", "val000,0,1"))})
     for tag, path in paths.items():
@@ -228,7 +232,7 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
         run(f"fault_labels_{tag}_metrics", "metrics", *files, "--scores", "synth_small/scores_random.csv")
 
     scores = (out / "synth_small" / "scores_random.csv").read_text()
-    paths = faulty("scores", {tag: scores + line + "\n" for tag, line in (
+    paths = faulty("scores", {tag: f"{scores}\n{line}\n" for tag, line in (
         ("fields", "val000,5"), ("number", "val000,5,x"), ("non_finite", "val000,5,nan"),
         ("unlabeled", "val000,99999,0.5"), ("duplicate", "val000,0,0.5"))})
     for tag, path in paths.items():
@@ -238,11 +242,22 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     paths = faulty("embeddings", {
         "empty": "", "header": "dim=4\n" + body, "dimension": "dim=0 mu=\n" + body,
         "prior_count": "dim=4 mu=0,0\n" + body, "prior_value": "dim=4 mu=0,0,0,x\n" + body,
-        **{tag: f"{header}\n{body}{line}\n" for tag, line in (
+        **{tag: f"{header}\n{body}\n{line}\n" for tag, line in (
             ("fields", "train"), ("split", "test\t1,2,3,4"), ("length", "train\t1,2"), ("value", "train\t1,2,3,inf"))},
     })
     for tag, path in paths.items():
         run(f"fault_embeddings_{tag}", "dist-hist", *datasets["synth"][0], "--embeddings", path)
+
+    size = '"width": 640, "height": 360'
+    paths = faulty("manifest", {
+        "json": "{", "array": "[]", "fields": '{"val000": {"split": "val", "width": 640}}',
+        "split": f'{{"val000": {{"split": "test", {size}}}}}',
+        "size": '{"val000": {"split": "val", "width": 0, "height": 1}}',
+        "missing": f'{{"val000": {{"split": "val", {size}}}}}',  # the other three videos
+    })
+    for tag, path in paths.items():
+        run(f"fault_manifest_{tag}_validate", "validate", "--tracklets", "synth_small/tracklets.txt",
+            "--labels", "synth_small/labels.csv", "--manifest", path, "--keypoints", "4")
     if lines is not None:
         report_lines(package, lines)
 
