@@ -510,7 +510,7 @@ def mutate_tracklets(text, edits):
 
 @st.composite
 def tracklet_lines(draw):
-    """Shuffled k = 2 tracklet lines of distinct (video, track, frame) keys."""
+    """k = 2 tracklet lines of distinct (video, track, frame) keys, in a drawn order."""
     keys = draw(st.lists(
         st.tuples(st.sampled_from(["a", "v\x00"]), st.sampled_from(["t", "u"]), st.integers(0, 4)),
         unique=True, max_size=8,
@@ -524,7 +524,7 @@ def tracklet_lines(draw):
 def tracklet_outcome(text):
     """``parse_tracklets``' table as sorted (video, track, frame, values) rows, or its ``LineFault``."""
     try:
-        d = ingest.parse_tracklets(text, 2)
+        d = parse_tracklets(text, 2)
     except ParseError as exc:
         return LineFault(str(exc).partition(": ")[2], exc.line_number)
     return [
