@@ -3,7 +3,8 @@
 Hypothesis draws the structure of small datasets: gaps inside tracks,
 track ids that start and end inside a video (id churn), dropped
 detections, k in {2, 4, 17}, small T and stride, more tracks in a window
-than social slots, and label files with and without gaps. numpy draws the
+than social slots, label files with and without gaps, and a frame base of
+0 or 10^5 per video that shifts its tracklet and label frames. numpy draws the
 coordinates from a drawn seed. Each feature must give the oracle's
 windows, bit for bit and in the same order, or raise the oracle's error
 text; the windows export must be the text ``oracle.export_text`` writes
@@ -22,7 +23,8 @@ from skelstat.core import SPLITS, DataError, FeatureType, WindowingConfig
 from skelstat.features import CenterPolicy, build_windows, serialize_windows
 from skelstat.ingest import DatasetBundle, parse_labels, parse_manifest, parse_tracklets, validate_bundle
 
-SPAN = 24  # frames 0..SPAN-1 hold the detections
+SPAN = 24  # frames base..base+SPAN-1 hold the detections
+BASES = [0, 10**5]  # a video's first frame: the oracle does not depend on it
 VIDEO_IDS = ["a", "b", "v\x00", "v1"]
 TRACK_IDS = ["p", "q", "r", "s", "t\x00", "t1"]
 
@@ -38,6 +40,7 @@ def datasets(draw):
         split = draw(st.sampled_from(["train", "val"]))
         width, height = draw(st.sampled_from([(100.0, 50.0), (856.0, 480.0)]))
         manifest[video] = {"split": split, "width": width, "height": height}
+        base = draw(st.sampled_from(BASES))
         for track in draw(st.lists(st.sampled_from(TRACK_IDS), max_size=5, unique=True)):
             first = draw(st.integers(0, SPAN - 1))
             last = draw(st.integers(first, SPAN - 1))
@@ -45,11 +48,11 @@ def datasets(draw):
             for frame in [f for f in range(first, last + 1) if f not in dropped]:
                 joints = rng.uniform(-1000.0, 1000.0, size=(k, 2)).tolist()
                 kp = ";".join(f"{x!r},{y!r},0.5" for x, y in joints)
-                tracklets.append(f"{video}\t{frame}\t{track}\t{kp}")
+                tracklets.append(f"{video}\t{base + frame}\t{track}\t{kp}")
         if split == "val" or draw(st.booleans()):
             gaps = draw(st.sets(st.integers(0, SPAN - 1), max_size=2)) if draw(st.integers(0, 2)) == 0 else set()
             anomalous = rng.random(SPAN) < 0.2
-            labels += [f"{video},{f},{int(anomalous[f])}" for f in range(SPAN) if f not in gaps]
+            labels += [f"{video},{base + f},{int(anomalous[f])}" for f in range(SPAN) if f not in gaps]
     texts = ("\n".join(tracklets) + "\n", "\n".join(labels) + "\n", json.dumps(manifest))
     return (k, T, stride, N, draw(st.booleans()), *texts)
 
