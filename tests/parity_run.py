@@ -10,10 +10,13 @@ code in OUT/<name>.code. Run it once per source tree, with that tree's
 Inputs: ``skelstat synth`` seed 3 (every oracle and anomaly mode, two frame
 sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
-labels without one validation frame, a seeded embedding file, and one
-malformed tracklet, label, score, embedding and manifest file per fault
-family of its parser, made from those inputs. Some runs are refusals.
-One tracklet file with padded fields and non-ASCII digits is valid.
+labels without one validation frame, an empty label file, the synth
+files with the validation videos' frames shifted by 10^6, a file whose
+finite hip coordinates overflow their midpoint, a seeded embedding file,
+and one malformed tracklet, label, score, embedding and manifest file per
+fault family of its parser, made from those inputs. Some runs are
+refusals. One tracklet file with padded fields and non-ASCII digits is
+valid.
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
 
@@ -35,6 +38,7 @@ parses the tracklets with the configured k.
 
 import argparse
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -165,6 +169,48 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
         run(f"refuse_unlabeled_sdom_{feature}", "sdom", *files, "--feature", feature)
     run("refuse_unlabeled_sdom_social_n1_truncate", "sdom", *files, "--feature", "social",
         "--nodes", "1", "--truncate-social")
+
+    # an empty label file: every validation window is unlabeled, and so is every score
+    (out / "empty_labels").mkdir()
+    (out / "empty_labels" / "labels.csv").write_text("")
+    run("refuse_empty_labels_sdom_pose", "sdom", "--tracklets", "synth/tracklets.txt",
+        "--labels", "empty_labels/labels.csv", "--manifest", "synth/manifest.json", "--feature", "pose")
+    run("refuse_empty_labels_metrics", "metrics", "--labels", "empty_labels/labels.csv",
+        "--manifest", "synth/manifest.json", "--scores", "synth/scores_random.csv")
+
+    # validation frames that start at 10^6: the synth files with each validation
+    # video's tracklet and label frames shifted by that much
+    (out / "shifted").mkdir()
+    manifest = (out / "synth" / "manifest.json").read_text()
+    val = {video for video, meta in json.loads(manifest).items() if meta["split"] == "val"}
+    for name, sep, at in (("tracklets.txt", "\t", 1), ("labels.csv", ",", 1)):
+        rows = [line.split(sep) for line in (out / "synth" / name).read_text().splitlines()]
+        for fields in rows:
+            fields[at] = str(int(fields[at]) + 10**6) if fields[0] in val else fields[at]
+        (out / "shifted" / name).write_text("".join(sep.join(fields) + "\n" for fields in rows))
+    (out / "shifted" / "manifest.json").write_text(manifest)
+    for feature in ("pose", "traj", "social"):
+        run(f"shifted_sdom_{feature}", "sdom", *data("shifted", 17), "--feature", feature)
+    run("shifted_windows_traj", "windows", *data("shifted", 17), "--feature", "traj")
+    run("shifted_report", "report", *data("shifted", 17))
+
+    # finite keypoints whose hip midpoint overflows: x = 1.7e308 on both hips of
+    # the training video, k = 2, one window per video
+    (out / "overflow").mkdir()
+    kp = {"train000": "1.7e308,0.0,1.0;1.7e308,0.0,1.0", "val000": "10.0,20.0,1.0;12.0,20.0,1.0",
+          "val001": "30.0,40.0,1.0;34.0,40.0,1.0"}
+    (out / "overflow" / "tracklets.txt").write_text(
+        "".join(f"{video}\t{frame}\tp\t{points}\n" for video, points in kp.items() for frame in range(24)))
+    (out / "overflow" / "labels.csv").write_text(
+        "".join(f"{video},{frame},{int(video == 'val001')}\n" for video in ("val000", "val001") for frame in range(24)))
+    (out / "overflow" / "manifest.json").write_text(json.dumps(
+        {video: {"split": "train" if video == "train000" else "val", "width": 100, "height": 50}
+         for video in kp}))
+    for feature in ("pose", "traj"):
+        for tag, extra in (("", []), ("_no_center", ["--no-center"])):
+            run(f"overflow_windows_{feature}{tag}", "windows", *data("overflow", 2), "--feature", feature, *extra)
+    for command in ("sdom", "dist-hist"):
+        run(f"overflow_{command}", command, *data("overflow", 2))
 
     # latent distances of a seeded embedding file
     rng = np.random.default_rng(3)
