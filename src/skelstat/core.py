@@ -154,6 +154,28 @@ class Labels(NamedTuple):
             raise DataError(f"duplicate label for ({labels.video[same[0]]}, frame {labels.frame[same[0]]})")
         return labels
 
+    def search(self, video, frame) -> np.ndarray:
+        """The number of label rows before each (video, frame) in (video,
+        frame) order: its label's row, or where that row would be inserted.
+        Broadcasts, so a (W, 1) column of ids meets a (W, T) block of frames
+        with one name search per id. Exact for ids with a trailing NUL."""
+        video, frame = np.asarray(video, dtype=object), np.asarray(frame, dtype=np.int64)
+        names, label_code = run_codes(self.video)
+        frames = np.unique(self.frame)
+        # (video code, frame rank) keys, with rank frames.size free for a frame
+        # past the last: a video without labels takes rank 0 at its insertion code
+        label_key = label_code * (frames.size + 1) + np.searchsorted(frames, self.frame)
+        code = np.searchsorted(names, video)
+        known = np.append(names, None)[code] == video
+        key = code * (frames.size + 1) + np.where(known, np.searchsorted(frames, frame), 0)
+        return np.searchsorted(label_key, key)
+
+    def rows(self, video, frame) -> np.ndarray:
+        """The label row of each (video, frame), -1 where none is labeled."""
+        video, row = np.asarray(video, dtype=object), self.search(video, frame)
+        hit = (np.append(self.video, None)[row] == video) & (np.append(self.frame, -1)[row] == frame)
+        return np.where(hit, row, -1)
+
 
 @dataclass(frozen=True)
 class WindowingConfig:
@@ -208,7 +230,8 @@ class WindowBatch:
     track ids are its row of ``track`` up to the first -1: one track for
     pose and trajectory windows, the track of each occupied social slot in
     slot order. The builders emit windows in (video, track ids, start)
-    order. ``len()`` is the window count.
+    order. ``len()`` is the window count. Every batch refuses non-finite
+    coordinates.
     """
 
     coords: np.ndarray  # (W, T, k, 2) float64
@@ -219,6 +242,10 @@ class WindowBatch:
     split: np.ndarray  # (W,) int8 codes into SPLITS
     track_ids: np.ndarray  # object array of str: the name table of the track codes
     track: np.ndarray  # (W, m) int64 codes into track_ids, -1 after a window's last track
+
+    def __post_init__(self):
+        if not np.isfinite(self.coords).all():
+            raise DataError("window coordinates must be finite")
 
     def __len__(self) -> int:
         return len(self.start)
@@ -236,20 +263,19 @@ class WindowBatch:
             raise DataError(f"window shape mismatch: mask {mask.shape} vs coords {coords.shape[:3]}")
         if not len(video) == len(start) == len(split) == len(tracks) == len(coords):
             raise DataError(f"window columns must have one length, got {len(coords)} windows")
-        if not np.isfinite(coords).all():
-            raise DataError("window coordinates must be finite")
-        if coords[~mask].any():
-            raise DataError("masked-out coordinates must be exactly (0, 0)")
         video_ids, video = _code(video)
         track_ids, codes = _code([track_id for ids in tracks for track_id in ids])
         counts = np.array([len(ids) for ids in tracks], dtype=np.int64)
         track = np.full((len(tracks), int(counts.max(initial=0))), -1, dtype=np.int64)
         track[np.arange(track.shape[1]) < counts[:, None]] = codes
-        return cls(
+        batch = cls(
             _freeze(coords), _freeze(mask), np.array(video_ids, dtype=object), video,
             np.asarray(start, dtype=np.int64), np.array([SPLITS.index(s) for s in split], dtype=np.int8),
             np.array(track_ids, dtype=object), track,
         )
+        if coords[~mask].any():
+            raise DataError("masked-out coordinates must be exactly (0, 0)")
+        return batch
 
 
 @dataclass(frozen=True)

@@ -94,29 +94,18 @@ def _window_splits(
     split = np.full(len(start), _TRAIN, dtype=np.int8)
     is_val = np.array([bundle.videos[v].split != "train" for v in video_ids], dtype=bool)
     rows = np.flatnonzero(is_val[video])
-    if not len(rows):
-        return split, None
-
-    # one label axis: a block per validation video, as long as its windows reach
-    extent = np.zeros(len(video_ids), dtype=np.int64)
-    np.maximum.at(extent, video[rows], start[rows] + T)
-    offset = np.cumsum(extent) - extent
     labels = bundle.labels
-    code = np.minimum(np.searchsorted(video_ids, labels.video), len(video_ids) - 1)
-    keep = (video_ids[code] == labels.video) & (labels.frame < extent[code])
-    axis = np.full(int(extent.sum()), -1, dtype=np.int8)
-    axis[offset[code[keep]] + labels.frame[keep]] = labels.positive[keep]
-
-    at = offset[video[rows]] + start[rows]
-    unlabeled = np.r_[0, np.cumsum(axis < 0)]
-    missing = np.flatnonzero(unlabeled[at + T] > unlabeled[at])
+    # label rows [lo, hi) hold the window's frames; labels are unique per frame
+    lo, hi = labels.search(video_ids[video[rows]][:, None], start[rows][:, None] + [0, T]).T
+    missing = np.flatnonzero(hi - lo < T)
     if missing.size:
-        row, first = int(rows[missing[0]]), int(at[missing[0]])
-        frame = int(start[row]) + int(np.argmax(axis[first : first + T] < 0))
+        i = missing[0]
+        row = int(rows[i])
+        frame = np.setdiff1d(np.arange(start[row], start[row] + T), labels.frame[lo[i] : hi[i]])[0]
         error = DataError(f"unlabeled validation frame ({video_ids[video[row]]}, {frame}) inside window")
         return split, (row, error)
-    anomalous = np.r_[0, np.cumsum(axis > 0)]
-    split[rows] = np.where(anomalous[at + T] > anomalous[at], _VAL_ANOMALOUS, _VAL_NORMAL)
+    anomalous = np.r_[0, np.cumsum(labels.positive)]
+    split[rows] = np.where(anomalous[hi] > anomalous[lo], _VAL_ANOMALOUS, _VAL_NORMAL)
     return split, None
 
 

@@ -30,7 +30,6 @@ from .core import (
     Split,
     WindowingConfig,
     frame_extent,
-    run_codes,
 )
 
 
@@ -338,24 +337,13 @@ def parse_embeddings(text: str) -> Tuple[np.ndarray, np.ndarray, List[Optional[s
     return vectors, np.array(splits, dtype=str), sources, prior
 
 
-def serialize_embeddings(
-    vectors: np.ndarray, splits: Sequence[str], sources: Sequence[Optional[str]], prior: EmbeddingPrior
-) -> str:
-    """Inverse of ``parse_embeddings``."""
-    dim = prior.mu_normal.size
-    header = f"dim={dim} mu=" + ",".join(map(repr, prior.mu_normal.tolist())) + "\n"
-    values = np.asarray(vectors, dtype=np.float64).reshape(len(splits), dim).T.tolist()
-    tails = ["" if source is None else "\t" + source for source in sources]
-    return header + format_rows("%s\t" + ",".join(["%r"] * dim) + "%s", [list(splits), *values, tails])
-
-
 def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameScores:
     """Parse per-frame scores and join them against known frame labels,
     sorted by (video, frame).
 
     Normality scores are negated so downstream metrics can always assume
     higher = more anomalous. Valid text is converted column by column and
-    joined to the label rows on their sorted (video code, frame) key. On
+    joined to the label rows by ``Labels.rows``. On
     any fault the lines are checked one by one, and the first bad line is
     raised as a ParseError.
     """
@@ -369,7 +357,7 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
             score = None
         if score is not None and np.isfinite(score).all():
             video = np.array(video, dtype=object)
-            row = _label_rows(labels, video, frame)
+            row = labels.rows(video, frame)
             order = np.argsort(row, kind="stable")
             row = row[order]
             if (row >= 0).all() and (np.diff(row) != 0).all():
@@ -386,21 +374,6 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
         return key
 
     _raise_first_fault(lines, "score", check)
-
-
-def _label_rows(labels: Labels, video: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """The label row of each (video, frame), -1 where none is labeled."""
-    if not labels.frame.size:
-        return np.full(frame.size, -1)
-    names, label_code = run_codes(labels.video)
-    frames = np.unique(labels.frame)
-    # (video code, frame rank) keys: exact, and ascending in label row order
-    label_key = label_code * frames.size + np.searchsorted(frames, labels.frame)
-    code = np.minimum(np.searchsorted(names, video), names.size - 1)
-    rank = np.minimum(np.searchsorted(frames, frame), frames.size - 1)
-    key = code * frames.size + rank
-    row = np.minimum(np.searchsorted(label_key, key), label_key.size - 1)
-    return np.where((names[code] == video) & (frames[rank] == frame) & (label_key[row] == key), row, -1)
 
 
 def serialize_scores(rows: Sequence[Tuple[str, int, float]]) -> str:

@@ -145,23 +145,19 @@ def windows_to_frame_scores(
     if (starts < 0).any():
         raise DataError("window start frames must be non-negative")
     T = windows.coords.shape[1]
-    names = np.unique(np.concatenate([labels.video, windows.video_ids]))
-    window_video = np.searchsorted(names, windows.video_ids)[windows.video[rows]]
-    label_video = np.searchsorted(names, labels.video)
+    # the distinct (video code, frame) positions of the scored windows, and each one's best score
+    video, frame = np.repeat(windows.video[rows], T), (starts[:, None] + np.arange(T)).ravel()
+    order = np.lexsort((frame, video))
+    video, frame, position_scores = video[order], frame[order], np.repeat(window_scores, T)[order]
+    head = np.flatnonzero(np.r_[True, (np.diff(video) != 0) | (np.diff(frame) != 0)][: frame.size])
+    best = np.maximum.reduceat(position_scores, head)
 
-    # one dense frame axis: a block per video, long enough for its windows and labels
-    extent = np.zeros(len(names), dtype=np.int64)
-    np.maximum.at(extent, window_video, starts + T)
-    np.maximum.at(extent, label_video, labels.frame + 1)
-    offset = np.cumsum(extent) - extent
-    positions = (offset[window_video] + starts)[:, None] + np.arange(T)
-    best = np.full(int(extent.sum()), -np.inf)  # -inf: no window covers the frame
-    np.maximum.at(best, positions.ravel(), np.repeat(window_scores, T))
-
-    frame_best = best[offset[label_video] + labels.frame]
+    label_row = labels.rows(windows.video_ids[video[head]], frame[head])
+    hit = label_row >= 0
+    frame_best = np.full(len(labels.frame), -np.inf)  # -inf: no window covers the frame
+    frame_best[label_row[hit]] = best[hit]
     covered = np.isfinite(frame_best)
-    observed = best[np.isfinite(best)]
-    score = np.where(covered, frame_best, observed.min() if observed.size else 0.0)
+    score = np.where(covered, frame_best, best.min() if best.size else 0.0)
     uncovered = list(zip(labels.video[~covered].tolist(), labels.frame[~covered].tolist()))
     return FrameScores(labels.video, labels.frame, score, labels.positive), uncovered
 

@@ -26,10 +26,10 @@ per reached statement, and the script prints reached and total statements
 per module. A statement is any AST statement other than ``def``, ``class``,
 an import or a docstring. What only tests reach, and the test that imports
 it: ``features.center_window`` (test_acceptance, test_features),
-``metrics.error_rates`` (test_acceptance, test_metrics),
+``metrics.error_rates`` (test_acceptance, test_metrics) and
 ``WindowBatch.from_columns`` (test_acceptance, test_analysis, test_core,
-test_metrics) and ``ingest.serialize_embeddings`` (test_ingest,
-test_ingest_parity, test_writer_oracle). No input reaches the closing
+test_metrics); ``WindowBatch.__len__`` is reached by the benchmark's
+tracer and by tests. No input reaches the closing
 ``AssertionError`` of ``ingest._raise_first_fault``: it marks a file that
 a parser's column or block checks refuse and its line checks accept. Nor
 does one reach ``DatasetBundle``'s keypoint-count check, since the CLI

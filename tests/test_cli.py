@@ -282,6 +282,26 @@ def test_non_numeric_manifest_size_is_refused(tmp_path, capsys, size, command):
     assert error == "manifest entry for 'v1': width and height must be finite numbers"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow in the midpoint
+@pytest.mark.parametrize("argv", [
+    ["windows", "--feature", "pose"], ["windows", "--feature", "traj"],
+    ["windows", "--feature", "traj", "--no-center"], ["sdom"], ["dist-hist"],
+])
+def test_finite_keypoints_whose_hip_midpoint_overflows_are_refused(tmp_path, capsys, argv):
+    # x = 1.7e308 on both hips: finite, but their sum is not
+    kp = {"t": "1.7e308,0.0,1.0;1.7e308,0.0,1.0", "a": "1.0,2.0,1.0;3.0,2.0,1.0", "b": "5.0,6.0,1.0;9.0,6.0,1.0"}
+    (tmp_path / "tracklets.txt").write_text("".join(f"{v}\t{f}\tp\t{p}\n" for v, p in kp.items() for f in range(24)))
+    (tmp_path / "labels.csv").write_text("".join(f"{v},{f},{int(v == 'b')}\n" for v in "ab" for f in range(24)))
+    manifest = {v: {"split": "train" if v == "t" else "val", "width": 100, "height": 50} for v in kp}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    files = ["--tracklets", tmp_path / "tracklets.txt", "--labels", tmp_path / "labels.csv",
+             "--manifest", tmp_path / "manifest.json"]
+    assert run([argv[0], "--out", out, *argv[1:], "--keypoints", 2, *files]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "window coordinates must be finite"}
+    assert not out.exists()
+
+
 class TestReport:
     def test_full_report(self, dataset, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelstat.core import (
     BoxStats,
@@ -194,3 +196,30 @@ def test_labels_sorted():
     labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
     assert labels.video.tolist() == ["v1", "v1", "v2"] and labels.frame.tolist() == [1, 3, 0]
     assert labels.positive.tolist() == [False, True, False]
+
+
+LABEL_VIDEOS = ["a", "v", "v\x00", "v1"]
+QUERY_VIDEOS = [*LABEL_VIDEOS, "", "u", "v\x00\x00", "z"]  # and ids without labels, before, between and after
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(LABEL_VIDEOS), st.integers(0, 8)), unique=True, max_size=12),
+    st.integers(1, 4).flatmap(lambda T: st.lists(
+        st.tuples(st.sampled_from(QUERY_VIDEOS), st.lists(st.integers(0, 10), min_size=T, max_size=T)), max_size=5,
+    )),
+)
+def test_label_search_and_rows_match_a_count_over_the_label_keys(keys, windows):
+    labels = Labels.from_columns([v for v, _ in keys], [f for _, f in keys], [False] * len(keys))
+    ordered = sorted(keys)  # Python's (str, int) order: "v" < "v\x00" < "v1"
+    T = len(windows[0][1]) if windows else 1
+    video = np.array([v for v, _ in windows], dtype=object)
+    frame = np.array([f for _, frames in windows for f in frames], dtype=np.int64).reshape(len(windows), T)
+    queries = [[(v, f) for f in frames] for v, frames in windows]
+    before = [[sum(key < query for key in keys) for query in row] for row in queries]
+    row = [[ordered.index(query) if query in ordered else -1 for query in row] for row in queries]
+    # a (W, 1) column of ids against a (W, T) block of frames, and one id per frame
+    assert labels.search(video[:, None], frame).tolist() == before
+    assert labels.search(np.repeat(video, T), frame.ravel()).tolist() == sum(before, [])
+    assert labels.rows(video[:, None], frame).tolist() == row
+    assert labels.rows(np.repeat(video, T), frame.ravel()).tolist() == sum(row, [])

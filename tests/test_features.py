@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,8 @@ from skelstat.features import (
     window_starts,
 )
 from skelstat.ingest import DatasetBundle, VideoMeta, serialize_labels, serialize_manifest, serialize_tracklets
+from skelstat.metrics import windows_to_frame_scores
+from skelstat.synth import SynthSpec, TrajectoryShift, generate
 
 CFG = WindowingConfig(T=24, stride=6, k=17)
 CENTER = (50.0, 50.0)  # the frame center of the 100 x 100 videos of ``bundle_of``
@@ -400,3 +403,46 @@ def test_build_windows_uses_manifest_resolution():
     )
     (w,) = traj_windows(bundle)
     assert np.allclose(w.coords[0, 0], (100.0, 25.0), atol=1e-9)
+
+
+def shifted_bundle(offset):
+    """synth seed 3 (2 + 2 videos of 120 frames, 3 people, k = 17) with each
+    validation video's detection and label frames moved up by ``offset``."""
+    bundle = generate(SynthSpec(2, 2, 120, anomaly_modes=(TrajectoryShift(100.0),), anomaly_fraction=0.25, seed=3))
+    d, labels = bundle.detections, bundle.labels
+    val = [video for video, meta in bundle.videos.items() if meta.split == "val"]
+    video = np.array(d.video_ids, dtype=object)[d.video]
+    frame = d.frame + offset * np.isin(video, val)
+    detections = Detections.from_columns(video, np.array(d.track_ids, dtype=object)[d.track], frame, d.kp)
+    labels = Labels.from_columns(labels.video, labels.frame + offset * np.isin(labels.video, val), labels.positive)
+    return DatasetBundle(detections, labels, bundle.videos, bundle.config)
+
+
+def traced_peak(call):
+    """(result, peak bytes that tracemalloc saw) of ``call()``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeFrameNumbers:
+    """Window labelling and frame scoring allocate by labels and windows, not
+    by frame numbers: validation frames from 10^6 cost what frames from 0 do."""
+
+    def test_window_labelling(self):
+        bundle = shifted_bundle(10**6)
+        windows, peak = traced_peak(lambda: build_windows(bundle, FeatureType.POSE))
+        assert peak < 5 * 2**20
+        assert windows.split.tolist() == build_windows(shifted_bundle(0), FeatureType.POSE).split.tolist()
+
+    def test_frame_scores(self):
+        bundle = shifted_bundle(10**6)
+        windows = build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY)
+        scores = np.arange(len(windows), dtype=np.float64)
+        (frames, uncovered), peak = traced_peak(lambda: windows_to_frame_scores(windows, scores, bundle.labels))
+        assert peak < 5 * 2**20
+        unshifted, _ = windows_to_frame_scores(build_windows(shifted_bundle(0), FeatureType.ABSOLUTE_TRAJECTORY),
+                                               scores, shifted_bundle(0).labels)
+        assert frames.score.tolist() == unshifted.score.tolist() and uncovered == []

