@@ -443,6 +443,7 @@ class TestLargeFrameNumbers:
         scores = np.arange(len(windows), dtype=np.float64)
         (frames, uncovered), peak = traced_peak(lambda: windows_to_frame_scores(windows, scores, bundle.labels))
         assert peak < 5 * 2**20
-        unshifted, _ = windows_to_frame_scores(build_windows(shifted_bundle(0), FeatureType.ABSOLUTE_TRAJECTORY),
-                                               scores, shifted_bundle(0).labels)
+        base = shifted_bundle(0)
+        base_windows = build_windows(base, FeatureType.ABSOLUTE_TRAJECTORY)
+        unshifted, _ = windows_to_frame_scores(base_windows, scores, base.labels)
         assert frames.score.tolist() == unshifted.score.tolist() and uncovered == []
