@@ -114,14 +114,19 @@ def cmd_disthist(args) -> int:
     from .stats import box_stats, histogram, parse_binning
     binning = parse_binning(args.binning)
     out = Path(args.out)
-    if args.embeddings:
-        if args.feature:
-            raise DataError("--embeddings and --feature are mutually exclusive")
+    data = ("tracklets", "labels", "manifest")
+    if args.embeddings:  # latent mode reads no window data
+        given = [option for option in ("feature", *data) if getattr(args, option) is not None]
+        if given:
+            raise DataError(f"--embeddings and --{given[0]} are mutually exclusive")
         with open(args.embeddings, "r", encoding="utf-8") as fh:
             vectors, splits, _, prior = parse_embeddings(fh.read())
         series_by_split = latent_distances(vectors, splits, prior)
         tag = "latent"
     else:
+        missing = [option for option in data if getattr(args, option) is None]
+        if missing:
+            raise DataError(f"--{missing[0]} is required without --embeddings")
         feature, windows = _windows(args)
         series_by_split = distance_series(windows, feature)
         tag = feature.value
@@ -244,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stride", type=int, default=6)
             p.add_argument("--nodes", type=int, default=35, help="social node capacity N")
 
-    def add_data(p, windowing=True, feature=True):
+    def add_data(p, windowing=True, feature=True, required=True):
         add_common(p, windowing)
-        p.add_argument("--tracklets", required=True)
-        p.add_argument("--labels", required=True)
-        p.add_argument("--manifest", required=True)
+        p.add_argument("--tracklets", required=required)
+        p.add_argument("--labels", required=required)
+        p.add_argument("--manifest", required=required)
         if windowing:
             p.add_argument("--no-center", action="store_true")
             p.add_argument("--truncate-social", action="store_true")
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sdom)
 
     p = sub.add_parser("dist-hist", help="distance histograms and box statistics")
-    add_data(p)
+    add_data(p, required=False)  # cmd_disthist requires the data files without --embeddings
     p.add_argument("--binning", default="auto", help="auto | count:<n> | width:<w>")
     p.add_argument("--embeddings", default=None, help="latent mode: embedding file")
     p.set_defaults(func=cmd_disthist)

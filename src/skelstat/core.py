@@ -177,6 +177,9 @@ class Labels(NamedTuple):
         return np.where(hit, row, -1)
 
 
+MAX_WINDOW_PARAM = 10**6  # the largest T, stride, k or N a WindowingConfig takes
+
+
 @dataclass(frozen=True)
 class WindowingConfig:
     """Window geometry plus the skeleton layout needed to build features.
@@ -184,7 +187,8 @@ class WindowingConfig:
     ``hip_indices`` names the (left, right) hip joints used for person
     centers; unset, it is the COCO-17 pair (11, 12) when k >= 13, the
     first two joints when 2 <= k < 13 and the only joint when k == 1.
-    Frame sizes come from the manifest, one per video.
+    Frame sizes come from the manifest, one per video. T, stride, k and N
+    are at most ``MAX_WINDOW_PARAM``.
     """
 
     T: int = 24
@@ -205,6 +209,9 @@ class WindowingConfig:
             raise DataError(f"k must be >= 1, got {self.k}")
         if self.N < 1:
             raise DataError(f"N must be >= 1, got {self.N}")
+        for name in ("T", "stride", "k", "N"):
+            if getattr(self, name) > MAX_WINDOW_PARAM:
+                raise DataError(f"{name} must be <= {MAX_WINDOW_PARAM}, got {getattr(self, name)}")
         if not 0 <= min(self.hip_indices) <= max(self.hip_indices) < self.k:
             raise DataError(f"hip indices {self.hip_indices} outside the {self.k}-keypoint layout")
 

@@ -43,7 +43,8 @@ def person_center(kp: np.ndarray, hip_indices: Tuple[int, int] = (11, 12)) -> np
     left, right = hip_indices
     if not 0 <= min(left, right) <= max(left, right) < kp.shape[1]:
         raise DataError(f"hip indices {hip_indices} outside the {kp.shape[1]}-keypoint layout")
-    return (kp[:, left, :2] + kp[:, right, :2]) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # WindowBatch refuses a non-finite result
+        return (kp[:, left, :2] + kp[:, right, :2]) / 2.0
 
 
 def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -123,7 +124,8 @@ def _track_windows(bundle: DatasetBundle, points: np.ndarray, center: CenterPoli
     video, start = detections.video[first], detections.frame[first]
     if center is not CenterPolicy.NONE:
         size = np.array([(bundle.videos[v].width, bundle.videos[v].height) for v in video_ids]).reshape(-1, 2)
-        coords += _center_shift(coords, size[video] / 2.0, cfg.hip_indices)[:, None, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # WindowBatch refuses a non-finite result
+            coords += _center_shift(coords, size[video] / 2.0, cfg.hip_indices)[:, None, None, :]
     split, unlabeled = _window_splits(bundle, video_ids, video, start, cfg.T)
     if unlabeled:
         raise unlabeled[1]

@@ -12,11 +12,13 @@ sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
 labels without one validation frame, an empty label file, the synth
 files with the validation videos' frames shifted by 10^6, a file whose
-finite hip coordinates overflow their midpoint, a seeded embedding file,
-and one malformed tracklet, label, score, embedding and manifest file per
-fault family of its parser, made from those inputs. Some runs are
-refusals. One tracklet file with padded fields and non-ASCII digits is
-valid.
+finite hip coordinates overflow their midpoint, seeded embedding files of
+4 and of 12000 values a row, and one malformed tracklet, label, score,
+embedding and manifest file per fault family of its parser, made from
+those inputs. Every embedding command runs alone and again beside the
+synth data files, which it refuses. Some runs are refusals, among them
+window parameters above their cap. One tracklet file with padded fields
+and non-ASCII digits is valid.
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
 
@@ -212,23 +214,37 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     for command in ("sdom", "dist-hist"):
         run(f"overflow_{command}", command, *data("overflow", 2))
 
-    # latent distances of a seeded embedding file
-    rng = np.random.default_rng(3)
-    rows = [f"dim=4 mu={','.join(map(repr, rng.normal(size=4).tolist()))}"]
-    for i, split in enumerate(["train"] * 20 + ["val_normal"] * 10 + ["val_anomalous"] * 10):
-        vector = rng.normal(loc=2.0 if split == "val_anomalous" else 0.0, size=4)
-        rows.append(f"{split}\t{','.join(map(repr, vector.tolist()))}" + (f"\tw{i}" if i % 2 else ""))
-    (out / "embeddings.txt").write_text("\n".join(rows) + "\n")
+    # window parameters above the cap of 10^6; none of these sizes can be allocated
+    for tag, options in (("t", ["--t", str(2**63)]), ("stride", ["--stride", str(2**63)]),
+                         ("nodes", ["--feature", "social", "--nodes", str(2**62)]),
+                         ("keypoints", ["--keypoints", str(2**63)])):
+        run(f"refuse_window_{tag}", "sdom", *datasets["synth"][0], *options)
+
+    def embedding_run(name: str, *argv: str) -> None:
+        """dist-hist on an embedding file alone, and beside the synth data files it does not read."""
+        run(f"{name}_alone", "dist-hist", *argv)
+        run(name, "dist-hist", *datasets["synth"][0], *argv)
+
+    # latent distances of seeded embedding files: 4 values a row, and 12000, above the
+    # 10^4 at which OpenBLAS splits a dot product across threads
+    for tag, dim, n_train in (("", 4, 20), ("_large", 12000, 10)):
+        rng = np.random.default_rng(3)
+        rows = [f"dim={dim} mu={','.join(map(repr, rng.normal(size=dim).tolist()))}"]
+        for i, split in enumerate(["train"] * n_train + ["val_normal"] * 10 + ["val_anomalous"] * 10):
+            vector = rng.normal(loc=2.0 if split == "val_anomalous" else 0.0, size=dim)
+            rows.append(f"{split}\t{','.join(map(repr, vector.tolist()))}" + (f"\tw{i}" if i % 2 else ""))
+        (out / f"embeddings{tag}.txt").write_text("\n".join(rows) + "\n")
+    embedding_run("dist-hist_embeddings_large", "--embeddings", "embeddings_large.txt")
+    rows = (out / "embeddings.txt").read_text().splitlines()
     for tag, extra in (("auto", []), ("width", ["--binning", "width:0.5"])):
-        run(f"dist-hist_embeddings_{tag}", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
-            *extra)
-    run("refuse_embeddings_feature", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings.txt",
-        "--feature", "pose")
+        embedding_run(f"dist-hist_embeddings_{tag}", "--embeddings", "embeddings.txt", *extra)
+    embedding_run("refuse_embeddings_feature", "--embeddings", "embeddings.txt", "--feature", "pose")
+    run("refuse_disthist_no_manifest", "dist-hist", *datasets["synth"][0][:4], "--feature", "pose")
     # one training vector: a split of one distance, in one bin narrower than the float spacing
     header, *vectors = rows
     (out / "embeddings_one_train.txt").write_text("\n".join([header, vectors[0], *vectors[20:]]) + "\n")
-    run("refuse_width_float_spacing", "dist-hist", *datasets["synth"][0], "--embeddings", "embeddings_one_train.txt",
-        "--binning", "width:1e-310")
+    embedding_run("refuse_width_float_spacing", "--embeddings", "embeddings_one_train.txt",
+                  "--binning", "width:1e-310")
 
     # one malformed file per fault family of each parser: a valid file with a blank line
     # and a bad line appended, or with a bad header in place of its own
@@ -292,7 +308,7 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
             ("fields", "train"), ("split", "test\t1,2,3,4"), ("length", "train\t1,2"), ("value", "train\t1,2,3,inf"))},
     })
     for tag, path in paths.items():
-        run(f"fault_embeddings_{tag}", "dist-hist", *datasets["synth"][0], "--embeddings", path)
+        embedding_run(f"fault_embeddings_{tag}", "--embeddings", path)
 
     size = '"width": 640, "height": 360'
     paths = faulty("manifest", {

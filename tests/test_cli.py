@@ -138,8 +138,7 @@ class TestDistHist:
         emb.write_text("dim=2 mu=0,0\ntrain\t1,0\ntrain\t0,1\nval_normal\t2,0\nval_anomalous\t5,0\n")
         out = tmp_path / "out"
         code = run(
-            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "count:4",
-             "--tracklets", "x", "--labels", "x", "--manifest", "x"]
+            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "count:4"]
         )
         assert code == 0
         assert (out / "box_latent.json").exists()
@@ -151,8 +150,7 @@ class TestDistHist:
         emb.write_text("dim=2 mu=0,0\ntrain\t3,4\ntrain\t0,1\ntrain\t0,2\nval_normal\t2,0\nval_anomalous\t5,0\n")
         out = tmp_path / "out"
         code = run(
-            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "count:3",
-             "--tracklets", "x", "--labels", "x", "--manifest", "x"]
+            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "count:3"]
         )
         assert code == 0
         assert (out / "hist_latent_train.csv").read_text() == (
@@ -184,8 +182,7 @@ class TestDistHist:
         emb.write_text("dim=2 mu=0,0\ntrain\t3,4\nval_normal\t2,0\nval_anomalous\t5,0\n")
         out = tmp_path / "out"
         code = run(
-            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "width:1e-310",
-             "--tracklets", "x", "--labels", "x", "--manifest", "x"]
+            ["dist-hist", "--out", out, "--embeddings", emb, "--binning", "width:1e-310"]
         )
         assert code == 1
         assert json.loads(capsys.readouterr().err) == {
@@ -193,12 +190,29 @@ class TestDistHist:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--tracklets", "--labels", "--manifest"])
+    def test_embeddings_refuse_the_data_files(self, tmp_path, capsys, option):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")
+        out = tmp_path / "out"
+        assert run(["dist-hist", "--out", out, "--embeddings", emb, option, tmp_path / "absent"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"--embeddings and {option} are mutually exclusive"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--tracklets", "--labels", "--manifest"])
+    def test_window_mode_requires_every_data_file(self, dataset, tmp_path, capsys, option):
+        argv = data_args(dataset)
+        at = argv.index(option)
+        out = tmp_path / "out"
+        assert run(["dist-hist", "--out", out, *argv[:at], *argv[at + 2:]]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"{option} is required without --embeddings"}
+        assert not out.exists()
+
     def test_embeddings_and_feature_conflict(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
         emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")
         code = run(
-            ["dist-hist", "--out", tmp_path / "o", "--embeddings", emb, "--feature", "pose",
-             "--tracklets", "x", "--labels", "x", "--manifest", "x"]
+            ["dist-hist", "--out", tmp_path / "o", "--embeddings", emb, "--feature", "pose"]
         )
         assert code == 1
         err = json.loads(capsys.readouterr().err)
@@ -282,23 +296,45 @@ def test_non_numeric_manifest_size_is_refused(tmp_path, capsys, size, command):
     assert error == "manifest entry for 'v1': width and height must be finite numbers"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow in the midpoint
-@pytest.mark.parametrize("argv", [
+OVERFLOW_ARGV = [
     ["windows", "--feature", "pose"], ["windows", "--feature", "traj"],
     ["windows", "--feature", "traj", "--no-center"], ["sdom"], ["dist-hist"],
-])
-def test_finite_keypoints_whose_hip_midpoint_overflows_are_refused(tmp_path, capsys, argv):
-    # x = 1.7e308 on both hips: finite, but their sum is not
+]
+
+
+def overflow_argv(tmp_path, argv):
+    """``argv`` with --out and a k = 2 bundle whose training hips sit at x = 1.7e308:
+    finite, but their sum is not."""
     kp = {"t": "1.7e308,0.0,1.0;1.7e308,0.0,1.0", "a": "1.0,2.0,1.0;3.0,2.0,1.0", "b": "5.0,6.0,1.0;9.0,6.0,1.0"}
     (tmp_path / "tracklets.txt").write_text("".join(f"{v}\t{f}\tp\t{p}\n" for v, p in kp.items() for f in range(24)))
     (tmp_path / "labels.csv").write_text("".join(f"{v},{f},{int(v == 'b')}\n" for v in "ab" for f in range(24)))
     manifest = {v: {"split": "train" if v == "t" else "val", "width": 100, "height": 50} for v in kp}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    out = tmp_path / "out"
     files = ["--tracklets", tmp_path / "tracklets.txt", "--labels", tmp_path / "labels.csv",
              "--manifest", tmp_path / "manifest.json"]
-    assert run([argv[0], "--out", out, *argv[1:], "--keypoints", 2, *files]) == 1
+    return [str(a) for a in (argv[0], "--out", tmp_path / "out", *argv[1:], "--keypoints", 2, *files)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the midpoint overflows without a warning
+@pytest.mark.parametrize("argv", OVERFLOW_ARGV)
+def test_finite_keypoints_whose_hip_midpoint_overflows_are_refused(tmp_path, capsys, argv):
+    assert run(overflow_argv(tmp_path, argv)) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "window coordinates must be finite"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_ARGV)
+def test_overflow_refusal_is_one_json_line_on_stderr(tmp_path, argv):
+    proc = skelstat_child(["-m", "skelstat.cli", *overflow_argv(tmp_path, argv)])
+    assert (proc.returncode, proc.stderr) == (1, '{"error": "window coordinates must be finite"}\n')
+
+
+@pytest.mark.parametrize("option, value", [("--t", 2**63), ("--stride", 2**63), ("--nodes", 2**62)])
+def test_window_parameter_above_the_cap_is_refused(dataset, tmp_path, capsys, option, value):
+    out = tmp_path / "out"
+    assert run(["sdom", "--out", out, *data_args(dataset), "--feature", "social", option, value]) == 1
+    name = {"--t": "T", "--stride": "stride", "--nodes": "N"}[option]
+    assert json.loads(capsys.readouterr().err) == {"error": f"{name} must be <= 1000000, got {value}"}
     assert not out.exists()
 
 
@@ -344,11 +380,19 @@ class TestErrorHandling:
 LAYERS = {"analysis", "features", "stats", "synth", "metrics"}
 
 
+def skelstat_child(args, **env):
+    """Run ``python args`` in a fresh interpreter that finds this skelstat; each
+    ``env`` entry sets that variable, or unsets it when None."""
+    env = {**os.environ, "PYTHONPATH": str(Path(skelstat.__file__).parents[1]), **env}
+    env = {name: value for name, value in env.items() if value is not None}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def loaded_layers(code):
     """The skelstat modules a fresh interpreter holds after running ``code``."""
     probe = code + "\nimport sys; print(*(m for m in sys.modules if m.startswith('skelstat.')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(skelstat.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    proc = skelstat_child(["-c", probe])
+    assert proc.returncode == 0, proc.stderr
     return {name.split(".", 1)[1] for name in proc.stdout.split()}
 
 
@@ -372,6 +416,34 @@ def test_command_loads_only_its_layers(tmp_path, command, skipped):
             "--manifest", tmp_path / "manifest.json", *inputs]
     loaded = loaded_layers(f"from skelstat.cli import main; assert main({[str(a) for a in argv]!r}) == 0")
     assert loaded & LAYERS == LAYERS - skipped
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the threads in /proc/self/task")
+@pytest.mark.parametrize("value", [None, "2"])
+def test_import_pins_openblas_to_one_thread_unless_the_caller_sets_it(value):
+    if value == "2" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no more threads than there are cores")
+    probe = "import os, skelstat; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = skelstat_child(["-c", probe], OPENBLAS_NUM_THREADS=value)
+    assert proc.stdout.split() == (["1", "None"] if value is None else ["2", "2"])
+
+
+def test_large_embedding_distances_do_not_depend_on_the_blas_threads(tmp_path):
+    # 12000 values a row: OpenBLAS splits a dot product over 10^4 values across its threads
+    rng = np.random.default_rng(3)
+    rows = [f"dim=12000 mu={','.join(map(repr, rng.normal(size=12000).tolist()))}"]
+    for split in ["train"] * 10 + ["val_normal"] * 10 + ["val_anomalous"] * 10:
+        vector = rng.normal(loc=2.0 if split == "val_anomalous" else 0.0, size=12000)
+        rows.append(f"{split}\t{','.join(map(repr, vector.tolist()))}")
+    (tmp_path / "emb.txt").write_text("\n".join(rows) + "\n")
+    outputs = []
+    for value in (None, "1"):
+        out = tmp_path / f"out_{value}"
+        proc = skelstat_child(["-m", "skelstat.cli", "dist-hist", "--out", str(out), "--embeddings",
+                               str(tmp_path / "emb.txt")], OPENBLAS_NUM_THREADS=value)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

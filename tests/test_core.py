@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelstat.core import (
+    MAX_WINDOW_PARAM,
     BoxStats,
     DataError,
     Detections,
@@ -90,6 +91,13 @@ class TestWindowingConfig:
     def test_invalid(self, kw):
         with pytest.raises(DataError):
             WindowingConfig(**kw)
+
+    @pytest.mark.parametrize("name", ["T", "stride", "k", "N"])
+    @pytest.mark.parametrize("excess", [1, 2**63])
+    def test_above_the_cap(self, name, excess):
+        value = MAX_WINDOW_PARAM + excess
+        with pytest.raises(DataError, match=rf"^{name} must be <= 1000000, got {value}$"):
+            WindowingConfig(**{name: value})
 
     @pytest.mark.parametrize("hips", [(-1, 2), (2, -1), (0, 4), (4, 0)])
     def test_hip_pair_outside_the_layout(self, hips):
