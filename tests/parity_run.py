@@ -12,8 +12,11 @@ sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
 labels without one validation frame, an empty label file, the synth
 files with the validation videos' frames shifted by 10^6, a file whose
-finite hip coordinates overflow their midpoint, seeded embedding files of
-4 and of 12000 values a row, and one malformed tracklet, label, score,
+finite hip coordinates overflow their midpoint, the small synth files
+with the validation videos renamed ``v`` and ``v\\0`` (and labels and
+scores of a video the manifest lacks), seeded embedding files of 4 and of
+12000 values a row, an embedding file whose squared distance overflows,
+one of equal distances 2^53, and one malformed tracklet, label, score,
 embedding and manifest file per fault family of its parser, made from
 those inputs. Every embedding command runs alone and again beside the
 synth data files, which it refuses. Some runs are refusals, among them
@@ -214,6 +217,31 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     for command in ("sdom", "dist-hist"):
         run(f"overflow_{command}", command, *data("overflow", 2))
 
+    # ids that differ only by a trailing NUL: synth_small with val000 named v and val001 v\0
+    (out / "nul").mkdir()
+    rename = {"val000": "v", "val001": "v\x00"}
+    for name in ("tracklets.txt", "labels.csv", "scores_random.csv", "scores_distance.csv"):
+        sep = "\t" if name == "tracklets.txt" else ","
+        rows = [line.split(sep, 1) for line in (out / "synth_small" / name).read_text().splitlines()]
+        (out / "nul" / name).write_text("".join(f"{rename.get(video, video)}{sep}{rest}\n" for video, rest in rows))
+    manifest = json.loads((out / "synth_small" / "manifest.json").read_text())
+    (out / "nul" / "manifest.json").write_text(json.dumps({rename.get(v, v): meta for v, meta in manifest.items()}))
+    run("nul_validate", "validate", *data("nul", 4))
+    run("nul_report", "report", *data("nul", 4))
+    run("nul_sdom_social", "sdom", *data("nul", 4), "--feature", "social")
+    files = ["--labels", "nul/labels.csv", "--manifest", "nul/manifest.json"]
+    for oracle in ("random", "distance"):
+        for tag, extra in (("plain", []), ("per_video", ["--per-video-average"])):
+            run(f"nul_metrics_{oracle}_{tag}", "metrics", *files, "--scores", f"nul/scores_{oracle}.csv", *extra)
+    # labels and scores of a video the manifest lacks: metrics does not read the manifest's ids
+    labels = (out / "nul" / "labels.csv").read_text()
+    scores = (out / "nul" / "scores_random.csv").read_text()
+    (out / "nul" / "labels_unknown.csv").write_text(labels + "u,0,0\nu,1,1\n")
+    (out / "nul" / "scores_unknown.csv").write_text(scores + "u,1,0.5\nu,0,0.25\n")
+    for tag, extra in (("plain", []), ("per_video", ["--per-video-average"])):
+        run(f"nul_metrics_unknown_video_{tag}", "metrics", "--labels", "nul/labels_unknown.csv",
+            "--manifest", "nul/manifest.json", "--scores", "nul/scores_unknown.csv", *extra)
+
     # window parameters above the cap of 10^6; none of these sizes can be allocated
     for tag, options in (("t", ["--t", str(2**63)]), ("stride", ["--stride", str(2**63)]),
                          ("nodes", ["--feature", "social", "--nodes", str(2**62)]),
@@ -245,6 +273,12 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     (out / "embeddings_one_train.txt").write_text("\n".join([header, vectors[0], *vectors[20:]]) + "\n")
     embedding_run("refuse_width_float_spacing", "--embeddings", "embeddings_one_train.txt",
                   "--binning", "width:1e-310")
+    # a squared distance that overflows, and equal training distances of 2^53
+    (out / "embeddings_overflow.txt").write_text("dim=2 mu=0,0\ntrain\t1e200,1e200\n")
+    run("overflow_embeddings", "dist-hist", "--embeddings", "embeddings_overflow.txt")
+    (out / "embeddings_equal_2e53.txt").write_text("dim=1 mu=0\n" + "train\t9007199254740992\n" * 3)
+    for tag, extra in (("auto", []), ("count", ["--binning", "count:10"])):
+        run(f"refuse_equal_2e53_{tag}", "dist-hist", "--embeddings", "embeddings_equal_2e53.txt", *extra)
 
     # one malformed file per fault family of each parser: a valid file with a blank line
     # and a bad line appended, or with a bad header in place of its own
