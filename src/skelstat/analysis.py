@@ -160,9 +160,10 @@ def latent_distances(
     dim = prior.mu_normal.size
     if vectors.ndim != 2 or vectors.shape[1] != dim:
         raise DataError(f"embedding dimension does not match prior {dim}: got shape {vectors.shape}")
-    diff = vectors - prior.mu_normal
-    # a batched row dot product: the same bits as np.linalg.norm of each row
-    distances = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # DistanceSeries refuses a non-finite result
+        diff = vectors - prior.mu_normal
+        # a batched row dot product: the same bits as np.linalg.norm of each row
+        distances = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
     return {
         split: DistanceSeries(values=distances[splits == split.value], split=split, tag="latent")
         for split in Split

@@ -150,7 +150,9 @@ def cmd_metrics(args) -> int:
         frames = parse_scores(fh.read(), polarity, labels)
     uncovered = len(labels.frame) - len(frames.frame)  # parse_scores joins each score to its own label row
     if args.per_video_average:
-        report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video, uncovered)
+        report, skipped = metrics_report_per_video(
+            frames.score, frames.positive, frames.video, frames.video_ids, uncovered
+        )
         if skipped:
             logging.getLogger(__name__).warning("skipped single-class videos: %s", skipped)
         roc, pr = roc_curve(frames.score, frames.positive), pr_curve(frames.score, frames.positive)

@@ -46,9 +46,26 @@ class FeatureType(Enum):
 
 
 def _code(names) -> Tuple[Tuple[str, ...], np.ndarray]:
-    """Sorted table of the distinct names and each name's code into it."""
-    table, codes = np.unique(np.array(names, dtype=object), return_inverse=True)
-    return tuple(table.tolist()), codes.astype(np.int64)
+    """Sorted table of the distinct names and each name's int64 code into it,
+    from a stable sort and its run heads: exact for names with a trailing NUL."""
+    names = np.array(names, dtype=object)
+    order = np.argsort(names, kind="stable")
+    ordered = names[order]
+    head = np.r_[True, ordered[1:] != ordered[:-1]][: names.size]
+    codes = np.empty(names.size, dtype=np.int64)
+    codes[order] = np.cumsum(head) - 1
+    return tuple(ordered[head].tolist()), codes
+
+
+def code_into(video_ids: Tuple[str, ...], names) -> np.ndarray:
+    """Each name's code in the table ``video_ids``; len(video_ids) for a name it lacks."""
+    index = dict(zip(video_ids, range(len(video_ids))))
+    return np.array([index.get(name, len(video_ids)) for name in names], dtype=np.int64)
+
+
+def video_names(table) -> np.ndarray:
+    """Each row's video id, as an object array, of a table with ``video_ids`` and ``video`` codes."""
+    return np.array(table.video_ids, dtype=object)[table.video]
 
 
 def _bounds(new: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -108,13 +125,6 @@ class Detections(NamedTuple):
         return _bounds(new, len(self.frame))
 
 
-def run_codes(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(names, codes) of a sorted object column of ids: one name per run of
-    equal ids, and each row's run number. Exact for ids with a trailing NUL."""
-    head = np.r_[True, ids[1:] != ids[:-1]][: ids.size]
-    return ids[head], np.cumsum(head) - 1
-
-
 def frame_extent(n: int, *columns) -> Tuple[np.ndarray, np.ndarray]:
     """(first, last) frame of each code below n over pairs of (codes,
     frames) columns; (0, -1) for a code without rows, so last - first + 1
@@ -129,51 +139,46 @@ def frame_extent(n: int, *columns) -> Tuple[np.ndarray, np.ndarray]:
 
 class Labels(NamedTuple):
     """Frame labels as columns, one row per labeled frame, sorted by
-    (video, frame)."""
+    (video, frame); video ids are codes into a sorted name table."""
 
-    video: np.ndarray  # video ids, an object array of str
+    video_ids: Tuple[str, ...]  # name table of the video codes
+    video: np.ndarray  # int64 codes into video_ids
     frame: np.ndarray  # int64 frame indices
     positive: np.ndarray  # bool, True where the frame is labeled Anomalous
 
     @classmethod
     def from_columns(cls, video, frame, positive) -> "Labels":
-        """Labels sorted by (video, frame); refuses columns of unequal
-        length, negative frames and repeated (video, frame) rows."""
-        video, frame = np.array(video, dtype=object), np.asarray(frame, dtype=np.int64)
-        positive = np.asarray(positive, dtype=bool)
+        """Labels sorted by (video, frame) from per-row video ids, frames and flags;
+        refuses columns of unequal length, negative frames and repeated (video, frame) rows."""
+        frame, positive = np.asarray(frame, dtype=np.int64), np.asarray(positive, dtype=bool)
         if not len(video) == len(frame) == len(positive):
             raise DataError(f"label columns must have one length, got {len(video)}, {len(frame)}, {len(positive)}")
         if (frame < 0).any():
             raise DataError(f"frame_index must be non-negative, got {frame.min()}")
-        order = np.argsort(video, kind="stable")  # cheap on a sorted column; lexsort over objects is not
-        order = order[np.lexsort((frame[order], run_codes(video[order])[1]))]
-        labels = cls(video[order], frame[order], positive[order])
-        same = np.flatnonzero(labels.frame[1:] == labels.frame[:-1])
-        same = same[labels.video[same] == labels.video[same + 1]]
-        if same.size:
-            raise DataError(f"duplicate label for ({labels.video[same[0]]}, frame {labels.frame[same[0]]})")
+        video_ids, video = _code(video)
+        order = np.lexsort((frame, video))
+        labels = cls(video_ids, video[order], frame[order], positive[order])
+        same = (np.diff(labels.video) == 0) & (np.diff(labels.frame) == 0)
+        if same.any():
+            i = same.argmax()
+            raise DataError(f"duplicate label for ({video_ids[labels.video[i]]}, frame {labels.frame[i]})")
         return labels
 
     def search(self, video, frame) -> np.ndarray:
-        """The number of label rows before each (video, frame) in (video,
-        frame) order: its label's row, or where that row would be inserted.
-        Broadcasts, so a (W, 1) column of ids meets a (W, T) block of frames
-        with one name search per id. Exact for ids with a trailing NUL."""
-        video, frame = np.asarray(video, dtype=object), np.asarray(frame, dtype=np.int64)
-        names, label_code = run_codes(self.video)
+        """The number of label rows before each (video code, frame) in (video,
+        frame) order: its label's row, or where that row would be inserted; a
+        code of len(video_ids) sorts after every row. Broadcasts, so a (W, 1)
+        column of codes meets a (W, T) block of frames."""
         frames = np.unique(self.frame)
-        # (video code, frame rank) keys, with rank frames.size free for a frame
-        # past the last: a video without labels takes rank 0 at its insertion code
-        label_key = label_code * (frames.size + 1) + np.searchsorted(frames, self.frame)
-        code = np.searchsorted(names, video)
-        known = np.append(names, None)[code] == video
-        key = code * (frames.size + 1) + np.where(known, np.searchsorted(frames, frame), 0)
-        return np.searchsorted(label_key, key)
+        # (video code, frame rank) keys, with rank frames.size free for a frame past the last
+        span = frames.size + 1
+        key = np.asarray(video, dtype=np.int64) * span + np.searchsorted(frames, frame)
+        return np.searchsorted(self.video * span + np.searchsorted(frames, self.frame), key)
 
     def rows(self, video, frame) -> np.ndarray:
-        """The label row of each (video, frame), -1 where none is labeled."""
-        video, row = np.asarray(video, dtype=object), self.search(video, frame)
-        hit = (np.append(self.video, None)[row] == video) & (np.append(self.frame, -1)[row] == frame)
+        """The label row of each (video code, frame), -1 where none is labeled."""
+        row = self.search(video, frame)
+        hit = (np.append(self.video, -1)[row] == video) & (np.append(self.frame, -1)[row] == frame)
         return np.where(hit, row, -1)
 
 
@@ -232,22 +237,21 @@ class WindowBatch:
     ``coords[w]`` is window w's (T, k, 2) tensor: k joints of one track
     (pose), its hip midpoint (trajectory, k = 1) or k = N social slots.
     ``mask`` marks the occupied entries; the others hold exactly (0, 0).
-    Video and track ids are codes into sorted name tables (object arrays,
-    so ids keep a trailing NUL), so code order is name order. A window's
-    track ids are its row of ``track`` up to the first -1: one track for
-    pose and trajectory windows, the track of each occupied social slot in
-    slot order. The builders emit windows in (video, track ids, start)
-    order. ``len()`` is the window count. Every batch refuses non-finite
-    coordinates.
+    Video and track ids are codes into sorted name tables, so code order
+    is name order. A window's track ids are its row of ``track`` up to the
+    first -1: one track for pose and trajectory windows, the track of each
+    occupied social slot in slot order. The builders emit windows in
+    (video, track ids, start) order. ``len()`` is the window count. Every
+    batch refuses non-finite coordinates.
     """
 
     coords: np.ndarray  # (W, T, k, 2) float64
     mask: np.ndarray  # (W, T, k) bool
-    video_ids: np.ndarray  # object array of str: the name table of the video codes
+    video_ids: Tuple[str, ...]  # name table of the video codes
     video: np.ndarray  # (W,) int64 codes into video_ids
     start: np.ndarray  # (W,) int64 first frame of each window
     split: np.ndarray  # (W,) int8 codes into SPLITS
-    track_ids: np.ndarray  # object array of str: the name table of the track codes
+    track_ids: Tuple[str, ...]  # name table of the track codes
     track: np.ndarray  # (W, m) int64 codes into track_ids, -1 after a window's last track
 
     def __post_init__(self):
@@ -276,9 +280,8 @@ class WindowBatch:
         track = np.full((len(tracks), int(counts.max(initial=0))), -1, dtype=np.int64)
         track[np.arange(track.shape[1]) < counts[:, None]] = codes
         batch = cls(
-            _freeze(coords), _freeze(mask), np.array(video_ids, dtype=object), video,
-            np.asarray(start, dtype=np.int64), np.array([SPLITS.index(s) for s in split], dtype=np.int8),
-            np.array(track_ids, dtype=object), track,
+            _freeze(coords), _freeze(mask), video_ids, video, np.asarray(start, dtype=np.int64),
+            np.array([SPLITS.index(s) for s in split], dtype=np.int8), track_ids, track,
         )
         if coords[~mask].any():
             raise DataError("masked-out coordinates must be exactly (0, 0)")
@@ -338,10 +341,11 @@ class EmbeddingPrior:
 
 
 class FrameScores(NamedTuple):
-    """Per-frame anomaly scores as columns, one row per labeled frame;
-    a higher score always means more anomalous."""
+    """Per-frame anomaly scores as columns, one row per labeled frame, coded
+    as the labels are; a higher score always means more anomalous."""
 
-    video: np.ndarray  # video ids, an object array of str
+    video_ids: Tuple[str, ...]  # name table of the video codes
+    video: np.ndarray  # int64 codes into video_ids
     frame: np.ndarray  # int64 frame indices
     score: np.ndarray  # float64
     positive: np.ndarray  # bool, True where the frame is labeled Anomalous

@@ -24,6 +24,7 @@ from .core import (
     Split,
     WindowBatch,
     frame_extent,
+    video_names,
 )
 from .ingest import DatasetBundle, format_rows
 
@@ -84,7 +85,7 @@ def center_window(coords: np.ndarray, frame_center, hip_indices: Tuple[int, int]
 
 
 def _window_splits(
-    bundle: DatasetBundle, video_ids: np.ndarray, video: np.ndarray, start: np.ndarray, T: int
+    bundle: DatasetBundle, video: np.ndarray, start: np.ndarray, T: int
 ) -> Tuple[np.ndarray, Optional[Tuple[int, DataError]]]:
     """Split codes (``SPLITS``) of windows sorted by video, by the
     any-anomalous rule over each window's T frames: training windows are
@@ -93,17 +94,17 @@ def _window_splits(
     validation frame, its index and the error (None if no window does).
     """
     split = np.full(len(start), _TRAIN, dtype=np.int8)
-    is_val = np.array([bundle.videos[v].split != "train" for v in video_ids], dtype=bool)
-    rows = np.flatnonzero(is_val[video])
     labels = bundle.labels
+    is_val = np.array([bundle.videos[v].split != "train" for v in labels.video_ids], dtype=bool)
+    rows = np.flatnonzero(is_val[video])
     # label rows [lo, hi) hold the window's frames; labels are unique per frame
-    lo, hi = labels.search(video_ids[video[rows]][:, None], start[rows][:, None] + [0, T]).T
+    lo, hi = labels.search(video[rows][:, None], start[rows][:, None] + [0, T]).T
     missing = np.flatnonzero(hi - lo < T)
     if missing.size:
         i = missing[0]
         row = int(rows[i])
         frame = np.setdiff1d(np.arange(start[row], start[row] + T), labels.frame[lo[i] : hi[i]])[0]
-        error = DataError(f"unlabeled validation frame ({video_ids[video[row]]}, {frame}) inside window")
+        error = DataError(f"unlabeled validation frame ({labels.video_ids[video[row]]}, {frame}) inside window")
         return split, (row, error)
     anomalous = np.r_[0, np.cumsum(labels.positive)]
     split[rows] = np.where(anomalous[hi] > anomalous[lo], _VAL_ANOMALOUS, _VAL_NORMAL)
@@ -120,18 +121,17 @@ def _track_windows(bundle: DatasetBundle, points: np.ndarray, center: CenterPoli
     starts, stops = detections.run_bounds()
     _, first = window_starts(starts, stops - starts, cfg.T, cfg.stride)
     coords = points[first[:, None] + np.arange(cfg.T)]
-    video_ids = np.array(detections.video_ids, dtype=object)
     video, start = detections.video[first], detections.frame[first]
     if center is not CenterPolicy.NONE:
-        size = np.array([(bundle.videos[v].width, bundle.videos[v].height) for v in video_ids]).reshape(-1, 2)
+        size = np.array([(m.width, m.height) for m in map(bundle.videos.get, detections.video_ids)]).reshape(-1, 2)
         with np.errstate(over="ignore", invalid="ignore"):  # WindowBatch refuses a non-finite result
             coords += _center_shift(coords, size[video] / 2.0, cfg.hip_indices)[:, None, None, :]
-    split, unlabeled = _window_splits(bundle, video_ids, video, start, cfg.T)
+    split, unlabeled = _window_splits(bundle, video, start, cfg.T)
     if unlabeled:
         raise unlabeled[1]
     return WindowBatch(
-        coords, np.ones(coords.shape[:3], dtype=bool), video_ids, video, start, split,
-        np.array(detections.track_ids, dtype=object), detections.track[first][:, None],
+        coords, np.ones(coords.shape[:3], dtype=bool), detections.video_ids, video, start, split,
+        detections.track_ids, detections.track[first][:, None],
     )
 
 
@@ -147,8 +147,8 @@ def _social_windows(bundle: DatasetBundle, truncate: bool) -> WindowBatch:
     """
     detections, labels, cfg = bundle.detections, bundle.labels, bundle.config
     T, stride, N = cfg.T, cfg.stride, cfg.N
-    video_ids, row_video, label_video = bundle.manifest_codes()
-    first, last = frame_extent(len(video_ids), (row_video, detections.frame), (label_video, labels.frame))
+    video_ids, row_video = detections.video_ids, detections.video
+    first, last = frame_extent(len(video_ids), (row_video, detections.frame), (labels.video, labels.frame))
     window_video, start = window_starts(first, last - first + 1, T, stride)
     n_windows = np.bincount(window_video, minlength=len(video_ids))
 
@@ -166,7 +166,7 @@ def _social_windows(bundle: DatasetBundle, truncate: bool) -> WindowBatch:
     counts = np.bincount(slot_window, minlength=len(start))
     slot = np.arange(len(occupied)) - (np.cumsum(counts) - counts)[slot_window]
 
-    split, unlabeled = _window_splits(bundle, video_ids, window_video, start, T)
+    split, unlabeled = _window_splits(bundle, window_video, start, T)
     stop = unlabeled[0] if unlabeled else len(start)
     for w in np.flatnonzero(counts > N).tolist():
         if w > stop:
@@ -200,7 +200,7 @@ def _social_windows(bundle: DatasetBundle, truncate: bool) -> WindowBatch:
     mask[at] = True
     return WindowBatch(
         coords, mask, video_ids, window_video[order], start[order], split[order],
-        np.array(detections.track_ids, dtype=object), track[order],
+        detections.track_ids, track[order],
     )
 
 
@@ -235,7 +235,7 @@ def serialize_windows(windows: WindowBatch) -> str:
     W, T, k = windows.mask.shape
     bits = (windows.mask.reshape(W, T * k).view(np.uint8) + ord("0")).tobytes().decode("ascii")
     columns = [
-        windows.video_ids[windows.video].tolist(),
+        video_names(windows).tolist(),
         windows.start.tolist(),
         np.array([s.value for s in SPLITS], dtype=object)[windows.split].tolist(),
         np.array([_label(s).value for s in SPLITS], dtype=object)[windows.split].tolist(),

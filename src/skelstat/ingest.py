@@ -29,7 +29,10 @@ from .core import (
     ParseError,
     Split,
     WindowingConfig,
+    _code,
+    code_into,
     frame_extent,
+    video_names,
 )
 
 
@@ -55,7 +58,8 @@ class VideoMeta:
 
 @dataclass
 class DatasetBundle:
-    """A fully assembled dataset: detections, labels, manifest, window config."""
+    """A fully assembled dataset: detections, labels, manifest, window config;
+    the detections and labels carry codes into the sorted manifest ids."""
 
     detections: Detections
     labels: Labels
@@ -63,21 +67,16 @@ class DatasetBundle:
     config: WindowingConfig
 
     def __post_init__(self):
-        label_videos = np.unique(self.labels.video).tolist()
-        for kind, video_ids in (("tracklet", self.detections.video_ids), ("label", label_videos)):
-            missing = [v for v in video_ids if v not in self.videos]
-            if missing:
-                raise DataError(f"{kind} video {missing[0]!r} missing from manifest")
+        video_ids = tuple(sorted(self.videos))
+        for kind, field in (("tracklet", "detections"), ("label", "labels")):
+            table = getattr(self, field)
+            code = code_into(video_ids, table.video_ids)
+            if len(video_ids) in code:  # argmax finds the first name the manifest lacks
+                raise DataError(f"{kind} video {table.video_ids[code.argmax()]!r} missing from manifest")
+            setattr(self, field, table._replace(video_ids=video_ids, video=code[table.video]))
         k = self.detections.kp.shape[1]
         if k != self.config.k:
             raise DataError(f"detections have {k} keypoints, configured k={self.config.k}")
-
-    def manifest_codes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sorted manifest ids as an object array, and the code into it
-        of each detection row and of each label row."""
-        video_ids = np.array(sorted(self.videos), dtype=object)
-        detection_video = np.searchsorted(video_ids, np.array(self.detections.video_ids, dtype=object))
-        return video_ids, detection_video[self.detections.video], np.searchsorted(video_ids, self.labels.video)
 
 
 def format_rows(template: str, columns: Sequence[Sequence]) -> str:
@@ -205,9 +204,8 @@ def serialize_tracklets(detections: Detections) -> str:
     """The tracklet text of a table, one line per row in table order."""
     d = detections
     k = d.kp.shape[1]
-    video = np.array(d.video_ids, dtype=object)[d.video].tolist()
     track = np.array(d.track_ids, dtype=object)[d.track].tolist()
-    columns = [video, d.frame.tolist(), track, *d.kp.reshape(-1, 3 * k).T.tolist()]
+    columns = [video_names(d).tolist(), d.frame.tolist(), track, *d.kp.reshape(-1, 3 * k).T.tolist()]
     return format_rows("%s\t%d\t%s\t" + ";".join(["%r,%r,%r"] * k), columns)
 
 
@@ -281,7 +279,7 @@ def _raise_first_fault(lines: List[str], what: str, check) -> NoReturn:
 
 
 def serialize_labels(labels: Labels) -> str:
-    return format_rows("%s,%s,%d", [labels.video.tolist(), labels.frame.tolist(), labels.positive.tolist()])
+    return format_rows("%s,%s,%d", [video_names(labels).tolist(), labels.frame.tolist(), labels.positive.tolist()])
 
 
 _SPLIT_TOKENS = {s.value: s for s in Split}
@@ -342,10 +340,11 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
     sorted by (video, frame).
 
     Normality scores are negated so downstream metrics can always assume
-    higher = more anomalous. Valid text is converted column by column and
-    joined to the label rows by ``Labels.rows``. On
-    any fault the lines are checked one by one, and the first bad line is
-    raised as a ParseError.
+    higher = more anomalous. Valid text is converted column by column, its
+    video names coded into the labels' table, and joined to the label rows
+    by ``Labels.rows``. On any fault, an unlabeled video included, the
+    lines are checked one by one, and the first bad line is raised as a
+    ParseError.
     """
     lines = text.splitlines()
     columns = _columns(lines)
@@ -356,15 +355,15 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
         except ValueError:
             score = None
         if score is not None and np.isfinite(score).all():
-            video = np.array(video, dtype=object)
-            row = labels.rows(video, frame)
+            video_ids, video = _code(video)
+            row = labels.rows(code_into(labels.video_ids, video_ids)[video], frame)
             order = np.argsort(row, kind="stable")
             row = row[order]
             if (row >= 0).all() and (np.diff(row) != 0).all():
-                if polarity is ScorePolarity.NORMALITY:
-                    score = -score
-                return FrameScores(video[order], frame[order], score[order], labels.positive[row])
-    labeled = set(zip(labels.video.tolist(), labels.frame.tolist()))
+                score = -score[order] if polarity is ScorePolarity.NORMALITY else score[order]
+                return FrameScores(labels.video_ids, labels.video[row], labels.frame[row], score,
+                                   labels.positive[row])
+    labeled = set(zip(video_names(labels).tolist(), labels.frame.tolist()))
 
     def check(line: str, line_number: int) -> Tuple[str, int]:
         key, text = _csv_fields(line, "score", line_number)
@@ -439,7 +438,7 @@ def validate_bundle(bundle: DatasetBundle) -> ValidationReport:
     the training split are fatal (the setting is unsupervised). Every count
     is one reduction over a whole table by manifest video code."""
     detections, labels = bundle.detections, bundle.labels
-    video_ids, row_video, label_video = bundle.manifest_codes()
+    video_ids, row_video, label_video = detections.video_ids, detections.video, labels.video
     n = len(video_ids)
     starts, stops = detections.run_bounds()
     runs = stops - starts
@@ -448,7 +447,7 @@ def validate_bundle(bundle: DatasetBundle) -> ValidationReport:
     n_labeled = np.bincount(label_video, minlength=n)
     videos = list(map(
         VideoReport,
-        video_ids.tolist(),
+        video_ids,
         [bundle.videos[v].split for v in video_ids],
         np.bincount(row_video[detections.tracklet_bounds()[0]], minlength=n).tolist(),
         np.bincount(row_video, minlength=n).tolist(),

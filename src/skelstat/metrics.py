@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import DataError, FrameScores, Labels, MetricsReport, WindowBatch
+from .core import DataError, FrameScores, Labels, MetricsReport, WindowBatch, code_into, video_names
 
 
 def _threshold_counts(scores, positive) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
@@ -152,14 +152,14 @@ def windows_to_frame_scores(
     head = np.flatnonzero(np.r_[True, (np.diff(video) != 0) | (np.diff(frame) != 0)][: frame.size])
     best = np.maximum.reduceat(position_scores, head)
 
-    label_row = labels.rows(windows.video_ids[video[head]], frame[head])
+    label_row = labels.rows(code_into(labels.video_ids, windows.video_ids)[video[head]], frame[head])
     hit = label_row >= 0
     frame_best = np.full(len(labels.frame), -np.inf)  # -inf: no window covers the frame
     frame_best[label_row[hit]] = best[hit]
     covered = np.isfinite(frame_best)
     score = np.where(covered, frame_best, best.min() if best.size else 0.0)
-    uncovered = list(zip(labels.video[~covered].tolist(), labels.frame[~covered].tolist()))
-    return FrameScores(labels.video, labels.frame, score, labels.positive), uncovered
+    uncovered = list(zip(video_names(labels)[~covered].tolist(), labels.frame[~covered].tolist()))
+    return FrameScores(labels.video_ids, labels.video, labels.frame, score, labels.positive), uncovered
 
 
 def metrics_report(
@@ -184,22 +184,20 @@ def metrics_report(
 
 
 def metrics_report_per_video(
-    scores, positive, video, uncovered_frames: int = 0
+    scores, positive, video, video_ids, uncovered_frames: int = 0
 ) -> Tuple[MetricsReport, List[str]]:
-    """Average the three metrics over videos instead of concatenating.
+    """Average the three metrics over videos, each sample's code into
+    ``video_ids`` in ``video``, instead of concatenating.
 
     Single-class videos cannot be scored and are skipped; their ids are
     returned alongside the averaged report.
     """
-    scores, positive = np.asarray(scores), np.asarray(positive, dtype=bool)
-    # codes, not `video == video_id`: numpy compares a str scalar without its trailing NULs
-    video_ids, video = np.unique(np.asarray(video, dtype=object), return_inverse=True)
-    reports = []
-    skipped = []
-    for code, video_id in enumerate(video_ids.tolist()):
+    scores, positive, video = np.asarray(scores), np.asarray(positive, dtype=bool), np.asarray(video)
+    reports, skipped = [], []
+    for code in np.flatnonzero(np.bincount(video)).tolist():  # the codes with samples
         rows = video == code
         if positive[rows].all() or not positive[rows].any():
-            skipped.append(video_id)
+            skipped.append(video_ids[code])
             continue
         reports.append(metrics_report(scores[rows], positive[rows])[0])
     if not reports:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -70,16 +70,14 @@ class Histogram:
         }
 
 
-def _auto_bin_count(values: np.ndarray) -> Optional[int]:
-    """Freedman-Diaconis bin count clamped to [10, 200]; None when IQR is 0."""
+def _auto_bin_count(values: np.ndarray) -> int:
+    """Freedman-Diaconis bin count clamped to [10, 200]; 10 when IQR is 0."""
     q1, q3 = np.quantile(values, [0.25, 0.75])
     iqr = q3 - q1
     if iqr == 0:
-        return None
+        return 10
     width = 2.0 * iqr / len(values) ** (1.0 / 3.0)
     span = float(values.max() - values.min())
-    if span == 0:
-        return None
     return int(min(200, max(10, math.ceil(span / width))))
 
 
@@ -92,9 +90,8 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
     split_tag = series.split.value if series.split else series.tag
 
     if binning == AUTO:
-        n = _auto_bin_count(values)
-        binning = FixedCount(n) if n is not None else FixedCount(10)
-    if isinstance(binning, FixedCount):
+        n_bins, spec = _auto_bin_count(values), AUTO
+    elif isinstance(binning, FixedCount):
         if binning.n < 1:
             raise DataError(f"bin count must be positive, got {binning.n}")
         n_bins, spec = binning.n, f"count:{binning.n}"
@@ -112,12 +109,10 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
         raise DataError(f"binning {spec} needs more than {MAX_BINS} bins")
     if isinstance(binning, FixedWidth):
         edges = lo + binning.width * np.arange(n_bins + 1)
-        if (np.diff(edges) <= 0).any():  # lo + width * i stopped growing
-            raise DataError(f"binning {spec} is below the float spacing of the distances")
-    elif lo == hi:
-        edges = np.linspace(lo - 0.5, hi + 0.5, n_bins + 1)
-    else:
-        edges = np.linspace(lo, hi, n_bins + 1)
+    else:  # equal distances get the unit range around them
+        edges = np.linspace(lo - 0.5, hi + 0.5, n_bins + 1) if lo == hi else np.linspace(lo, hi, n_bins + 1)
+    if (np.diff(edges) <= 0).any():  # the edges stopped growing: bins narrower than the float spacing
+        raise DataError(f"binning {spec} is below the float spacing of the distances")
     counts, _ = np.histogram(values, bins=edges)
     return Histogram(bin_edges=edges, counts=counts, split=split_tag)
 

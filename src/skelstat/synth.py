@@ -16,7 +16,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .analysis import distance_series, windows_by_split
-from .core import DataError, Detections, FeatureType, Labels, Split, WindowingConfig
+from .core import DataError, Detections, FeatureType, Labels, Split, WindowingConfig, video_names
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle, VideoMeta
 from .metrics import windows_to_frame_scores
@@ -229,7 +229,7 @@ def oracle_scores(
             scores = labels.positive.astype(np.float64)
         else:
             scores = np.random.default_rng(seed).random(len(labels.frame))
-        return list(zip(labels.video.tolist(), labels.frame.tolist(), scores.tolist()))
+        return list(zip(video_names(labels).tolist(), labels.frame.tolist(), scores.tolist()))
 
     # distance mode: uncentered trajectories keep absolute displacement, so
     # shifted segments stand out against the training mean
@@ -241,4 +241,4 @@ def oracle_scores(
     series = distance_series(windows, FeatureType.ABSOLUTE_TRAJECTORY)
     scores = np.concatenate([series[s].values for s in (Split.VAL_NORMAL, Split.VAL_ANOMALOUS) if s in series])
     frames, _ = windows_to_frame_scores(windows, scores, labels, rows=val)
-    return list(zip(frames.video.tolist(), frames.frame.tolist(), frames.score.tolist()))
+    return list(zip(video_names(frames).tolist(), frames.frame.tolist(), frames.score.tolist()))

@@ -22,6 +22,7 @@ carries the text of the error the program must raise.
 import math
 from typing import Dict, List, NamedTuple, Tuple
 
+from skelstat.core import video_names
 from skelstat.ingest import parse_labels, parse_manifest, parse_tracklets
 
 Point = Tuple[float, float]
@@ -59,7 +60,7 @@ def read_dataset(tracklets_text: str, labels_text: str, manifest_text: str, k: i
         video_tracks.setdefault(detections.track_ids[track], {})[frame] = [tuple(p) for p in joints]
     labels: Dict[str, Dict[int, bool]] = {}
     table = parse_labels(labels_text)
-    for video, frame, positive in zip(table.video.tolist(), table.frame.tolist(), table.positive.tolist()):
+    for video, frame, positive in zip(video_names(table).tolist(), table.frame.tolist(), table.positive.tolist()):
         labels.setdefault(video, {})[frame] = positive
     videos = {v: (m.split, m.width, m.height) for v, m in parse_manifest(manifest_text).items()}
     return Dataset(tracks, labels, videos)

@@ -190,6 +190,24 @@ class TestDistHist:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["auto", "count:10"])
+    def test_equal_distances_above_the_float_spacing_are_refused(self, tmp_path, capsys, spec):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=1 mu=0\n" + "train\t9007199254740992\n" * 3)  # three distances of 2^53
+        out = tmp_path / "out"
+        assert run(["dist-hist", "--out", out, "--embeddings", emb, "--binning", spec]) == 1
+        error = f"binning {spec} is below the float spacing of the distances"
+        assert capsys.readouterr().err == json.dumps({"error": error}) + "\n"
+        assert not out.exists()
+
+    def test_overflowing_latent_distance_is_one_json_line_on_stderr(self, tmp_path):
+        # the squared distance of (1e200, 1e200) overflows; DistanceSeries refuses it without a numpy warning
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=2 mu=0,0\ntrain\t1e200,1e200\n")
+        argv = ["dist-hist", "--out", str(tmp_path / "out"), "--embeddings", str(emb)]
+        proc = skelstat_child(["-m", "skelstat.cli", *argv])
+        assert (proc.returncode, proc.stderr) == (1, '{"error": "distances must be finite and non-negative"}\n')
+
     @pytest.mark.parametrize("option", ["--tracklets", "--labels", "--manifest"])
     def test_embeddings_refuse_the_data_files(self, tmp_path, capsys, option):
         emb = tmp_path / "emb.txt"

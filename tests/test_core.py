@@ -16,6 +16,9 @@ from skelstat.core import (
     Split,
     WindowBatch,
     WindowingConfig,
+    _code,
+    code_into,
+    video_names,
 )
 
 
@@ -202,12 +205,28 @@ def test_label_columns_of_unequal_length_refused(video, frame, positive):
 
 def test_labels_sorted():
     labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
-    assert labels.video.tolist() == ["v1", "v1", "v2"] and labels.frame.tolist() == [1, 3, 0]
+    assert labels.video_ids == ("v1", "v2") and labels.video.tolist() == [0, 0, 1]
+    assert video_names(labels).tolist() == ["v1", "v1", "v2"] and labels.frame.tolist() == [1, 3, 0]
     assert labels.positive.tolist() == [False, True, False]
 
 
+CODE_IDS = ["v", "v\x00", "v\x00\x00", "", "a", "v1", "w"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(CODE_IDS), max_size=30), st.booleans())
+def test_code_matches_numpy_unique(ids, grouped):
+    if grouped:
+        ids = sorted(ids, key=ids.index)  # runs of equal ids, in the order they first appear
+    table, codes = _code(ids)
+    expected_table, expected_codes = np.unique(np.array(ids, dtype=object), return_inverse=True)
+    assert table == tuple(expected_table.tolist())
+    assert codes.dtype == np.int64 and codes.tolist() == expected_codes.tolist()
+
+
 LABEL_VIDEOS = ["a", "v", "v\x00", "v1"]
-QUERY_VIDEOS = [*LABEL_VIDEOS, "", "u", "v\x00\x00", "z"]  # and ids without labels, before, between and after
+TABLE = sorted([*LABEL_VIDEOS, "", "u", "v\x00\x00"])  # and ids without labels, before and between
+QUERY_VIDEOS = [*TABLE, "z"]  # and an id after every name, outside the table
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -219,9 +238,11 @@ QUERY_VIDEOS = [*LABEL_VIDEOS, "", "u", "v\x00\x00", "z"]  # and ids without lab
 )
 def test_label_search_and_rows_match_a_count_over_the_label_keys(keys, windows):
     labels = Labels.from_columns([v for v, _ in keys], [f for _, f in keys], [False] * len(keys))
+    # coded into a wider name table, as a bundle codes its labels into the manifest's ids
+    labels = labels._replace(video_ids=tuple(TABLE), video=code_into(TABLE, labels.video_ids)[labels.video])
     ordered = sorted(keys)  # Python's (str, int) order: "v" < "v\x00" < "v1"
     T = len(windows[0][1]) if windows else 1
-    video = np.array([v for v, _ in windows], dtype=object)
+    video = code_into(TABLE, [v for v, _ in windows])  # "z" takes len(TABLE), past every code
     frame = np.array([f for _, frames in windows for f in frames], dtype=np.int64).reshape(len(windows), T)
     queries = [[(v, f) for f in frames] for v, frames in windows]
     before = [[sum(key < query for key in keys) for query in row] for row in queries]

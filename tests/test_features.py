@@ -14,6 +14,7 @@ from skelstat.core import (
     Labels,
     Split,
     WindowingConfig,
+    video_names,
 )
 from skelstat.features import (
     CenterPolicy,
@@ -414,7 +415,8 @@ def shifted_bundle(offset):
     video = np.array(d.video_ids, dtype=object)[d.video]
     frame = d.frame + offset * np.isin(video, val)
     detections = Detections.from_columns(video, np.array(d.track_ids, dtype=object)[d.track], frame, d.kp)
-    labels = Labels.from_columns(labels.video, labels.frame + offset * np.isin(labels.video, val), labels.positive)
+    names = video_names(labels)
+    labels = Labels.from_columns(names, labels.frame + offset * np.isin(names, val), labels.positive)
     return DatasetBundle(detections, labels, bundle.videos, bundle.config)
 
 

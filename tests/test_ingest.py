@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracle import embedding_text
-from skelstat.core import DataError, Labels, ParseError, Split, WindowingConfig
+from skelstat.core import DataError, Labels, ParseError, Split, WindowingConfig, video_names
 from skelstat.ingest import (
     DatasetBundle,
     ScorePolarity,
@@ -160,7 +162,7 @@ class TestParseScores:
     def test_columns_sorted_by_video_and_frame(self):
         labels = Labels.from_columns(["v2", "v1", "v1"], [0, 3, 1], [False, True, False])
         frames = parse_scores("v2,0,0.1\nv1,3,0.3\nv1,1,0.2\n", ScorePolarity.ANOMALY, labels)
-        assert frames.video.tolist() == ["v1", "v1", "v2"]
+        assert video_names(frames).tolist() == ["v1", "v1", "v2"]
         assert frames.frame.tolist() == [1, 3, 0]
         assert frames.score.tolist() == [0.2, 0.3, 0.1]
         assert frames.positive.tolist() == [False, True, False]
@@ -169,8 +171,8 @@ class TestParseScores:
         labels = Labels.from_columns(["v", "v", "v\x00", "v\x00"], [0, 1, 0, 1], [False, True] * 2)
         text = "v,0,0.1\nv,1,0.9\nv\x00,0,0.95\nv\x00,1,0.05\n"
         frames = parse_scores(text, ScorePolarity.ANOMALY, labels)
-        assert frames.video.tolist() == ["v", "v", "v\x00", "v\x00"]
-        report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video)
+        assert video_names(frames).tolist() == ["v", "v", "v\x00", "v\x00"]
+        report, skipped = metrics_report_per_video(frames.score, frames.positive, frames.video, frames.video_ids)
         assert (report.auc_roc, skipped) == (0.5, [])  # per video 1.0 and 0.0; pooled 0.25
 
     def test_unlabeled_frame(self):
@@ -246,11 +248,27 @@ class TestValidateBundle:
         assert video.window_eligible_frames == 4 + 5 + 4
         assert (video.n_labeled, video.label_gaps) == (2, 2)
 
+    def test_bundle_codes_every_table_into_the_manifest_ids(self):
+        videos = {v: VideoMeta("val", 100, 100) for v in ("a", "v", "v\x00", "z")}
+        bundle = DatasetBundle(
+            detections=parse_tracklets(f"v\x00\t0\tt1\t{kp_text(2)}\nz\t0\tt1\t{kp_text(2)}", k=2),
+            labels=Labels.from_columns(["v", "v\x00"], [0, 0], [False, True]),
+            videos=videos,
+            config=WindowingConfig(k=2, hip_indices=(0, 1)),
+        )
+        assert bundle.detections.video_ids == bundle.labels.video_ids == ("a", "v", "v\x00", "z")
+        assert (bundle.detections.video.tolist(), bundle.labels.video.tolist()) == ([2, 3], [1, 2])
+        assert video_names(bundle.labels).tolist() == ["v", "v\x00"]
+
     def test_unknown_video_rejected_at_assembly(self):
-        with pytest.raises(DataError, match="missing from manifest"):
-            DatasetBundle(
-                detections=parse_tracklets(f"vX\t0\tt1\t{kp_text(2)}", k=2),
-                labels=Labels.from_columns([], [], []),
-                videos={"v1": VideoMeta("val", 100, 100)},
-                config=WindowingConfig(k=2, hip_indices=(0, 1)),
-            )
+        for tracklet_video, label_videos, error in (
+            ("vX", [], "tracklet video 'vX' missing from manifest"),
+            ("v1", ["v1\x00"], "label video 'v1\\x00' missing from manifest"),
+        ):
+            with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+                DatasetBundle(
+                    detections=parse_tracklets(f"{tracklet_video}\t0\tt1\t{kp_text(2)}", k=2),
+                    labels=Labels.from_columns(label_videos, [0] * len(label_videos), [False] * len(label_videos)),
+                    videos={"v1": VideoMeta("val", 100, 100)},
+                    config=WindowingConfig(k=2, hip_indices=(0, 1)),
+                )

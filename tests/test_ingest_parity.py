@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracle import LineFault, embedding_text, read_labels, read_scores, read_tracklets
 from skelstat import ingest
-from skelstat.core import Labels, ParseError, Split
+from skelstat.core import Labels, ParseError, Split, video_names
 from skelstat.ingest import (
     ScorePolarity,
     VideoMeta,
@@ -209,15 +209,15 @@ class TestScoreErrors:
 
     def test_padded_fields_are_accepted(self):
         frames = parse_anomaly_scores(" v1, 3 ,\t0.5 \n\t\nv1,+2,-1_0.5\n")
-        assert frames.video.tolist() == ["v1", "v1"]
+        assert video_names(frames).tolist() == ["v1", "v1"]
         assert frames.frame.tolist() == [2, 3]
         assert frames.score.tolist() == [-10.5, 0.5]
         assert frames.positive.tolist() == [False, True]
 
     def test_empty_file_gives_empty_columns(self):
         frames = parse_anomaly_scores("\n \n")
-        assert [len(c) for c in frames] == [0, 0, 0, 0]
-        assert frames.video.dtype == object
+        assert [len(c) for c in frames[1:]] == [0, 0, 0, 0]
+        assert frames.video_ids == SCORE_LABELS.video_ids
 
 
 EMBEDDINGS = "dim=2 mu=0.5,1.5\ntrain\t1.0,2.0\nval_normal\t3.0,4.0\tw1\n\n"  # lines 1-3, blank line 4
@@ -349,10 +349,10 @@ def test_score_text_round_trip(case, polarity):
     frames = parse_scores(serialize_scores(rows), polarity, labels)
     sign = -1.0 if polarity is ScorePolarity.NORMALITY else 1.0
     expected = sorted(rows)
-    assert frames.video.tolist() == [v for v, _, _ in expected]
+    assert video_names(frames).tolist() == [v for v, _, _ in expected]
     assert frames.frame.tolist() == [f for _, f, _ in expected]
     assert list(map(repr, frames.score.tolist())) == [repr(sign * s) for _, _, s in expected]
-    positive = dict(zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist()))
+    positive = dict(zip(zip(video_names(labels).tolist(), labels.frame.tolist()), labels.positive.tolist()))
     assert frames.positive.tolist() == [positive[v, f] for v, f, _ in expected]
 
 
@@ -443,7 +443,8 @@ def csv_rows(draw, values):
 def outcome(parse, text):
     """A parser's table as a list of rows, or the ``LineFault`` of its ParseError."""
     try:
-        return [tuple(row) for row in zip(*(column.tolist() for column in parse(text)))]
+        table = parse(text)
+        return [tuple(row) for row in zip(video_names(table).tolist(), *(column.tolist() for column in table[2:]))]
     except ParseError as exc:
         return LineFault(str(exc).partition(": ")[2], exc.line_number)
 
@@ -464,7 +465,7 @@ def test_labels_match_the_line_reader_on_mutated_files(lines, edits):
 def test_scores_match_the_line_reader_on_mutated_files(lines, edits, polarity):
     labels = parse_labels("".join(f"{video},{frame},{frame % 2}\n" for video in ("a", "b", "v\x00") for frame in range(8)))
     text = mutate("\n".join(lines) + "\n", edits)
-    known = dict(zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist()))
+    known = dict(zip(zip(video_names(labels).tolist(), labels.frame.tolist()), labels.positive.tolist()))
     sign = -1.0 if polarity is ScorePolarity.NORMALITY else 1.0
     got = outcome(lambda t: parse_scores(t, polarity, labels), text)
     expected = read_scores(text, known, sign)

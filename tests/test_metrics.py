@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skelstat.core import DataError, Labels, Split, WindowBatch
+from skelstat.core import DataError, Labels, Split, WindowBatch, video_names
 from skelstat.metrics import (
     auc_pr,
     auc_roc,
@@ -259,7 +259,7 @@ class TestWindowsToFrameScores:
         windows = make_windows(["v1", "v2"], [0, 0])
         labels = Labels.from_columns(["v1"] * 4 + ["v2"] * 4, [0, 1, 2, 3] * 2, [False] * 8)
         out, _ = windows_to_frame_scores(windows, [5.0, 1.0], labels)
-        scores = dict(zip(zip(out.video.tolist(), out.frame.tolist()), out.score.tolist()))
+        scores = dict(zip(zip(video_names(out).tolist(), out.frame.tolist()), out.score.tolist()))
         assert scores[("v2", 0)] == 1.0 and scores[("v1", 0)] == 5.0
 
     def test_scored_rows_only(self):
@@ -314,12 +314,12 @@ class TestReports:
         b = (b_scores + rng.normal(size=40), b_positive)
         single = frames([0.5] * 5, [0] * 5)
         scores, positive = (np.concatenate(c) for c in zip(a, b, single))
-        video = ["v1"] * 40 + ["v2"] * 40 + ["v3"] * 5
-        report, skipped = metrics_report_per_video(scores, positive, video)
+        video = [0] * 40 + [1] * 40 + [2] * 5
+        report, skipped = metrics_report_per_video(scores, positive, video, ("v1", "v2", "v3"))
         assert skipped == ["v3"]
         expected = (metrics_report(*a)[0].auc_roc + metrics_report(*b)[0].auc_roc) / 2
         assert report.auc_roc == pytest.approx(expected, abs=1e-12)
 
     def test_per_video_all_single_class(self):
         with pytest.raises(DataError, match="per-video"):
-            metrics_report_per_video(*frames([0.5] * 5, [0] * 5), ["v1"] * 5)
+            metrics_report_per_video(*frames([0.5] * 5, [0] * 5), [0] * 5, ("v1",))

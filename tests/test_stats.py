@@ -42,6 +42,12 @@ class TestHistogram:
         assert h.counts.sum() == 3
         assert h.bin_edges[0] < 1.0 < h.bin_edges[-1]
 
+    @pytest.mark.parametrize("binning, spec", [(AUTO, "auto"), (FixedCount(10), "count:10")])
+    def test_equal_values_above_the_float_spacing_are_refused(self, binning, spec):
+        # 2^53 - 0.5 and 2^53 + 0.5 round to 2^53: the unit range around the value is empty
+        with pytest.raises(DataError, match=f"^binning {spec} is below the float spacing of the distances$"):
+            histogram(series([2.0**53] * 3), binning)
+
     def test_uniform_ints_fixed_count(self):
         h = histogram(series(np.arange(100.0)), FixedCount(10))
         assert h.counts.tolist() == [10] * 10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skelstat.core import SPLITS, DataError, FeatureType, Split
+from skelstat.core import SPLITS, DataError, FeatureType, Split, video_names
 from skelstat.features import CenterPolicy, build_windows
 from skelstat.ingest import serialize_labels, serialize_tracklets
 from skelstat.metrics import auc_roc, roc_curve
@@ -57,7 +57,7 @@ class TestGenerate:
         assert len(starts) == 4 * 2
         assert ((stops - starts) == 60).all()
         # labels cover exactly the val videos' frames
-        labeled = set(zip(bundle.labels.video.tolist(), bundle.labels.frame.tolist()))
+        labeled = set(zip(video_names(bundle.labels).tolist(), bundle.labels.frame.tolist()))
         assert len(labeled) == 2 * 60
         assert all(v.startswith("val") for v, _ in labeled)
 
@@ -69,7 +69,7 @@ class TestGenerate:
         spec = SynthSpec(anomaly_modes=(TrajectoryShift(50.0),), anomaly_fraction=0.25, **SMALL)
         bundle = generate(spec)
         for video in ("val000", "val001"):
-            flags = bundle.labels.positive[bundle.labels.video == video].tolist()
+            flags = bundle.labels.positive[bundle.labels.video == bundle.labels.video_ids.index(video)].tolist()
             assert sum(flags) == round(0.25 * 60)
             # anomalous frames form one contiguous segment
             first = flags.index(True)
@@ -108,7 +108,7 @@ class TestGenerate:
         )
         bundle = generate(spec)
         labels = bundle.labels
-        anomalous = set(zip(labels.video[labels.positive].tolist(), labels.frame[labels.positive].tolist()))
+        anomalous = set(zip(video_names(labels)[labels.positive].tolist(), labels.frame[labels.positive].tolist()))
         det = bundle.detections
         for a, b in zip(*det.tracklet_bounds()):
             video_id = det.video_ids[det.video[a]]
@@ -143,7 +143,7 @@ class TestOracleScores:
     def roc(self, bundle, rows):
         """ROC of oracle rows against the bundle's labels."""
         labels = bundle.labels
-        positive = dict(zip(zip(labels.video.tolist(), labels.frame.tolist()), labels.positive.tolist()))
+        positive = dict(zip(zip(video_names(labels).tolist(), labels.frame.tolist()), labels.positive.tolist()))
         scores = [s for _, _, s in rows]
         return roc_curve(scores, [positive[(v, f)] for v, f, _ in rows])
 
@@ -172,7 +172,7 @@ class TestOracleScores:
         for mode in ("perfect", "random", "distance"):
             rows = oracle_scores(bundle, mode)
             assert {(v, f) for v, f, _ in rows} == set(
-                zip(bundle.labels.video.tolist(), bundle.labels.frame.tolist())
+                zip(video_names(bundle.labels).tolist(), bundle.labels.frame.tolist())
             )
 
     def test_unknown_mode(self):

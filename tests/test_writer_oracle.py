@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import export_text, label_text, score_text, tracklet_text
-from skelstat.core import Detections, Labels, WindowBatch
+from skelstat.core import Detections, Labels, WindowBatch, video_names
 from skelstat.features import serialize_windows
 from skelstat.ingest import serialize_labels, serialize_scores, serialize_tracklets
 
@@ -45,7 +45,7 @@ def test_tracklets_match_the_line_writer(d):
 @given(st.lists(st.tuples(IDS, st.integers(0, 10**12), st.booleans()), unique_by=lambda r: r[:2], max_size=10))
 def test_labels_match_the_line_writer(rows):
     labels = Labels.from_columns([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
-    expected = label_text(zip(labels.video.tolist(), labels.frame.tolist(), labels.positive.tolist()))
+    expected = label_text(zip(video_names(labels).tolist(), labels.frame.tolist(), labels.positive.tolist()))
     assert serialize_labels(labels) == expected
 
 
