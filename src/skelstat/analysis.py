@@ -133,9 +133,11 @@ def distances_to_mean(
     rows = _rows(windows, split)
     out = np.empty(len(rows), dtype=np.float64)
     for i in range(0, len(rows), _CHUNK):
-        chunk = windows.coords[rows[i : i + _CHUNK]]
-        diff = chunk.reshape(len(chunk), -1) - mu.values.reshape(-1)
-        out[i : i + len(chunk)] = np.linalg.norm(diff, axis=1)
+        # the copy fancy indexing makes, squared in place: np.linalg.norm(axis=1)'s operations and bits
+        diff = windows.coords[rows[i : i + _CHUNK]].reshape(-1, mu.values.size)
+        diff -= mu.values.reshape(-1)
+        diff *= diff
+        np.sqrt(np.add.reduce(diff, axis=1), out=out[i : i + len(diff)])
     return DistanceSeries(values=out, split=split, tag=tag)
 
 

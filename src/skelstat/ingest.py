@@ -115,18 +115,10 @@ def _parse_int(text: str, what: str, line_number: int) -> int:
     return value
 
 
-# Lines per parse block: bounds the per-field strings alive at once.
-_BLOCK_LINES = 2048
-
-
-class _Separators(dict):
-    """A ``str.translate`` table that keeps the field separators (tab, comma,
-    semicolon) and drops every other character; it stores each character's
-    entry when translate first meets it."""
-
-    def __missing__(self, code: int) -> Optional[int]:
-        self[code] = kept = code if chr(code) in "\t,;" else None
-        return kept
+# Characters per parse block: bounds the line and field strings alive at once.
+_BLOCK_CHARS = 1 << 18
+# Every byte but the field separators (tab, comma, semicolon), for bytes.translate to delete.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b"\t,;")))
 
 
 def _check_detection(line: str, line_number: int, k: int) -> Tuple[str, str, int]:
@@ -162,7 +154,9 @@ def _parse_block(lines: List[str], k: int):
     if any(len(r) != 4 for r in rows):
         return None
     kp_texts = "\t".join(r[3] for r in rows)
-    if kp_texts.translate(_Separators()) != "\t".join([",,;" * (k - 1) + ",,"] * len(rows)):
+    # the UTF-8 bytes of other characters, lone surrogates included, are never separators
+    separators = kp_texts.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    if separators != b"\t".join([b",,;" * (k - 1) + b",,"] * len(rows)):
         return None
     try:
         frames = np.array([int(r[1]) for r in rows], dtype=np.int64)
@@ -176,28 +170,37 @@ def _parse_block(lines: List[str], k: int):
 def parse_tracklets(text: str, k: int) -> Detections:
     """Parse the tracklet file into a Detections table.
 
-    Valid text is converted block by block and checked as a whole table.
-    On any fault, malformed lines, keypoint counts other than ``k``,
-    non-finite values and repeated (video, track, frame) triples included,
-    the lines are checked one by one, and the first bad line is raised as a
+    Valid text is converted in blocks of about ``_BLOCK_CHARS`` characters,
+    each cut just after a newline, and checked as a whole table. On any
+    fault, malformed lines, keypoint counts other than ``k``, non-finite
+    values and repeated (video, track, frame) triples included, the lines
+    are checked one by one, and the first bad line is raised as a
     ParseError.
     """
-    lines = text.splitlines()
-    kept = list(filter(str.strip, lines))
-    video, track = [None] * len(kept), [None] * len(kept)
-    frame, kp = np.empty(len(kept), dtype=np.int64), np.empty((len(kept), k, 3))
-    for a in range(0, len(kept), _BLOCK_LINES):
-        block = slice(a, a + _BLOCK_LINES)
-        parsed = _parse_block(kept[block], k)
+    columns = [([], [], np.empty(0, dtype=np.int64), np.empty((0, k, 3)))]  # an empty text's table
+    a = 0
+    while a < len(text):
+        b = text.find("\n", a + _BLOCK_CHARS) + 1 or len(text)
+        lines = list(filter(str.strip, text[a:b].splitlines()))
+        a = b
+        if not lines:  # a block of blank lines only has no columns to convert
+            continue
+        parsed = _parse_block(lines, k)
         if parsed is None:
             break
-        video[block], track[block], frame[block], kp[block] = parsed
+        columns.append(parsed)
     else:
+        videos, tracks, frames, kps = zip(*columns)
+        video, track = list(chain.from_iterable(videos)), list(chain.from_iterable(tracks))
+        frame, kp = np.concatenate(frames), np.concatenate(kps)
+        del columns, videos, tracks, frames, kps  # the blocks, before from_columns sorts a copy
         try:
             return Detections.from_columns(video, track, frame, kp)
         except DataError:
             pass
-    _raise_first_fault(lines, "detection", lambda line, line_number: _check_detection(line, line_number, k))
+    _raise_first_fault(
+        text.splitlines(), "detection", lambda line, line_number: _check_detection(line, line_number, k)
+    )
 
 
 def serialize_tracklets(detections: Detections) -> str:

@@ -131,7 +131,7 @@ def windows_to_frame_scores(
 
     ``scores[i]`` is the score of window ``rows[i]`` (of window i when
     ``rows`` is None). Labeled frames no window covers get the least
-    anomalous covered frame's score (0.0 when no frame is covered). Returns
+    score among the covered labeled frames (0.0 when none is covered). Returns
     every labeled frame's score, sorted by (video, frame), and the uncovered
     frame keys.
     """
@@ -157,7 +157,7 @@ def windows_to_frame_scores(
     frame_best = np.full(len(labels.frame), -np.inf)  # -inf: no window covers the frame
     frame_best[label_row[hit]] = best[hit]
     covered = np.isfinite(frame_best)
-    score = np.where(covered, frame_best, best.min() if best.size else 0.0)
+    score = np.where(covered, frame_best, best[hit].min() if hit.any() else 0.0)
     uncovered = list(zip(video_names(labels)[~covered].tolist(), labels.frame[~covered].tolist()))
     return FrameScores(labels.video_ids, labels.video, labels.frame, score, labels.positive), uncovered
 
@@ -193,9 +193,13 @@ def metrics_report_per_video(
     returned alongside the averaged report.
     """
     scores, positive, video = np.asarray(scores), np.asarray(positive, dtype=bool), np.asarray(video)
+    # each video's samples, in their order, as one slice of a stable sort by code
+    order = np.argsort(video, kind="stable")
+    counts = np.bincount(video)
+    bounds = np.r_[0, np.cumsum(counts)].tolist()
     reports, skipped = [], []
-    for code in np.flatnonzero(np.bincount(video)).tolist():  # the codes with samples
-        rows = video == code
+    for code in np.flatnonzero(counts).tolist():  # the codes with samples
+        rows = order[bounds[code] : bounds[code + 1]]
         if positive[rows].all() or not positive[rows].any():
             skipped.append(video_ids[code])
             continue

@@ -18,10 +18,12 @@ scores of a video the manifest lacks), seeded embedding files of 4 and of
 12000 values a row, an embedding file whose squared distance overflows,
 one of equal distances 2^53, and one malformed tracklet, label, score,
 embedding and manifest file per fault family of its parser, made from
-those inputs. Every embedding command runs alone and again beside the
-synth data files, which it refuses. Some runs are refusals, among them
-window parameters above their cap. One tracklet file with padded fields
-and non-ASCII digits is valid.
+those inputs. The REPORT_M tracklets are also read with CRLF and CR line
+ends, behind a first parse block of blank lines, and with a fault past
+the first parse block. Every embedding command runs alone and again
+beside the synth data files, which it refuses. Some runs are refusals,
+among them window parameters above their cap. One tracklet file with
+padded fields and non-ASCII digits is valid.
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
 
@@ -316,6 +318,20 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     for command in ("validate", "sdom"):
         run(f"fault_tracklets_report_m_repeat_{command}", command, "--tracklets", path,
             *data("inputs/report_m", REPORT_M.k)[2:])
+
+    # the REPORT_M tracklets with CRLF and CR line ends, behind a first parse block of
+    # blank lines, and with a bad confidence at line 1001, past the first 2^18 characters
+    (out / "blocks").mkdir()
+    text = (out / "inputs" / "report_m" / "tracklets.txt").read_text()
+    rows = text.splitlines()
+    bad = rows[1000].rsplit(",", 1)[0] + ",1.5"
+    for tag, variant in (("crlf", "\r\n".join(rows) + "\r\n"), ("cr", "\r".join(rows) + "\r"),
+                         ("blank_start", "\n" * 2**18 + " \r\n" * 10 + text),
+                         ("late_fault", "\r\n".join(rows[:1000] + [bad] + rows[1001:]) + "\r\n")):
+        (out / "blocks" / f"{tag}.txt").write_text(variant)
+        for command in ("validate", "sdom"):
+            run(f"blocks_{tag}_{command}", command, "--tracklets", f"blocks/{tag}.txt",
+                *data("inputs/report_m", REPORT_M.k)[2:])
 
     labels = (out / "synth_small" / "labels.csv").read_text()
     paths = faulty("labels", {tag: f"{labels}\n{line}\n" for tag, line in (

@@ -209,6 +209,16 @@ class TestDistancesToMean:
         assert len(series) == 600
         assert series.tag == "pose"
 
+    def test_bits_of_linalg_norm_on_a_split_over_one_chunk(self):
+        rng = np.random.default_rng(11)
+        windows = random_windows(rng, 2000) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1, 1, 1))
+        splits = rng.choice(list(Split), size=2000).tolist()
+        mu = mean_tensor(batch(windows), None)
+        series = distances_to_mean(batch(windows, splits), mu, Split.VAL_NORMAL)
+        rows = [i for i, split in enumerate(splits) if split is Split.VAL_NORMAL]
+        expected = np.linalg.norm(windows[rows].reshape(len(rows), -1) - mu.values.reshape(-1), axis=1)
+        assert len(rows) > 512 and series.values.tobytes() == expected.tobytes()
+
     def test_unscaled_vs_delta_scaling(self):
         # a single offset window: distance is T times the (scaled) delta
         T = 6

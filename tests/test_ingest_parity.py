@@ -9,7 +9,8 @@ text, whatever the line order, gaps, track-id churn and blank lines of
 the input, and that a serialized manifest or embedding file parses back
 to the same values and text. The differential fuzz checks the tracklet,
 label and score parsers against the line-by-line readers of ``oracle.py``
-on mutated files.
+on mutated files, and the tracklet parser's blocks against its line
+reader at block sizes down to one character.
 """
 
 import re
@@ -539,7 +540,48 @@ def test_tracklets_match_the_line_reader_on_mutated_files(lines, edits):
     text = mutate_tracklets("\n".join(lines) + "\n", edits)
     expected = read_tracklets(text, 2)
     got = tracklet_outcome(text)
-    with mock.patch.object(ingest, "_BLOCK_LINES", 2):  # a repeat in an earlier block, a fault in a later one
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 1):  # a repeat in an earlier block, a fault in a later one
         got_small = tracklet_outcome(text)
     assert got == got_small == expected
     assert repr(got) == repr(got_small) == repr(expected)  # the sign of zero too
+
+
+def block_lines(frames, video="v1"):
+    """k = 2 tracklet lines of one track, one per frame."""
+    return [f"{video}\t{frame}\tt1\t{KP}" for frame in frames]
+
+
+# texts whose line breaks, blank runs and faults fall on the edges of small parse blocks
+BLOCK_TEXTS = {
+    "crlf": "\r\n".join(block_lines(range(6))) + "\r\n",
+    "cr": "\r".join(block_lines(range(6))) + "\r",
+    "other breaks": "".join(map(str.__add__, block_lines(range(7)),
+                                ["\n", "\r\n", "\x0b", "\x85", "\u2028", "\x0c", "\x1c"])),
+    "blank first block": "\n" * 40 + "\n".join(block_lines(range(4))) + "\n",
+    "blank middle block": "\n".join(block_lines(range(3))) + " \t\r\n\x0b\n" * 20
+                          + "\n".join(block_lines(range(3, 6))),
+    "blank only": "\n \r\n\t\n",
+    "no trailing newline": "\n".join(block_lines(range(5))),
+    "lone surrogate in an id": "\n".join(block_lines(range(3), "v\ud800")) + "\n",
+    "lone surrogate in a keypoint": "\n".join(block_lines(range(3)))
+                                    + "\nv1\t3\tt1\t1.0\ud800,2.0,0.5;3.0,4.0,0.25\n",
+    "fault in a later block": "\r\n".join(block_lines(range(30))) + "\r\n\n\r\nv1\t30\tt1\tbad\r\n",
+    "repeat in a later block": "\n".join(block_lines([*range(30), 7])) + "\n",
+}
+
+
+class TestBlockParser:
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, ingest._BLOCK_CHARS])
+    @pytest.mark.parametrize("name", BLOCK_TEXTS)
+    def test_blocks_match_the_line_reader(self, name, block_chars):
+        text = BLOCK_TEXTS[name]
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            got = tracklet_outcome(text)
+        expected = read_tracklets(text, 2)
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("block_chars", [1, 64])
+    def test_a_fault_in_a_later_block_keeps_its_line_number(self, block_chars):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            got = tracklet_outcome(BLOCK_TEXTS["fault in a later block"])
+        assert got == LineFault("expected 2 keypoints, got 1", 33)

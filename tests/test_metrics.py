@@ -262,6 +262,17 @@ class TestWindowsToFrameScores:
         scores = dict(zip(zip(video_names(out).tolist(), out.frame.tolist()), out.score.tolist()))
         assert scores[("v2", 0)] == 1.0 and scores[("v1", 0)] == 5.0
 
+    def test_uncovered_default_ignores_unlabeled_positions(self):
+        # the v2 window covers no labeled frame, so its lower score is no covered frame's score
+        windows = make_windows(["v1", "v2"], [0, 0])
+        out, uncovered = windows_to_frame_scores(windows, [5.0, 1.0], self.labels(10))
+        assert uncovered == [("v1", frame) for frame in range(4, 10)]
+        assert out.score.tolist() == [5.0] * 10
+
+    def test_uncovered_default_zero_without_covered_frames(self):
+        out, uncovered = windows_to_frame_scores(make_windows(["v2"], [0]), [3.0], self.labels(3))
+        assert len(uncovered) == 3 and out.score.tolist() == [0.0] * 3
+
     def test_scored_rows_only(self):
         windows = make_windows(["v1", "v1"], [0, 2])
         out, uncovered = windows_to_frame_scores(windows, [3.0], self.labels(6), rows=[1])
@@ -323,3 +334,26 @@ class TestReports:
     def test_per_video_all_single_class(self):
         with pytest.raises(DataError, match="per-video"):
             metrics_report_per_video(*frames([0.5] * 5, [0] * 5), [0] * 5, ("v1",))
+
+    def test_per_video_matches_the_mask_version_on_shuffled_codes(self):
+        rng = np.random.default_rng(15)
+        n, names = 600, ("a", "b", "c", "d", "e", "f")
+        video = rng.integers(0, len(names), size=n)
+        video[video == 3] = 4  # a code without samples
+        positive = rng.random(n) < 0.3
+        positive[video == 5] = False  # a single-class video
+        scores = np.round(rng.normal(size=n) + positive, 1)  # ties inside each video
+        reports, skipped = [], []
+        for code in np.unique(video).tolist():
+            rows = video == code
+            if positive[rows].all() or not positive[rows].any():
+                skipped.append(names[code])
+            else:
+                reports.append(metrics_report(scores[rows], positive[rows])[0])
+        report, got_skipped = metrics_report_per_video(scores, positive, video, names)
+        assert got_skipped == skipped == ["f"]
+        assert report.auc_roc == sum(r.auc_roc for r in reports) / len(reports)
+        assert report.auc_pr == sum(r.auc_pr for r in reports) / len(reports)
+        assert report.eer == sum(r.eer for r in reports) / len(reports)
+        assert report.eer_threshold == sum(r.eer_threshold for r in reports) / len(reports)
+        assert (report.n_pos, report.n_neg) == (sum(r.n_pos for r in reports), sum(r.n_neg for r in reports))

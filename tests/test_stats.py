@@ -2,12 +2,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+from schema import REPORT_SCHEMA
 from skelstat.analysis import DistanceSeries
 from skelstat.core import DataError, FeatureType, Split
 from skelstat.stats import (
     AUTO,
     MAX_BINS,
-    REPORT_SCHEMA,
     FixedCount,
     FixedWidth,
     box_stats,
