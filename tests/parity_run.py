@@ -22,8 +22,13 @@ those inputs. The REPORT_M tracklets are also read with CRLF and CR line
 ends, behind a first parse block of blank lines, and with a fault past
 the first parse block. Every embedding command runs alone and again
 beside the synth data files, which it refuses. Some runs are refusals,
-among them window parameters above their cap. One tracklet file with
-padded fields and non-ASCII digits is valid.
+among them window parameters above their cap and below their floor,
+binning specs, synth specs and anomaly modes, metrics on labels of one
+class or on no labels, per-video averaging with no two-class video, and
+an ``--out`` path that is a directory (its stderr names a temp file by a
+random absolute path, replaced by ``<random>``). One tracklet file with
+padded fields and non-ASCII digits is valid. A dataset of one window per
+split reaches the report's single-window warnings.
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
 
@@ -35,18 +40,41 @@ an import or a docstring. What only tests reach, and the test that imports
 it: ``features.center_window`` (test_acceptance, test_features),
 ``metrics.error_rates`` (test_acceptance, test_metrics) and
 ``WindowBatch.from_columns`` (test_acceptance, test_analysis, test_core,
-test_metrics); ``WindowBatch.__len__`` is reached by the benchmark's
-tracer and by tests. No input reaches the closing
+test_metrics) and ``DistanceSeries.__len__`` (test_analysis);
+``WindowBatch.__len__`` is reached by the benchmark's tracer and by tests. No input reaches the closing
 ``AssertionError`` of ``ingest._raise_first_fault``: it marks a file that
 a parser's column or block checks refuse and its line checks accept. Nor
 does one reach ``DatasetBundle``'s keypoint-count check, since the CLI
 parses the tracklets with the configured k.
+
+No command reaches these checks of values the program computes itself,
+since the CLI's own parsers and builders already refuse or cannot make
+what they test; the tests named pin them:
+
+- the result checks of ``MeanTensor``, ``SdomReport``, ``MetricsReport``
+  and ``BoxStats`` (test_core), ``DistanceSeries`` (test_analysis),
+  ``EmbeddingPrior`` and ``Histogram``, whose inputs ``parse_embeddings``
+  and ``histogram`` check first;
+- the column checks of ``Detections.from_columns`` and
+  ``Labels.from_columns`` (test_core), and ``WindowingConfig``'s hip
+  indices, which no option sets (test_core);
+- the input checks of ``mean_tensor``, ``delta``, ``sdom``,
+  ``distances_to_mean`` and ``latent_distances`` (test_analysis), of
+  ``person_center`` and ``center_window`` (test_features), and of
+  ``roc_curve``, ``pr_curve``, ``_threshold_counts`` and
+  ``windows_to_frame_scores`` (test_metrics);
+- ``stats.histogram``'s and ``box_stats``' empty series and unknown
+  binning (test_stats);
+- ``synth.oracle_scores``' unknown mode, which ``--oracle``'s choices
+  refuse, and its distance oracle's refusal of a bundle without training
+  or validation windows, which every synth spec has (test_synth).
 """
 
 import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -201,23 +229,24 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     run("shifted_windows_traj", "windows", *data("shifted", 17), "--feature", "traj")
     run("shifted_report", "report", *data("shifted", 17))
 
-    # finite keypoints whose hip midpoint overflows: x = 1.7e308 on both hips of
-    # the training video, k = 2, one window per video
-    (out / "overflow").mkdir()
-    kp = {"train000": "1.7e308,0.0,1.0;1.7e308,0.0,1.0", "val000": "10.0,20.0,1.0;12.0,20.0,1.0",
-          "val001": "30.0,40.0,1.0;34.0,40.0,1.0"}
-    (out / "overflow" / "tracklets.txt").write_text(
-        "".join(f"{video}\t{frame}\tp\t{points}\n" for video, points in kp.items() for frame in range(24)))
-    (out / "overflow" / "labels.csv").write_text(
-        "".join(f"{video},{frame},{int(video == 'val001')}\n" for video in ("val000", "val001") for frame in range(24)))
-    (out / "overflow" / "manifest.json").write_text(json.dumps(
-        {video: {"split": "train" if video == "train000" else "val", "width": 100, "height": 50}
-         for video in kp}))
+    # one window per video, k = 2, so one window per split: with finite keypoints whose
+    # hip midpoint overflows (x = 1.7e308 on both hips of the training video), and without
+    for name, train in (("overflow", "1.7e308,0.0,1.0;1.7e308,0.0,1.0"), ("single", "50.0,25.0,1.0;54.0,25.0,1.0")):
+        (out / name).mkdir()
+        kp = {"train000": train, "val000": "10.0,20.0,1.0;12.0,20.0,1.0", "val001": "30.0,40.0,1.0;34.0,40.0,1.0"}
+        (out / name / "tracklets.txt").write_text(
+            "".join(f"{video}\t{frame}\tp\t{points}\n" for video, points in kp.items() for frame in range(24)))
+        (out / name / "labels.csv").write_text("".join(
+            f"{video},{frame},{int(video == 'val001')}\n" for video in ("val000", "val001") for frame in range(24)))
+        (out / name / "manifest.json").write_text(json.dumps(
+            {video: {"split": "train" if video == "train000" else "val", "width": 100, "height": 50}
+             for video in kp}))
     for feature in ("pose", "traj"):
         for tag, extra in (("", []), ("_no_center", ["--no-center"])):
             run(f"overflow_windows_{feature}{tag}", "windows", *data("overflow", 2), "--feature", feature, *extra)
     for command in ("sdom", "dist-hist"):
         run(f"overflow_{command}", command, *data("overflow", 2))
+    run("single_report", "report", *data("single", 2))
 
     # ids that differ only by a trailing NUL: synth_small with val000 named v and val001 v\0
     (out / "nul").mkdir()
@@ -249,6 +278,48 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
                          ("nodes", ["--feature", "social", "--nodes", str(2**62)]),
                          ("keypoints", ["--keypoints", str(2**63)])):
         run(f"refuse_window_{tag}", "sdom", *datasets["synth"][0], *options)
+    # and below their floor
+    for tag, options in (("t_1", ["--t", "1"]), ("stride_0", ["--stride", "0"]),
+                         ("nodes_0", ["--feature", "social", "--nodes", "0"]), ("keypoints_0", ["--keypoints", "0"])):
+        run(f"refuse_window_{tag}", "sdom", *datasets["synth"][0], *options)
+    for tag, spec in (("count_0", "count:0"), ("count_x", "count:x")):
+        run(f"refuse_binning_{tag}", "dist-hist", *datasets["synth"][0], "--binning", spec)
+    # an output path that is a directory: refused, and the temp file removed; the
+    # refusal names that file by its absolute path, with a random name
+    (out / "refuse_out_directory" / "sdom.json").mkdir(parents=True)
+    run("refuse_out_directory", "sdom", *datasets["synth"][0])
+    stderr = out / "refuse_out_directory.stderr"
+    stderr.write_text(re.sub(r"'[^']*/sdom\.json\.\w+\.tmp'", "'<random>'", stderr.read_text()))
+
+    # synth specs the generator refuses, and two it accepts: a spawn radius, and an
+    # anomaly fraction that rounds to no frame
+    tiny = ["--videos", "1", "--val-videos", "1", "--frames", "48", "--persons", "2", "--keypoints", "4"]
+    for tag, options in (("videos_0", ["--videos", "0"]), ("frames_10", ["--frames", "10"]),
+                         ("persons_0", ["--persons", "0"]), ("keypoints_1", ["--keypoints", "1"]),
+                         ("fraction_2", ["--anomaly-fraction", "2", "--anomaly-mode", "traj-shift:1"]),
+                         ("fraction_no_mode", ["--anomaly-fraction", "0.25"]), ("jitter", ["--jitter", "-1"]),
+                         ("shift", ["--anomaly-mode", "traj-shift:-1"]), ("deform", ["--anomaly-mode", "pose-deform:-1"]),
+                         ("converge", ["--anomaly-mode", "group-converge:2"]),
+                         ("mode_bogus", ["--anomaly-mode", "bogus:1"]), ("mode_x", ["--anomaly-mode", "traj-shift:x"])):
+        run(f"refuse_synth_{tag}", "synth", *tiny, *options)
+    run("synth_spawn_radius", "synth", *tiny, "--spawn-radius", "20", "--oracle", "distance")
+    run("synth_fraction_no_frame", "synth", *tiny, "--anomaly-fraction", "0.001", "--anomaly-mode", "traj-shift:100",
+        "--oracle", "distance")
+
+    # per-video averaging with one single-class video, and with none of two classes
+    (out / "one_class").mkdir()
+    labels = [line.split(",") for line in (out / "synth" / "labels.csv").read_text().splitlines()]
+    for tag, flip in (("one", {"val001": "0"}), ("none", {"val000": "0", "val001": "1"})):
+        (out / "one_class" / f"labels_{tag}.csv").write_text(
+            "".join(f"{video},{frame},{flip.get(video, label)}\n" for video, frame, label in labels))
+        run(f"metrics_single_class_{tag}", "metrics", "--labels", f"one_class/labels_{tag}.csv",
+            "--manifest", "synth/manifest.json", "--scores", "synth/scores_random.csv", "--per-video-average")
+    # labels of one class only, and no labels and no scores at all
+    (out / "one_class" / "empty.csv").write_text("")
+    for tag, directory, files in (("normal", "synth_fraction_no_frame", ["labels.csv", "scores_distance.csv"]),
+                                  ("empty", "one_class", ["empty.csv", "empty.csv"])):
+        run(f"refuse_metrics_{tag}", "metrics", "--labels", f"{directory}/{files[0]}",
+            "--manifest", "synth/manifest.json", "--scores", f"{directory}/{files[1]}")
 
     def embedding_run(name: str, *argv: str) -> None:
         """dist-hist on an embedding file alone, and beside the synth data files it does not read."""
