@@ -1,9 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from skelstat.core import SPLITS, DataError, FeatureType, Split, video_names
+from oracle import distances_to_train_mean, read_dataset, track_windows
+from skelstat.core import SPLITS, DataError, Detections, FeatureType, Split, WindowingConfig, video_names
 from skelstat.features import CenterPolicy, build_windows
-from skelstat.ingest import serialize_labels, serialize_tracklets
+from skelstat.ingest import serialize_labels, serialize_manifest, serialize_tracklets
 from skelstat.metrics import auc_roc, roc_curve
 from skelstat.synth import (
     GroupConverge,
@@ -178,3 +182,66 @@ class TestOracleScores:
     def test_unknown_mode(self):
         with pytest.raises(DataError, match="oracle mode"):
             oracle_scores(self.bundle(), "psychic")
+
+
+# the distance oracle sums the training mean with Kahan compensation over chunks
+# of rows and the reference one coordinate at a time: equal within this tolerance
+REL_TOL = 1e-12
+
+
+def reference_distance_scores(bundle):
+    """The distance oracle's rows rebuilt from ``tests/oracle.py``: uncentered
+    trajectory windows, each validation window's distance to the training
+    mean, and each labeled frame's maximum over the validation windows that
+    cover it; uncovered frames get the least covered score (0.0 when none)."""
+    cfg = bundle.config
+    data = read_dataset(serialize_tracklets(bundle.detections), serialize_labels(bundle.labels),
+                        serialize_manifest(bundle.videos), cfg.k)
+    windows = track_windows(data, "traj", cfg.T, cfg.stride, cfg.hip_indices, center=False)
+    scored = [
+        (w, d)
+        for split in ("val_normal", "val_anomalous")
+        for w, d in zip([w for w in windows if w.split == split], distances_to_train_mean(windows, split))
+    ]
+    best = {}
+    for video in sorted(data.labels):
+        for frame in sorted(data.labels[video]):
+            covering = [d for w, d in scored if w.video == video and w.start <= frame < w.start + cfg.T]
+            best[(video, frame)] = max(covering) if covering else None
+    floor = min((score for score in best.values() if score is not None), default=0.0)
+    return [(video, frame, floor if score is None else score) for (video, frame), score in best.items()]
+
+
+class TestDistanceOracle:
+    @pytest.mark.parametrize("seed, mode", [(1, TrajectoryShift(60.0)), (2, PoseDeform(0.5)), (3, GroupConverge(0.5))])
+    def test_scores_match_the_reference(self, seed, mode):
+        # 63 frames: windows start at 0, 6, ..., 36, so frames 60-62 are uncovered
+        bundle = generate(SynthSpec(**{**SMALL, "frames_per_video": 63}, anomaly_modes=(mode,),
+                                    anomaly_fraction=0.25, seed=seed))
+        rows, want = oracle_scores(bundle, "distance"), reference_distance_scores(bundle)
+        assert [(v, f) for v, f, _ in rows] == [(v, f) for v, f, _ in want]
+        assert any(f >= 60 for _, f, _ in rows)
+        for (_, _, got), (_, _, expected) in zip(rows, want):
+            assert math.isclose(got, expected, rel_tol=REL_TOL)
+
+    def test_refuses_a_bundle_without_training_windows(self):
+        bundle = generate(SynthSpec(**SMALL))
+        det = bundle.detections
+        val = np.array([video.startswith("val") for video in video_names(det).tolist()])
+        val_only = Detections.from_columns(
+            video_names(det)[val].tolist(), np.array(det.track_ids, dtype=object)[det.track[val]].tolist(),
+            det.frame[val], det.kp[val],
+        )
+        with pytest.raises(DataError, match="^distance oracle needs both training and validation windows$"):
+            oracle_scores(dataclasses.replace(bundle, detections=val_only), "distance")
+
+    @pytest.mark.parametrize("change", ["all_train", "windows_too_long"])
+    def test_refuses_a_bundle_without_validation_windows(self, change):
+        bundle = generate(SynthSpec(**SMALL))
+        if change == "all_train":
+            bundle = dataclasses.replace(bundle, videos={
+                video: dataclasses.replace(meta, split="train") for video, meta in bundle.videos.items()})
+        else:  # no window fits a video: no window of either kind
+            bundle = dataclasses.replace(bundle, config=WindowingConfig(T=61, k=SMALL["k"]))
+        with pytest.raises(DataError, match="^distance oracle needs both training and validation windows$"):
+            oracle_scores(bundle, "distance")
