@@ -15,7 +15,6 @@ from .core import (
     DataError,
     Detections,
     FeatureType,
-    Label,
     Labels,
     MeanTensor,
     MetricsReport,
@@ -35,7 +34,6 @@ __all__ = [
     "DataError",
     "Detections",
     "FeatureType",
-    "Label",
     "Labels",
     "MeanTensor",
     "MetricsReport",

@@ -98,11 +98,7 @@ def sdom(delta_a: float, delta_n: float) -> float:
 def sdom_report(windows: WindowBatch, feature_type: FeatureType = FeatureType.POSE) -> SdomReport:
     """Full S-DoM computation over the three splits of one feature type."""
     by_split = windows_by_split(windows)
-    for name, split in (
-        ("train-normal", Split.TRAIN),
-        ("val-normal", Split.VAL_NORMAL),
-        ("val-anomalous", Split.VAL_ANOMALOUS),
-    ):
+    for name, split in zip(("train-normal", "val-normal", "val-anomalous"), SPLITS):
         if not len(by_split[split]):
             raise DataError(f"{name} split is empty")
     mu_tn = mean_tensor(windows, Split.TRAIN)
@@ -115,7 +111,7 @@ def sdom_report(windows: WindowBatch, feature_type: FeatureType = FeatureType.PO
         delta_a=delta_a,
         sdom=sdom(delta_a, delta_n),
         feature_type=feature_type,
-        counts=tuple(len(by_split[s]) for s in (Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)),
+        counts=tuple(len(by_split[s]) for s in SPLITS),
     )
 
 

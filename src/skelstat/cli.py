@@ -115,10 +115,13 @@ def cmd_disthist(args) -> int:
     binning = parse_binning(args.binning)
     out = Path(args.out)
     data = ("tracklets", "labels", "manifest")
-    if args.embeddings:  # latent mode reads no window data
-        given = [option for option in ("feature", *data) if getattr(args, option) is not None]
+    if args.embeddings:  # latent mode reads no window data and takes no windowing option
+        # an option given at its default value cannot be told from an absent one
+        default = vars(build_parser().parse_args(["dist-hist", "--out", ""]))
+        windowing = ("t", "keypoints", "stride", "nodes", "no_center", "truncate_social")
+        given = [option for option in ("feature", *data, *windowing) if getattr(args, option) != default[option]]
         if given:
-            raise DataError(f"--embeddings and --{given[0]} are mutually exclusive")
+            raise DataError(f"--embeddings and --{given[0].replace('_', '-')} are mutually exclusive")
         with open(args.embeddings, "r", encoding="utf-8") as fh:
             vectors, splits, _, prior = parse_embeddings(fh.read())
         series_by_split = latent_distances(vectors, splits, prior)

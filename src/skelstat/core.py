@@ -28,11 +28,6 @@ class DataError(SkelstatError):
     """Semantically invalid data (shape mismatch, bad labels, empty input)."""
 
 
-class Label(Enum):
-    NORMAL = "normal"
-    ANOMALOUS = "anomalous"
-
-
 class Split(Enum):
     TRAIN = "train"
     VAL_NORMAL = "val_normal"

@@ -20,7 +20,6 @@ from .core import (
     SPLITS,
     DataError,
     FeatureType,
-    Label,
     Split,
     WindowBatch,
     frame_extent,
@@ -225,11 +224,6 @@ def build_windows(
     return _track_windows(bundle, person_center(kp, bundle.config.hip_indices)[:, None, :], center)
 
 
-def _label(split: Split) -> Label:
-    """A window's label follows from its split: only val_anomalous is Anomalous."""
-    return Label.ANOMALOUS if split is Split.VAL_ANOMALOUS else Label.NORMAL
-
-
 def serialize_windows(windows: WindowBatch) -> str:
     """Line-delimited export with bit-exact decimal round-trip."""
     W, T, k = windows.mask.shape
@@ -238,7 +232,7 @@ def serialize_windows(windows: WindowBatch) -> str:
         video_names(windows).tolist(),
         windows.start.tolist(),
         np.array([s.value for s in SPLITS], dtype=object)[windows.split].tolist(),
-        np.array([_label(s).value for s in SPLITS], dtype=object)[windows.split].tolist(),
+        np.where(windows.split == _VAL_ANOMALOUS, "anomalous", "normal").tolist(),
         ["|".join(windows.track_ids[code] for code in row if code >= 0) for row in windows.track.tolist()],
         *windows.coords.reshape(W, T * k * 2).T.tolist(),
         [bits[a : a + T * k] for a in range(0, W * T * k, T * k)],

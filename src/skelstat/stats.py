@@ -9,7 +9,7 @@ from typing import Dict, Sequence, Union
 import numpy as np
 
 from .analysis import DistanceSeries, distance_series, sdom_report, windows_by_split
-from .core import BoxStats, DataError, FeatureType, Split
+from .core import SPLITS, BoxStats, DataError, FeatureType
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle
 
@@ -134,9 +134,6 @@ def box_stats(series: DistanceSeries) -> BoxStats:
     return BoxStats(lower_fence=lower, q1=q1, median=median, q3=q3, upper_fence=upper)
 
 
-_SPLIT_ORDER = (Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)
-
-
 def difficulty_report(
     bundle: DatasetBundle,
     feature_types: Sequence[FeatureType] = tuple(FeatureType),
@@ -167,13 +164,13 @@ def difficulty_report(
         entry: dict = {"warnings": []}
         windows = build_windows(bundle, feature_type, center, truncate_social)
         by_split = windows_by_split(windows)
-        entry["counts"] = {s.value: len(by_split[s]) for s in _SPLIT_ORDER}
-        empty = [s.value for s in _SPLIT_ORDER if not len(by_split[s])]
+        entry["counts"] = {s.value: len(by_split[s]) for s in SPLITS}
+        empty = [s.value for s in SPLITS if not len(by_split[s])]
         if empty:
             entry["warnings"].append(f"empty splits: {', '.join(empty)}; S-DoM skipped")
             report["features"][feature_type.value] = entry
             continue
-        for split in _SPLIT_ORDER:
+        for split in SPLITS:
             if len(by_split[split]) < 2:
                 entry["warnings"].append(f"split {split.value} has a single window")
         sr = sdom_report(windows, feature_type)

@@ -15,8 +15,8 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .analysis import distance_series, windows_by_split
-from .core import DataError, Detections, FeatureType, Labels, Split, WindowingConfig, video_names
+from .analysis import distances_to_mean, mean_tensor
+from .core import SPLITS, DataError, Detections, FeatureType, Labels, Split, WindowingConfig, video_names
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle, VideoMeta
 from .metrics import windows_to_frame_scores
@@ -234,11 +234,10 @@ def oracle_scores(
     # distance mode: uncentered trajectories keep absolute displacement, so
     # shifted segments stand out against the training mean
     windows = build_windows(bundle, FeatureType.ABSOLUTE_TRAJECTORY, CenterPolicy.NONE)
-    by_split = windows_by_split(windows)
-    val = np.concatenate([by_split[Split.VAL_NORMAL], by_split[Split.VAL_ANOMALOUS]])
-    if not len(by_split[Split.TRAIN]) or not len(val):
+    train = windows.split == SPLITS.index(Split.TRAIN)
+    if train.all() or not train.any():
         raise DataError("distance oracle needs both training and validation windows")
-    series = distance_series(windows, FeatureType.ABSOLUTE_TRAJECTORY)
-    scores = np.concatenate([series[s].values for s in (Split.VAL_NORMAL, Split.VAL_ANOMALOUS) if s in series])
-    frames, _ = windows_to_frame_scores(windows, scores, labels, rows=val)
+    val = np.flatnonzero(~train)
+    distances = distances_to_mean(windows, mean_tensor(windows, Split.TRAIN)).values
+    frames, _ = windows_to_frame_scores(windows, distances[val], labels, rows=val)
     return list(zip(video_names(frames).tolist(), frames.frame.tolist(), frames.score.tolist()))

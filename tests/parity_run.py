@@ -21,14 +21,15 @@ embedding and manifest file per fault family of its parser, made from
 those inputs. The REPORT_M tracklets are also read with CRLF and CR line
 ends, behind a first parse block of blank lines, and with a fault past
 the first parse block. Every embedding command runs alone and again
-beside the synth data files, which it refuses. Some runs are refusals,
-among them window parameters above their cap and below their floor,
-binning specs, synth specs and anomaly modes, metrics on labels of one
-class or on no labels, per-video averaging with no two-class video, and
-an ``--out`` path that is a directory (its stderr names a temp file by a
-random absolute path, replaced by ``<random>``). One tracklet file with
-padded fields and non-ASCII digits is valid. A dataset of one window per
-split reaches the report's single-window warnings.
+beside the synth data files, which it refuses, as it refuses each
+windowing option. Some runs are refusals, among them window parameters
+above their cap and below their floor, binning specs, synth specs and
+anomaly modes, metrics on labels of one class or on no labels, per-video
+averaging with no two-class video, and an ``--out`` path that is a
+directory (its stderr names a temp file by a random absolute path,
+replaced by ``<random>``). One tracklet file with padded fields and
+non-ASCII digits is valid. A dataset of one window per split reaches the
+report's single-window warnings.
 
     PYTHONPATH=<tree>/src python3 tests/parity_run.py OUT --lines FILE
 
@@ -298,7 +299,8 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
                          ("persons_0", ["--persons", "0"]), ("keypoints_1", ["--keypoints", "1"]),
                          ("fraction_2", ["--anomaly-fraction", "2", "--anomaly-mode", "traj-shift:1"]),
                          ("fraction_no_mode", ["--anomaly-fraction", "0.25"]), ("jitter", ["--jitter", "-1"]),
-                         ("shift", ["--anomaly-mode", "traj-shift:-1"]), ("deform", ["--anomaly-mode", "pose-deform:-1"]),
+                         ("shift", ["--anomaly-mode", "traj-shift:-1"]),
+                         ("deform", ["--anomaly-mode", "pose-deform:-1"]),
                          ("converge", ["--anomaly-mode", "group-converge:2"]),
                          ("mode_bogus", ["--anomaly-mode", "bogus:1"]), ("mode_x", ["--anomaly-mode", "traj-shift:x"])):
         run(f"refuse_synth_{tag}", "synth", *tiny, *options)
@@ -340,6 +342,13 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
     for tag, extra in (("auto", []), ("width", ["--binning", "width:0.5"])):
         embedding_run(f"dist-hist_embeddings_{tag}", "--embeddings", "embeddings.txt", *extra)
     embedding_run("refuse_embeddings_feature", "--embeddings", "embeddings.txt", "--feature", "pose")
+    # the windowing options, which it does not read either
+    for tag, options in (("t", ["--t", "5"]), ("stride", ["--stride", "2"]), ("keypoints", ["--keypoints", "4"]),
+                         ("nodes", ["--nodes", "3"]), ("no_center", ["--no-center"]),
+                         ("truncate_social", ["--truncate-social"]),
+                         ("all", ["--nodes", "3", "--no-center", "--t", "5", "--truncate-social", "--stride", "2",
+                                  "--keypoints", "4"])):
+        run(f"refuse_embeddings_window_{tag}", "dist-hist", "--embeddings", "embeddings.txt", *options)
     run("refuse_disthist_no_manifest", "dist-hist", *datasets["synth"][0][:4], "--feature", "pose")
     # one training vector: a split of one distance, in one bin narrower than the float spacing
     header, *vectors = rows

@@ -217,6 +217,27 @@ class TestDistHist:
         assert json.loads(capsys.readouterr().err) == {"error": f"--embeddings and {option} are mutually exclusive"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, named", [
+        (["--t", "5"], "--t"), (["--stride", "2"], "--stride"), (["--keypoints", "4"], "--keypoints"),
+        (["--nodes", "3"], "--nodes"), (["--no-center"], "--no-center"), (["--truncate-social"], "--truncate-social"),
+        # all of them: the refusal names the first in the order --t, --keypoints, --stride, --nodes, ...
+        (["--nodes", "3", "--no-center", "--truncate-social", "--stride", "2", "--keypoints", "4", "--t", "5"], "--t"),
+    ])
+    def test_embeddings_refuse_the_windowing_options(self, tmp_path, capsys, options, named):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")
+        out = tmp_path / "out"
+        assert run(["dist-hist", "--out", out, "--embeddings", emb, *options]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"--embeddings and {named} are mutually exclusive"}
+        assert not out.exists()
+
+    def test_embeddings_accept_windowing_options_at_their_defaults(self, tmp_path):
+        # argparse cannot tell an option given at its default value from an absent one
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=2 mu=0,0\ntrain\t1,0\n")
+        defaults = ["--t", "24", "--stride", "6", "--keypoints", "17", "--nodes", "35"]
+        assert run(["dist-hist", "--out", tmp_path / "out", "--embeddings", emb, *defaults]) == 0
+
     @pytest.mark.parametrize("option", ["--tracklets", "--labels", "--manifest"])
     def test_window_mode_requires_every_data_file(self, dataset, tmp_path, capsys, option):
         argv = data_args(dataset)

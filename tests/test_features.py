@@ -10,7 +10,6 @@ from skelstat.core import (
     DataError,
     Detections,
     FeatureType,
-    Label,
     Labels,
     Split,
     WindowingConfig,
@@ -191,7 +190,7 @@ class TestPoseWindows:
         windows = build_windows(bundle_of(t, labels, video_split="val"), FeatureType.POSE, CenterPolicy.NONE)
         (w,) = unbatch(windows)
         label = serialize_windows(windows).split("\t")[3]
-        assert w.split is Split.VAL_ANOMALOUS and label == Label.ANOMALOUS.value
+        assert w.split is Split.VAL_ANOMALOUS and label == "anomalous"
         (w_train,) = pose_windows(bundle_of(t, NO_LABELS, video_split="train"), CenterPolicy.NONE)
         assert w_train.split is Split.TRAIN
 
@@ -273,18 +272,18 @@ def label_window(labels, video_id, start, T, video_split):
     t = table([detection(f, (1.0, 1.0), video_id, k=2) for f in range(start, start + T)], k=2)
     bundle = bundle_of(t, labels, video_split, cfg, video_id)
     (line,) = serialize_windows(build_windows(bundle, FeatureType.POSE, CenterPolicy.NONE)).splitlines()
-    return Label(line.split("\t")[3])
+    return line.split("\t")[3]
 
 
 class TestLabelWindow:
     def test_all_normal(self):
         labels = normal_labels(range(24))
-        assert label_window(labels, "v1", 0, 24, "val") is Label.NORMAL
+        assert label_window(labels, "v1", 0, 24, "val") == "normal"
 
     def test_any_anomalous(self):
         labels = normal_labels(range(24))
         labels[23] = 1
-        assert label_window(labels, "v1", 0, 24, "val") is Label.ANOMALOUS
+        assert label_window(labels, "v1", 0, 24, "val") == "anomalous"
 
     def test_unlabeled_val_frame_errors(self):
         labels = normal_labels(range(23))
@@ -295,15 +294,15 @@ class TestLabelWindow:
             label_window(labels, "v1", 0, 24, "val")
 
     def test_train_implicitly_normal(self):
-        assert label_window(NO_LABELS, "v1", 0, 24, "train") is Label.NORMAL
+        assert label_window(NO_LABELS, "v1", 0, 24, "train") == "normal"
 
     def test_matches_any_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             flags = rng.random(24) < 0.2
             labels = flags.astype(np.int8)
-            expected = Label.ANOMALOUS if any(flags) else Label.NORMAL
-            assert label_window(labels, "v1", 0, 24, "val") is expected
+            expected = "anomalous" if any(flags) else "normal"
+            assert label_window(labels, "v1", 0, 24, "val") == expected
 
 
 def social_bundle(detections, n_videos=("v1",), cfg=None):
