@@ -1,5 +1,6 @@
-"""Golden bytes of ``metrics``, ``dist-hist``, ``report``, ``sdom`` and
-``validate`` outputs, and of the spec ``synth`` writes.
+"""Golden bytes of ``metrics``, ``dist-hist`` (windows and embeddings),
+``report``, ``sdom`` and ``validate`` outputs, and of the spec, labels and
+perfect and random oracle scores ``synth`` writes.
 
 Test 09 checks that two runs write the same bytes; this test checks that
 the bytes are the ones recorded before the score path and the CSV writer
@@ -54,6 +55,18 @@ def write_tracklet_inputs(directory):
     (directory / "tracklets.txt").write_text("\n".join(tracklets) + "\n", encoding="utf-8")
     (directory / "labels.csv").write_text("\n".join(labels) + "\n", encoding="utf-8")
     (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def write_embedding_inputs(directory):
+    """A 3-dimensional latent space of integer-valued vectors around an
+    integer prior mean, so every squared distance is an exact sum; some rows
+    carry a source window id."""
+    rows = ["dim=3 mu=1,-2,0"]
+    for i, split in enumerate(["train"] * 9 + ["val_normal"] * 6 + ["val_anomalous"] * 5):
+        shift = 6 if split == "val_anomalous" else 0
+        vector = [(i * 7 + j * 3) % 5 - 2 + shift * (j == 0) for j in range(3)]
+        rows.append(f"{split}\t{','.join(map(str, vector))}" + (f"\tw{i}" if i % 3 else ""))
+    (directory / "embeddings.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def write_validate_inputs(directory, anomalous_train):
@@ -125,6 +138,26 @@ def test_dist_hist_bytes(tmp_path, extra):
     assert digests(out) == DISTHIST_GOLDEN[extra]
 
 
+EMBEDDINGS_GOLDEN = {
+    (): {
+        "box_latent.json": "63ff8132f8653d82", "hist_latent_train.csv": "06762ad88b5744d5",
+        "hist_latent_val_anomalous.csv": "e481791633bcdd5d", "hist_latent_val_normal.csv": "7d7247ed81be36e4",
+    },
+    ("--binning", "width:0.5"): {
+        "box_latent.json": "63ff8132f8653d82", "hist_latent_train.csv": "6ca9fc9352bac001",
+        "hist_latent_val_anomalous.csv": "b8324476c4a550f6", "hist_latent_val_normal.csv": "f4b79f408d2e262f",
+    },
+}
+
+
+@pytest.mark.parametrize("extra", list(EMBEDDINGS_GOLDEN))
+def test_dist_hist_embeddings_bytes(tmp_path, extra):
+    write_embedding_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main([str(a) for a in ["dist-hist", "--out", out, "--embeddings", tmp_path / "embeddings.txt", *extra]]) == 0
+    assert digests(out) == EMBEDDINGS_GOLDEN[extra]
+
+
 REPORT_GOLDEN = {
     (): {
         "hist_pose_train.csv": "b2f19b1abbed7c4b", "hist_pose_val_anomalous.csv": "fbb6c208914f57b4",
@@ -192,7 +225,15 @@ SYNTH_ARGS = (
 )
 
 
+# the files of synth's output that depend on no libm call: the tracklets and the
+# distance oracle's scores do; parity runs cover them
+SYNTH_GOLDEN = {
+    "labels.csv": "6428492ee127f944", "scores_perfect.csv": "440f663a9a1c0bfc",
+    "scores_random.csv": "d5b00982b3db4df7", "synth_spec.json": "742845de5cba58e7",
+}
+
+
 def test_synth_spec_bytes(tmp_path):
-    # the other synth files depend on the generator and libm; parity runs cover them
-    assert main([str(a) for a in ("synth", "--out", tmp_path, *SYNTH_ARGS)]) == 0
-    assert digests(tmp_path)["synth_spec.json"] == "742845de5cba58e7"
+    argv = ("synth", "--out", tmp_path, *SYNTH_ARGS, "--oracle", "perfect", "--oracle", "random")
+    assert main([str(a) for a in argv]) == 0
+    assert {name: digest for name, digest in digests(tmp_path).items() if name in SYNTH_GOLDEN} == SYNTH_GOLDEN
