@@ -33,7 +33,6 @@ class DistanceSeries:
 
     values: np.ndarray
     split: Optional[Split]
-    tag: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -49,14 +48,14 @@ class DistanceSeries:
         return self.values.size
 
 
-def windows_by_split(windows: WindowBatch) -> Dict[Split, np.ndarray]:
-    """Row indices of each split's windows, ascending, every split present,
-    in ``Split`` order."""
-    return {split: np.flatnonzero(windows.split == code) for code, split in enumerate(SPLITS)}
+def rows_by_split(codes: np.ndarray) -> Dict[Split, np.ndarray]:
+    """Row indices of each split's rows, given their int8 codes into ``SPLITS``,
+    ascending, every split present, in ``Split`` order."""
+    return {split: np.flatnonzero(codes == code) for code, split in enumerate(SPLITS)}
 
 
 def _rows(windows: WindowBatch, split: Optional[Split]) -> np.ndarray:
-    return np.arange(len(windows)) if split is None else windows_by_split(windows)[split]
+    return np.arange(len(windows)) if split is None else rows_by_split(windows.split)[split]
 
 
 def mean_tensor(windows: WindowBatch, split: Optional[Split] = None) -> MeanTensor:
@@ -97,7 +96,7 @@ def sdom(delta_a: float, delta_n: float) -> float:
 
 def sdom_report(windows: WindowBatch, feature_type: FeatureType = FeatureType.POSE) -> SdomReport:
     """Full S-DoM computation over the three splits of one feature type."""
-    by_split = windows_by_split(windows)
+    by_split = rows_by_split(windows.split)
     for name, split in zip(("train-normal", "val-normal", "val-anomalous"), SPLITS):
         if not len(by_split[split]):
             raise DataError(f"{name} split is empty")
@@ -119,7 +118,6 @@ def distances_to_mean(
     windows: WindowBatch,
     mu: MeanTensor,
     split: Optional[Split] = None,
-    tag: str = "",
 ) -> DistanceSeries:
     """Unscaled Euclidean distance to the mean tensor of every window of
     one split (all when None), in batch order."""
@@ -134,16 +132,16 @@ def distances_to_mean(
         diff -= mu.values.reshape(-1)
         diff *= diff
         np.sqrt(np.add.reduce(diff, axis=1), out=out[i : i + len(diff)])
-    return DistanceSeries(values=out, split=split, tag=tag)
+    return DistanceSeries(values=out, split=split)
 
 
-def distance_series(windows: WindowBatch, feature_type: FeatureType) -> Dict[Split, DistanceSeries]:
+def distance_series(windows: WindowBatch) -> Dict[Split, DistanceSeries]:
     """Distances to the training mean of the windows of each split that has any."""
-    by_split = windows_by_split(windows)
+    by_split = rows_by_split(windows.split)
     if not len(by_split[Split.TRAIN]):
         raise DataError("no training windows; cannot compute the training mean")
     mu_tn = mean_tensor(windows, Split.TRAIN)
-    return {s: distances_to_mean(windows, mu_tn, s, feature_type.value) for s in Split if len(by_split[s])}
+    return {s: distances_to_mean(windows, mu_tn, s) for s in Split if len(by_split[s])}
 
 
 def latent_distances(
@@ -152,9 +150,9 @@ def latent_distances(
     prior: EmbeddingPrior,
 ) -> Dict[Split, DistanceSeries]:
     """Euclidean distance of each embedding row to the latent prior mean,
-    grouped by split token (``Split`` value); splits with no rows are left out."""
+    grouped by the rows' int8 split codes into ``SPLITS``; splits with no rows
+    are left out."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    splits = np.asarray(splits)
     dim = prior.mu_normal.size
     if vectors.ndim != 2 or vectors.shape[1] != dim:
         raise DataError(f"embedding dimension does not match prior {dim}: got shape {vectors.shape}")
@@ -162,8 +160,4 @@ def latent_distances(
         diff = vectors - prior.mu_normal
         # a batched row dot product: the same bits as np.linalg.norm of each row
         distances = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
-    return {
-        split: DistanceSeries(values=distances[splits == split.value], split=split, tag="latent")
-        for split in Split
-        if (splits == split.value).any()
-    }
+    return {split: DistanceSeries(distances[rows], split) for split, rows in rows_by_split(splits).items() if len(rows)}

@@ -30,7 +30,8 @@ _WRITE_CHARS = 1 << 16  # characters per write: bounds the encoded copy of an ou
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename; a failed
+    rename is reported against ``path``, not the temp file it removes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -38,7 +39,10 @@ def atomic_write_text(path: Path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for a in range(0, len(text), _WRITE_CHARS):
                 fh.write(text[a : a + _WRITE_CHARS])
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -131,7 +135,7 @@ def cmd_disthist(args) -> int:
         if missing:
             raise DataError(f"--{missing[0]} is required without --embeddings")
         feature, windows = _windows(args)
-        series_by_split = distance_series(windows, feature)
+        series_by_split = distance_series(windows)
         tag = feature.value
     boxes = {}  # box_{tag}.json sorts its keys
     for split, series in series_by_split.items():
@@ -143,7 +147,7 @@ def cmd_disthist(args) -> int:
 
 def cmd_metrics(args) -> int:
     from .ingest import parse_labels, parse_manifest, parse_scores
-    from .metrics import metrics_report, metrics_report_per_video, pr_curve, roc_curve
+    from .metrics import metrics_report, metrics_report_per_video
     with open(args.manifest, "r", encoding="utf-8") as fh:
         parse_manifest(fh.read())  # validates the manifest is well-formed
     with open(args.labels, "r", encoding="utf-8") as fh:
@@ -152,15 +156,15 @@ def cmd_metrics(args) -> int:
     with open(args.scores, "r", encoding="utf-8") as fh:
         frames = parse_scores(fh.read(), polarity, labels)
     uncovered = len(labels.frame) - len(frames.frame)  # parse_scores joins each score to its own label row
-    if args.per_video_average:
-        report, skipped = metrics_report_per_video(
+    if args.per_video_average:  # first: its refusals come before those of the pooled report
+        per_video, skipped = metrics_report_per_video(
             frames.score, frames.positive, frames.video, frames.video_ids, uncovered
         )
         if skipped:
             logging.getLogger(__name__).warning("skipped single-class videos: %s", skipped)
-        roc, pr = roc_curve(frames.score, frames.positive), pr_curve(frames.score, frames.positive)
-    else:
-        report, roc, pr = metrics_report(frames.score, frames.positive, uncovered)
+    report, roc, pr = metrics_report(frames.score, frames.positive, uncovered)
+    if args.per_video_average:
+        report = per_video
     out = Path(args.out)
     atomic_write_text(out / "metrics.json", json_text(report.to_dict()))
     # both curves come from one threshold table: roc.csv's rows after its
@@ -220,8 +224,7 @@ def cmd_synth(args) -> int:
     atomic_write_text(out / "manifest.json", serialize_manifest(bundle.videos))
     atomic_write_text(out / "synth_spec.json", json_text(spec.to_dict()))
     for mode in args.oracle:
-        rows = oracle_scores(bundle, mode, seed=args.seed)
-        atomic_write_text(out / f"scores_{mode}.csv", serialize_scores(rows))
+        atomic_write_text(out / f"scores_{mode}.csv", serialize_scores(oracle_scores(bundle, mode, seed=args.seed)))
     return 0
 
 

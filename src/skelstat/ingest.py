@@ -21,13 +21,13 @@ from typing import Dict, List, Mapping, NamedTuple, NoReturn, Optional, Sequence
 import numpy as np
 
 from .core import (
+    SPLITS,
     DataError,
     Detections,
     EmbeddingPrior,
     FrameScores,
     Labels,
     ParseError,
-    Split,
     WindowingConfig,
     _code,
     code_into,
@@ -285,13 +285,13 @@ def serialize_labels(labels: Labels) -> str:
     return format_rows("%s,%s,%d", [video_names(labels).tolist(), labels.frame.tolist(), labels.positive.tolist()])
 
 
-_SPLIT_TOKENS = {s.value: s for s in Split}
+_SPLIT_TOKENS = {split.value: code for code, split in enumerate(SPLITS)}
 
 
 def parse_embeddings(text: str) -> Tuple[np.ndarray, np.ndarray, List[Optional[str]], EmbeddingPrior]:
     """Parse the embedding file; the header carries the prior mean.
 
-    Returns the (n, d) vectors, their split tokens (``Split`` values), the
+    Returns the (n, d) vectors, their int8 split codes into ``SPLITS``, the
     source window ids (None where a line has none) and the prior.
     """
     lines = iter(enumerate(text.splitlines(), start=1))
@@ -332,10 +332,10 @@ def parse_embeddings(text: str) -> Tuple[np.ndarray, np.ndarray, List[Optional[s
         if len(fields) != dim:
             raise ParseError(f"vector has {len(fields)} values, expected {dim}", line_number)
         vectors.append([_parse_float(v, "embedding value", line_number) for v in fields])
-        splits.append(split_token)
+        splits.append(_SPLIT_TOKENS[split_token])
         sources.append(parts[2] if len(parts) == 3 else None)
     vectors = np.array(vectors, dtype=np.float64).reshape(len(splits), dim)
-    return vectors, np.array(splits, dtype=str), sources, prior
+    return vectors, np.array(splits, dtype=np.int8), sources, prior
 
 
 def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameScores:
@@ -378,10 +378,8 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
     _raise_first_fault(lines, "score", check)
 
 
-def serialize_scores(rows: Sequence[Tuple[str, int, float]]) -> str:
-    video, frame, score = zip(*rows) if rows else ((), (), ())
-    # float(): under numpy 2 the repr of a numpy scalar is "np.float64(...)"
-    return format_rows("%s,%s,%r", [video, frame, list(map(float, score))])
+def serialize_scores(frames: FrameScores) -> str:
+    return format_rows("%s,%s,%r", [video_names(frames).tolist(), frames.frame.tolist(), frames.score.tolist()])
 
 
 def parse_manifest(text: str) -> Dict[str, VideoMeta]:

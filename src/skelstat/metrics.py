@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import DataError, FrameScores, Labels, MetricsReport, WindowBatch, code_into, video_names
+from .core import DataError, FrameScores, Labels, MetricsReport, WindowBatch, code_into
 
 
 def _threshold_counts(scores, positive) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
@@ -126,14 +126,14 @@ def windows_to_frame_scores(
     scores,
     labels: Labels,
     rows=None,
-) -> Tuple[FrameScores, List[Tuple[str, int]]]:
+) -> Tuple[FrameScores, np.ndarray]:
     """Per-frame anomaly score = max over all scored windows covering the frame.
 
     ``scores[i]`` is the score of window ``rows[i]`` (of window i when
     ``rows`` is None). Labeled frames no window covers get the least
     score among the covered labeled frames (0.0 when none is covered). Returns
-    every labeled frame's score, sorted by (video, frame), and the uncovered
-    frame keys.
+    every labeled frame's score, sorted by (video, frame), and a boolean mask
+    over the label rows, True where no window covers the frame.
     """
     rows = np.arange(len(windows)) if rows is None else np.asarray(rows, dtype=np.int64)
     window_scores = np.asarray(scores, dtype=np.float64)
@@ -158,8 +158,7 @@ def windows_to_frame_scores(
     frame_best[label_row[hit]] = best[hit]
     covered = np.isfinite(frame_best)
     score = np.where(covered, frame_best, best[hit].min() if hit.any() else 0.0)
-    uncovered = list(zip(video_names(labels)[~covered].tolist(), labels.frame[~covered].tolist()))
-    return FrameScores(labels.video_ids, labels.video, labels.frame, score, labels.positive), uncovered
+    return FrameScores(labels.video_ids, labels.video, labels.frame, score, labels.positive), ~covered
 
 
 def metrics_report(

@@ -8,7 +8,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from .analysis import DistanceSeries, distance_series, sdom_report, windows_by_split
+from .analysis import DistanceSeries, distance_series, rows_by_split, sdom_report
 from .core import SPLITS, BoxStats, DataError, FeatureType
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle
@@ -87,7 +87,6 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
     if values.size == 0:
         raise DataError("cannot histogram an empty series")
     lo, hi = float(values.min()), float(values.max())
-    split_tag = series.split.value if series.split else series.tag
 
     if binning == AUTO:
         n_bins, spec = _auto_bin_count(values), AUTO
@@ -114,7 +113,7 @@ def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
     if (np.diff(edges) <= 0).any():  # the edges stopped growing: bins narrower than the float spacing
         raise DataError(f"binning {spec} is below the float spacing of the distances")
     counts, _ = np.histogram(values, bins=edges)
-    return Histogram(bin_edges=edges, counts=counts, split=split_tag)
+    return Histogram(bin_edges=edges, counts=counts, split=series.split.value)
 
 
 def box_stats(series: DistanceSeries) -> BoxStats:
@@ -163,7 +162,7 @@ def difficulty_report(
     for feature_type in feature_types:
         entry: dict = {"warnings": []}
         windows = build_windows(bundle, feature_type, center, truncate_social)
-        by_split = windows_by_split(windows)
+        by_split = rows_by_split(windows.split)
         entry["counts"] = {s.value: len(by_split[s]) for s in SPLITS}
         empty = [s.value for s in SPLITS if not len(by_split[s])]
         if empty:
@@ -177,7 +176,7 @@ def difficulty_report(
         entry["sdom"] = sr.to_dict()
         sdom_by_feature[feature_type.value] = sr.sdom
         entry["box_stats"], entry["histograms"] = {}, {}
-        for split, series in distance_series(windows, feature_type).items():
+        for split, series in distance_series(windows).items():
             entry["box_stats"][split.value] = box_stats(series).to_dict()
             entry["histograms"][split.value] = histogram(series, binning).to_dict()
         report["features"][feature_type.value] = entry

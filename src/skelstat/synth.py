@@ -16,7 +16,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .analysis import distances_to_mean, mean_tensor
-from .core import SPLITS, DataError, Detections, FeatureType, Labels, Split, WindowingConfig, video_names
+from .core import SPLITS, DataError, Detections, FeatureType, FrameScores, Labels, Split, WindowingConfig
 from .features import CenterPolicy, build_windows
 from .ingest import DatasetBundle, VideoMeta
 from .metrics import windows_to_frame_scores
@@ -94,6 +94,8 @@ class SynthSpec:
             raise DataError(f"anomaly_fraction must be in [0, 1], got {self.anomaly_fraction}")
         if self.anomaly_fraction > 0 and not self.anomaly_modes:
             raise DataError("anomaly_fraction > 0 requires at least one anomaly mode")
+        if self.anomaly_fraction > 0 and round(self.anomaly_fraction * self.frames_per_video) == 0:
+            raise DataError(f"anomaly_fraction {self.anomaly_fraction} rounds to 0 of {self.frames_per_video} frames")
         if self.drift_speed < 0 or self.jitter_std < 0:
             raise DataError("motion parameters must be non-negative")
 
@@ -213,8 +215,8 @@ def oracle_scores(
     bundle: DatasetBundle,
     mode: str,
     seed: int = 0,
-) -> List[Tuple[str, int, float]]:
-    """Anomaly-polarity scores for every labeled frame.
+) -> FrameScores:
+    """Anomaly-polarity scores for every labeled frame, sorted by (video, frame).
 
     ``perfect`` separates the classes exactly, ``random`` draws seeded
     uniform scores, ``distance`` scores each frame by the maximum
@@ -229,7 +231,7 @@ def oracle_scores(
             scores = labels.positive.astype(np.float64)
         else:
             scores = np.random.default_rng(seed).random(len(labels.frame))
-        return list(zip(video_names(labels).tolist(), labels.frame.tolist(), scores.tolist()))
+        return FrameScores(labels.video_ids, labels.video, labels.frame, scores, labels.positive)
 
     # distance mode: uncentered trajectories keep absolute displacement, so
     # shifted segments stand out against the training mean
@@ -239,5 +241,4 @@ def oracle_scores(
         raise DataError("distance oracle needs both training and validation windows")
     val = np.flatnonzero(~train)
     distances = distances_to_mean(windows, mean_tensor(windows, Split.TRAIN)).values
-    frames, _ = windows_to_frame_scores(windows, distances[val], labels, rows=val)
-    return list(zip(video_names(frames).tolist(), frames.frame.tolist(), frames.score.tolist()))
+    return windows_to_frame_scores(windows, distances[val], labels, rows=val)[0]

@@ -13,7 +13,8 @@ reports, one video and one frame at a time. ``read_tracklets``,
 ``read_labels`` and ``read_scores`` read the tracklet file and the label
 and score CSVs one line at a time, and
 ``tracklet_text``, ``label_text``, ``score_text`` and ``embedding_text``
-write those files one line at a time.
+write those files one line at a time; ``frame_scores`` gives the score
+writer its table.
 
 A window is a ``Window`` tuple of plain Python values; ``OracleError``
 carries the text of the error the program must raise.
@@ -22,7 +23,9 @@ carries the text of the error the program must raise.
 import math
 from typing import Dict, List, NamedTuple, Tuple
 
-from skelstat.core import video_names
+import numpy as np
+
+from skelstat.core import FrameScores, video_names
 from skelstat.ingest import parse_labels, parse_manifest, parse_tracklets
 
 Point = Tuple[float, float]
@@ -239,6 +242,18 @@ def score_text(rows) -> str:
     """scores.csv lines of (video, frame, score) rows, each score as the
     ``repr`` of a Python float."""
     return "".join(f"{video},{frame},{float(score)!r}\n" for video, frame, score in rows)
+
+
+def frame_scores(rows) -> FrameScores:
+    """A ``FrameScores`` table of (video, frame, score) rows, in their order,
+    coded into the sorted distinct ids; every frame is normal."""
+    video_ids = tuple(sorted({video for video, _, _ in rows}))
+    code = {video: i for i, video in enumerate(video_ids)}
+    return FrameScores(
+        video_ids, np.array([code[video] for video, _, _ in rows], dtype=np.int64),
+        np.array([frame for _, frame, _ in rows], dtype=np.int64),
+        np.array([score for _, _, score in rows], dtype=np.float64), np.zeros(len(rows), dtype=bool),
+    )
 
 
 def embedding_text(vectors, splits, sources, mu) -> str:

@@ -10,8 +10,9 @@ code in OUT/<name>.code. Run it once per source tree, with that tree's
 Inputs: ``skelstat synth`` seed 3 (every oracle and anomaly mode, two frame
 sizes) and the benchmark's REPORT_M, CROWD and score-eval inputs at seed 1
 (``perfbench/inputs.py`` never imports skelstat), a copy of the synth
-labels without one validation frame, an empty label file, the synth
-files with the validation videos' frames shifted by 10^6, a file whose
+labels without one validation frame, an empty label file, a copy of the
+synth labels with every frame normal, the synth files with the
+validation videos' frames shifted by 10^6, a file whose
 finite hip coordinates overflow their midpoint, the small synth files
 with the validation videos renamed ``v`` and ``v\\0`` (and labels and
 scores of a video the manifest lacks), seeded embedding files of 4 and of
@@ -23,11 +24,11 @@ ends, behind a first parse block of blank lines, and with a fault past
 the first parse block. Every embedding command runs alone and again
 beside the synth data files, which it refuses, as it refuses each
 windowing option. Some runs are refusals, among them window parameters
-above their cap and below their floor, binning specs, synth specs and
-anomaly modes, metrics on labels of one class or on no labels, per-video
-averaging with no two-class video, and an ``--out`` path that is a
-directory (its stderr names a temp file by a random absolute path,
-replaced by ``<random>``). One tracklet file with padded fields and
+above their cap and below their floor, binning specs, synth specs (an
+anomaly fraction that rounds to no frame among them) and anomaly modes,
+metrics on labels of one class or on no labels, per-video averaging with
+no two-class video, and an ``--out`` path that is a directory (its stderr
+names that path). One tracklet file with padded fields and
 non-ASCII digits is valid. A dataset of one window per split reaches the
 report's single-window warnings.
 
@@ -75,7 +76,6 @@ import argparse
 import ast
 import json
 import os
-import re
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -285,28 +285,24 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
         run(f"refuse_window_{tag}", "sdom", *datasets["synth"][0], *options)
     for tag, spec in (("count_0", "count:0"), ("count_x", "count:x")):
         run(f"refuse_binning_{tag}", "dist-hist", *datasets["synth"][0], "--binning", spec)
-    # an output path that is a directory: refused, and the temp file removed; the
-    # refusal names that file by its absolute path, with a random name
+    # an output path that is a directory: refused, and the temp file removed
     (out / "refuse_out_directory" / "sdom.json").mkdir(parents=True)
     run("refuse_out_directory", "sdom", *datasets["synth"][0])
-    stderr = out / "refuse_out_directory.stderr"
-    stderr.write_text(re.sub(r"'[^']*/sdom\.json\.\w+\.tmp'", "'<random>'", stderr.read_text()))
 
-    # synth specs the generator refuses, and two it accepts: a spawn radius, and an
-    # anomaly fraction that rounds to no frame
+    # synth specs the generator refuses, and one it accepts: a spawn radius
     tiny = ["--videos", "1", "--val-videos", "1", "--frames", "48", "--persons", "2", "--keypoints", "4"]
     for tag, options in (("videos_0", ["--videos", "0"]), ("frames_10", ["--frames", "10"]),
                          ("persons_0", ["--persons", "0"]), ("keypoints_1", ["--keypoints", "1"]),
                          ("fraction_2", ["--anomaly-fraction", "2", "--anomaly-mode", "traj-shift:1"]),
-                         ("fraction_no_mode", ["--anomaly-fraction", "0.25"]), ("jitter", ["--jitter", "-1"]),
+                         ("fraction_no_mode", ["--anomaly-fraction", "0.25"]),
+                         ("fraction_no_frame", ["--anomaly-fraction", "0.001", "--anomaly-mode", "traj-shift:100"]),
+                         ("jitter", ["--jitter", "-1"]),
                          ("shift", ["--anomaly-mode", "traj-shift:-1"]),
                          ("deform", ["--anomaly-mode", "pose-deform:-1"]),
                          ("converge", ["--anomaly-mode", "group-converge:2"]),
                          ("mode_bogus", ["--anomaly-mode", "bogus:1"]), ("mode_x", ["--anomaly-mode", "traj-shift:x"])):
         run(f"refuse_synth_{tag}", "synth", *tiny, *options)
     run("synth_spawn_radius", "synth", *tiny, "--spawn-radius", "20", "--oracle", "distance")
-    run("synth_fraction_no_frame", "synth", *tiny, "--anomaly-fraction", "0.001", "--anomaly-mode", "traj-shift:100",
-        "--oracle", "distance")
 
     # per-video averaging with one single-class video, and with none of two classes
     (out / "one_class").mkdir()
@@ -317,11 +313,12 @@ def main(out: Path, lines: Optional[Path] = None) -> None:
         run(f"metrics_single_class_{tag}", "metrics", "--labels", f"one_class/labels_{tag}.csv",
             "--manifest", "synth/manifest.json", "--scores", "synth/scores_random.csv", "--per-video-average")
     # labels of one class only, and no labels and no scores at all
+    (out / "one_class" / "labels_normal.csv").write_text("".join(f"{video},{frame},0\n" for video, frame, _ in labels))
     (out / "one_class" / "empty.csv").write_text("")
-    for tag, directory, files in (("normal", "synth_fraction_no_frame", ["labels.csv", "scores_distance.csv"]),
-                                  ("empty", "one_class", ["empty.csv", "empty.csv"])):
-        run(f"refuse_metrics_{tag}", "metrics", "--labels", f"{directory}/{files[0]}",
-            "--manifest", "synth/manifest.json", "--scores", f"{directory}/{files[1]}")
+    for tag, files in (("normal", ["one_class/labels_normal.csv", "synth/scores_random.csv"]),
+                       ("empty", ["one_class/empty.csv", "one_class/empty.csv"])):
+        run(f"refuse_metrics_{tag}", "metrics", "--labels", files[0], "--manifest", "synth/manifest.json",
+            "--scores", files[1])
 
     def embedding_run(name: str, *argv: str) -> None:
         """dist-hist on an embedding file alone, and beside the synth data files it does not read."""

@@ -13,6 +13,7 @@ from skelstat.analysis import (
     sdom_report,
 )
 from skelstat.core import (
+    SPLITS,
     DataError,
     EmbeddingPrior,
     FeatureType,
@@ -202,12 +203,11 @@ class TestDistancesToMean:
         rng = np.random.default_rng(10)
         windows = random_windows(rng, 600)  # crosses the chunk boundary
         mu = mean_tensor(batch(windows))
-        series = distances_to_mean(batch(windows), mu, Split.TRAIN, "pose")
+        series = distances_to_mean(batch(windows), mu, Split.TRAIN)
         for i in (0, 1, 255, 511, 512, 599):
             expected = np.linalg.norm(windows[i] - mu.values)
             assert series.values[i] == pytest.approx(expected, rel=1e-12)
         assert len(series) == 600
-        assert series.tag == "pose"
 
     def test_bits_of_linalg_norm_on_a_split_over_one_chunk(self):
         rng = np.random.default_rng(11)
@@ -244,7 +244,8 @@ class TestLatentDistances:
         rng = np.random.default_rng(11)
         prior = EmbeddingPrior(rng.normal(size=4))
         vectors = rng.normal(size=(4, 4))
-        splits = np.array([s.value for s in (Split.TRAIN, Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)])
+        codes = [SPLITS.index(s) for s in (Split.TRAIN, Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS)]
+        splits = np.array(codes, dtype=np.int8)
         out = latent_distances(vectors, splits, prior)
         assert set(out) == {Split.TRAIN, Split.VAL_NORMAL, Split.VAL_ANOMALOUS}
         assert len(out[Split.TRAIN]) == 2
@@ -252,27 +253,27 @@ class TestLatentDistances:
             expected = [
                 np.linalg.norm(vector - prior.mu_normal)
                 for vector, s in zip(vectors, splits)
-                if s == split.value
+                if SPLITS[s] is split
             ]
             assert np.allclose(series.values, expected, atol=1e-12)
 
     def test_zero_vector_at_prior(self):
         prior = EmbeddingPrior(np.array([1.0, 2.0]))
-        out = latent_distances(np.array([[1.0, 2.0]]), np.array(["train"]), prior)
+        out = latent_distances(np.array([[1.0, 2.0]]), np.array([SPLITS.index(Split.TRAIN)], dtype=np.int8), prior)
         assert out[Split.TRAIN].values[0] == 0.0
 
     def test_dimension_mismatch(self):
         prior = EmbeddingPrior(np.zeros(3))
         with pytest.raises(DataError, match="dimension"):
-            latent_distances(np.zeros((1, 4)), np.array(["train"]), prior)
+            latent_distances(np.zeros((1, 4)), np.array([SPLITS.index(Split.TRAIN)], dtype=np.int8), prior)
 
 
 class TestDistanceSeries:
     def test_rejects_negative(self):
         with pytest.raises(DataError):
-            DistanceSeries(np.array([-1.0]), Split.TRAIN, "x")
+            DistanceSeries(np.array([-1.0]), Split.TRAIN)
 
     def test_immutable(self):
-        s = DistanceSeries(np.array([1.0, 2.0]), Split.TRAIN, "x")
+        s = DistanceSeries(np.array([1.0, 2.0]), Split.TRAIN)
         with pytest.raises(ValueError):
             s.values[0] = 5.0

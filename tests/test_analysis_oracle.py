@@ -71,5 +71,5 @@ def test_analysis_matches_oracle(case, center):
 
         entry = difficulty_report(bundle, (feature,), policy, truncate_social=truncate)["features"][feature.value]
         for split, box in entry.get("box_stats", {}).items():
-            want = box_stats(DistanceSeries(distances_to_train_mean(plain, split), None, "")).to_dict()
+            want = box_stats(DistanceSeries(distances_to_train_mean(plain, split), None)).to_dict()
             assert close(quartiles(box), quartiles(want)), (feature, split)

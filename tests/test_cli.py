@@ -80,6 +80,19 @@ class TestSynth:
         for name in ("tracklets.txt", "labels.csv", "manifest.json"):
             assert (rerun / name).read_bytes() == (dataset / name).read_bytes()
 
+    @pytest.mark.parametrize("fraction, refused", [(0.001, True), (1 / 96, True), (1 / 48, False)])
+    def test_anomaly_fraction_that_rounds_to_no_frame_is_refused(self, tmp_path, capsys, fraction, refused):
+        # 48 frames: 1/96 rounds half to even, to no frame; 1/48 marks one frame per validation video
+        out = tmp_path / "out"
+        code = run(["synth", "--out", out, "--videos", 1, "--val-videos", 1, "--frames", 48, "--persons", 2,
+                    "--keypoints", 4, "--anomaly-fraction", fraction, "--anomaly-mode", "traj-shift:100"])
+        if refused:
+            assert code == 1 and not out.exists()
+            assert json.loads(capsys.readouterr().err) == {"error": f"anomaly_fraction {fraction} rounds to 0 of 48 frames"}
+        else:
+            assert code == 0
+            assert (out / "labels.csv").read_text().count(",1\n") == 1
+
 
 class TestValidate:
     def test_writes_report(self, dataset, tmp_path):
@@ -401,6 +414,14 @@ class TestErrorHandling:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
+
+    def test_output_path_that_is_a_directory_is_named_alone(self, dataset, tmp_path, capsys):
+        # the refusal names the output path, not the temp file it removed
+        out = tmp_path / "out"
+        (out / "sdom.json").mkdir(parents=True)
+        assert run(["sdom", "--out", out, *data_args(dataset)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"[Errno 21] Is a directory: '{out / 'sdom.json'}'"}
+        assert [p.name for p in out.iterdir()] == ["sdom.json"]
 
     def test_atomic_write_no_temp_left_behind(self, tmp_path):
         target = tmp_path / "sub" / "file.txt"

@@ -447,4 +447,4 @@ class TestLargeFrameNumbers:
         base = shifted_bundle(0)
         base_windows = build_windows(base, FeatureType.ABSOLUTE_TRAJECTORY)
         unshifted, _ = windows_to_frame_scores(base_windows, scores, base.labels)
-        assert frames.score.tolist() == unshifted.score.tolist() and uncovered == []
+        assert frames.score.tolist() == unshifted.score.tolist() and not uncovered.any()

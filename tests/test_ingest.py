@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import embedding_text
-from skelstat.core import DataError, Detections, Labels, ParseError, Split, WindowingConfig, video_names
+from oracle import embedding_text, frame_scores
+from skelstat.core import SPLITS, DataError, Detections, Labels, ParseError, Split, WindowingConfig, video_names
 from skelstat.ingest import (
     DatasetBundle,
     ScorePolarity,
@@ -139,7 +139,7 @@ class TestParseEmbeddings:
         vectors, splits, sources, prior = parse_embeddings("dim=4 mu=0,0,0,0\ntrain\t1,0,0,0\n")
         assert vectors.shape == (1, 4)
         assert prior.mu_normal.size == 4
-        assert splits.tolist() == [Split.TRAIN.value]
+        assert splits.tolist() == [SPLITS.index(Split.TRAIN)]
         assert sources == [None]
 
     def test_dimension_mismatch(self):
@@ -159,8 +159,8 @@ class TestParseEmbeddings:
         vectors, splits, sources, prior = parse_embeddings("\n".join(lines))
         assert len(vectors) == 100
         for split, expected in ((Split.TRAIN, 50), (Split.VAL_NORMAL, 30), (Split.VAL_ANOMALOUS, 20)):
-            assert sum(1 for s in splits if s == split.value) == expected
-        round_trip = embedding_text(vectors, splits, sources, prior.mu_normal)
+            assert sum(1 for s in splits if SPLITS[s] is split) == expected
+        round_trip = embedding_text(vectors, [SPLITS[s].value for s in splits], sources, prior.mu_normal)
         again = parse_embeddings(round_trip)
         assert np.array_equal(again[0], vectors)
         assert np.array_equal(again[1], splits)
@@ -207,8 +207,8 @@ class TestParseScores:
         labels = Labels.from_columns(["v1"] * 60, range(60), [rng.random() < 0.4 for _ in range(60)])
         anomaly_rows = [("v1", i, float(rng.normal())) for i in range(60)]
         normality_rows = [(v, f, -s) for v, f, s in anomaly_rows]
-        as_anomaly = parse_scores(serialize_scores(anomaly_rows), ScorePolarity.ANOMALY, labels)
-        as_normality = parse_scores(serialize_scores(normality_rows), ScorePolarity.NORMALITY, labels)
+        as_anomaly = parse_scores(serialize_scores(frame_scores(anomaly_rows)), ScorePolarity.ANOMALY, labels)
+        as_normality = parse_scores(serialize_scores(frame_scores(normality_rows)), ScorePolarity.NORMALITY, labels)
         assert auc_roc(roc_curve(as_anomaly.score, as_anomaly.positive)) == pytest.approx(
             auc_roc(roc_curve(as_normality.score, as_normality.positive)), abs=1e-12
         )

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import LineFault, embedding_text, read_labels, read_scores, read_tracklets
+from oracle import LineFault, embedding_text, frame_scores, read_labels, read_scores, read_tracklets
 from skelstat import ingest
-from skelstat.core import Labels, ParseError, Split, video_names
+from skelstat.core import SPLITS, Labels, ParseError, Split, video_names
 from skelstat.ingest import (
     ScorePolarity,
     VideoMeta,
@@ -347,7 +347,7 @@ def score_rows(draw):
 @given(score_rows(), st.sampled_from(ScorePolarity))
 def test_score_text_round_trip(case, polarity):
     labels, rows = case
-    frames = parse_scores(serialize_scores(rows), polarity, labels)
+    frames = parse_scores(serialize_scores(frame_scores(rows)), polarity, labels)
     sign = -1.0 if polarity is ScorePolarity.NORMALITY else 1.0
     expected = sorted(rows)
     assert video_names(frames).tolist() == [v for v, _, _ in expected]
@@ -391,10 +391,11 @@ def test_embedding_round_trip(case):
     vectors, splits, sources, mu = case
     text = embedding_text(vectors, splits, sources, mu)
     got_vectors, got_splits, got_sources, prior = parse_embeddings(text)
+    got_tokens = [SPLITS[code].value for code in got_splits.tolist()]
     assert [list(map(repr, row)) for row in got_vectors.tolist()] == [list(map(repr, row)) for row in vectors]
-    assert (got_splits.tolist(), got_sources) == (splits, sources)
+    assert (got_tokens, got_sources) == (splits, sources)
     assert list(map(repr, prior.mu_normal.tolist())) == list(map(repr, mu))
-    assert embedding_text(got_vectors, got_splits, got_sources, prior.mu_normal) == text
+    assert embedding_text(got_vectors, got_tokens, got_sources, prior.mu_normal) == text
 
 
 def test_ids_are_kept_exactly():

@@ -238,7 +238,7 @@ class TestWindowsToFrameScores:
         starts = list(range(0, 12, 2))
         scores = rng.normal(size=len(starts)).tolist()
         out, uncovered = windows_to_frame_scores(make_windows(["v1"] * len(starts), starts), scores, self.labels(14))
-        assert uncovered == []
+        assert not uncovered.any()
         by_frame = dict(zip(out.frame.tolist(), out.score.tolist()))
         for frame in range(14):
             covering = [sc for start, sc in zip(starts, scores) if start <= frame < start + 4]
@@ -248,7 +248,7 @@ class TestWindowsToFrameScores:
     def test_uncovered_default(self):
         windows = make_windows(["v1"], [0])
         out, uncovered = windows_to_frame_scores(windows, [2.0], self.labels(6))
-        assert uncovered == [("v1", 4), ("v1", 5)]
+        assert uncovered.tolist() == [False] * 4 + [True] * 2  # frames 4 and 5
         assert out.score.tolist() == [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]  # default = min observed
 
     def test_labels_carried_through(self):
@@ -266,23 +266,23 @@ class TestWindowsToFrameScores:
         # the v2 window covers no labeled frame, so its lower score is no covered frame's score
         windows = make_windows(["v1", "v2"], [0, 0])
         out, uncovered = windows_to_frame_scores(windows, [5.0, 1.0], self.labels(10))
-        assert uncovered == [("v1", frame) for frame in range(4, 10)]
+        assert uncovered.tolist() == [False] * 4 + [True] * 6  # frames 4 to 9
         assert out.score.tolist() == [5.0] * 10
 
     def test_uncovered_default_zero_without_covered_frames(self):
         out, uncovered = windows_to_frame_scores(make_windows(["v2"], [0]), [3.0], self.labels(3))
-        assert len(uncovered) == 3 and out.score.tolist() == [0.0] * 3
+        assert uncovered.tolist() == [True] * 3 and out.score.tolist() == [0.0] * 3
 
     def test_scored_rows_only(self):
         windows = make_windows(["v1", "v1"], [0, 2])
         out, uncovered = windows_to_frame_scores(windows, [3.0], self.labels(6), rows=[1])
-        assert uncovered == [("v1", 0), ("v1", 1)]
+        assert uncovered.tolist() == [True] * 2 + [False] * 4  # frames 0 and 1
         assert out.score.tolist() == [3.0] * 6
 
     def test_video_ids_kept_exactly(self):
         # numpy's fixed-width str dtype would drop the trailing NUL
         out, uncovered = windows_to_frame_scores(make_windows(["v\x00"], [0]), [1.0], self.labels(4, "v\x00"))
-        assert uncovered == []
+        assert not uncovered.any()
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(DataError):

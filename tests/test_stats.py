@@ -19,7 +19,7 @@ from skelstat.synth import SynthSpec, TrajectoryShift, generate
 
 
 def series(values, split=Split.TRAIN):
-    return DistanceSeries(np.asarray(values, dtype=float), split, "test")
+    return DistanceSeries(np.asarray(values, dtype=float), split)
 
 
 class TestParseBinning:

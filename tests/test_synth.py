@@ -27,6 +27,11 @@ SMALL = dict(
 )
 
 
+def score_rows(frames):
+    """(video, frame, score) rows of an oracle's ``FrameScores``."""
+    return list(zip(video_names(frames).tolist(), frames.frame.tolist(), frames.score.tolist()))
+
+
 class TestSpecValidation:
     def test_fraction_without_mode(self):
         with pytest.raises(DataError, match="anomaly mode"):
@@ -153,28 +158,28 @@ class TestOracleScores:
 
     def test_perfect_oracle_auc_one(self):
         bundle = self.bundle()
-        roc = self.roc(bundle, oracle_scores(bundle, "perfect"))
+        roc = self.roc(bundle, score_rows(oracle_scores(bundle, "perfect")))
         assert auc_roc(roc) == 1.0
 
     def test_random_oracle_near_half(self):
         bundle = self.bundle(frames_per_video=200)
-        roc = self.roc(bundle, oracle_scores(bundle, "random", seed=11))
+        roc = self.roc(bundle, score_rows(oracle_scores(bundle, "random", seed=11)))
         assert 0.35 < auc_roc(roc) < 0.65
 
     def test_random_oracle_seeded(self):
         bundle = self.bundle()
-        assert oracle_scores(bundle, "random", seed=3) == oracle_scores(bundle, "random", seed=3)
-        assert oracle_scores(bundle, "random", seed=3) != oracle_scores(bundle, "random", seed=4)
+        assert score_rows(oracle_scores(bundle, "random", seed=3)) == score_rows(oracle_scores(bundle, "random", seed=3))
+        assert score_rows(oracle_scores(bundle, "random", seed=3)) != score_rows(oracle_scores(bundle, "random", seed=4))
 
     def test_distance_oracle_detects_large_shift(self):
         bundle = self.bundle(frames_per_video=120, spawn_radius=10.0, drift_speed=0.2)
-        roc = self.roc(bundle, oracle_scores(bundle, "distance"))
+        roc = self.roc(bundle, score_rows(oracle_scores(bundle, "distance")))
         assert auc_roc(roc) > 0.85
 
     def test_scores_cover_every_labeled_frame(self):
         bundle = self.bundle()
         for mode in ("perfect", "random", "distance"):
-            rows = oracle_scores(bundle, mode)
+            rows = score_rows(oracle_scores(bundle, mode))
             assert {(v, f) for v, f, _ in rows} == set(
                 zip(video_names(bundle.labels).tolist(), bundle.labels.frame.tolist())
             )
@@ -218,7 +223,7 @@ class TestDistanceOracle:
         # 63 frames: windows start at 0, 6, ..., 36, so frames 60-62 are uncovered
         bundle = generate(SynthSpec(**{**SMALL, "frames_per_video": 63}, anomaly_modes=(mode,),
                                     anomaly_fraction=0.25, seed=seed))
-        rows, want = oracle_scores(bundle, "distance"), reference_distance_scores(bundle)
+        rows, want = score_rows(oracle_scores(bundle, "distance")), reference_distance_scores(bundle)
         assert [(v, f) for v, f, _ in rows] == [(v, f) for v, f, _ in want]
         assert any(f >= 60 for _, f, _ in rows)
         for (_, _, got), (_, _, expected) in zip(rows, want):

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import export_text, label_text, score_text, tracklet_text
+from oracle import export_text, frame_scores, label_text, score_text, tracklet_text
 from skelstat.core import Detections, Labels, WindowBatch, video_names
 from skelstat.features import serialize_windows
 from skelstat.ingest import serialize_labels, serialize_scores, serialize_tracklets
@@ -54,17 +54,17 @@ def test_labels_match_the_line_writer(rows):
 def test_scores_match_the_line_writer(cells):
     # a score cell may be a numpy scalar, whose repr under numpy 2 is "np.float64(...)"
     rows = [(video, frame, np.float64(score) if as_numpy else score) for video, frame, score, as_numpy in cells]
-    assert serialize_scores(rows) == score_text(rows)
+    assert serialize_scores(frame_scores(rows)) == score_text(rows)
 
 
 def test_fixed_cells():
-    assert serialize_scores([("v\x00", 3, np.float64(0.5)), ("v", 0, -0.0)]) == "v\x00,3,0.5\nv,0,-0.0\n"
+    assert serialize_scores(frame_scores([("v\x00", 3, np.float64(0.5)), ("v", 0, -0.0)])) == "v\x00,3,0.5\nv,0,-0.0\n"
 
 
 def test_empty_tables_give_no_lines():
     detections = Detections.from_columns([], [], [], np.empty((0, 2, 3)))
     assert serialize_tracklets(detections) == ""
     assert serialize_labels(Labels.from_columns([], [], [])) == ""
-    assert serialize_scores([]) == ""
+    assert serialize_scores(frame_scores([])) == ""
     windows = WindowBatch.from_columns(np.zeros((0, 4, 2, 2)), np.zeros((0, 4, 2), bool), [], [], [], [])
     assert serialize_windows(windows) == export_text([]) == ""
