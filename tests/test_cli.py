@@ -88,7 +88,8 @@ class TestSynth:
                     "--keypoints", 4, "--anomaly-fraction", fraction, "--anomaly-mode", "traj-shift:100"])
         if refused:
             assert code == 1 and not out.exists()
-            assert json.loads(capsys.readouterr().err) == {"error": f"anomaly_fraction {fraction} rounds to 0 of 48 frames"}
+            error = f"anomaly_fraction {fraction} rounds to 0 of 48 frames"
+            assert json.loads(capsys.readouterr().err) == {"error": error}
         else:
             assert code == 0
             assert (out / "labels.csv").read_text().count(",1\n") == 1
