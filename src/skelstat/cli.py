@@ -49,8 +49,8 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: List[str], columns: List[list]) -> str:
-    """CSV text of equally long columns of Python numbers or strings."""
+def _csv_text(header: List[str], columns: list) -> str:
+    """CSV text of equally long columns of numbers or strings, lists or 1-D arrays."""
     return ",".join(header) + "\n" + format_rows(",".join(["%s"] * len(columns)), columns)
 
 
@@ -171,7 +171,7 @@ def cmd_metrics(args) -> int:
     # (inf, 0, 0) row hold pr.csv's thresholds, and tpr is recall (tp / n_pos),
     # so those two columns are formatted once, and a rate once per distinct value
     thresholds, recall = list(map(str, pr[:, 0].tolist())), _distinct_text(pr[:, 1])
-    pr_columns = [thresholds, recall, pr[:, 2].tolist()]
+    pr_columns = [thresholds, recall, pr[:, 2]]
     atomic_write_text(out / "pr.csv", _csv_text(["threshold", "recall", "precision"], pr_columns))
     roc_columns = [["inf", *thresholds], _distinct_text(roc[:, 1]), ["0.0", *recall]]
     atomic_write_text(out / "roc.csv", _csv_text(["threshold", "fpr", "tpr"], roc_columns))

@@ -164,7 +164,10 @@ class Labels(NamedTuple):
         frame) order: its label's row, or where that row would be inserted; a
         code of len(video_ids) sorts after every row. Broadcasts, so a (W, 1)
         column of codes meets a (W, T) block of frames."""
-        frames = np.unique(self.frame)
+        # the distinct frames from a sort and its run heads: numpy 2.4's
+        # np.unique without flags imports numpy.ma, which a run needs nowhere else
+        frames = np.sort(self.frame)
+        frames = frames[np.r_[True, frames[1:] != frames[:-1]][: frames.size]]
         # (video code, frame rank) keys, with rank frames.size free for a frame past the last
         span = frames.size + 1
         key = np.asarray(video, dtype=np.int64) * span + np.searchsorted(frames, frame)

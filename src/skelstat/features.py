@@ -229,12 +229,12 @@ def serialize_windows(windows: WindowBatch) -> str:
     W, T, k = windows.mask.shape
     bits = (windows.mask.reshape(W, T * k).view(np.uint8) + ord("0")).tobytes().decode("ascii")
     columns = [
-        video_names(windows).tolist(),
-        windows.start.tolist(),
-        np.array([s.value for s in SPLITS], dtype=object)[windows.split].tolist(),
-        np.where(windows.split == _VAL_ANOMALOUS, "anomalous", "normal").tolist(),
+        video_names(windows),
+        windows.start,
+        np.array([s.value for s in SPLITS], dtype=object)[windows.split],
+        np.where(windows.split == _VAL_ANOMALOUS, "anomalous", "normal"),
         ["|".join(windows.track_ids[code] for code in row if code >= 0) for row in windows.track.tolist()],
-        *windows.coords.reshape(W, T * k * 2).T.tolist(),
+        windows.coords.reshape(W, T * k * 2).T,
         [bits[a : a + T * k] for a in range(0, W * T * k, T * k)],
     ]
     return format_rows(f"%s\t%s\t%s\t%s\t{T}\t{k}\t%s\t" + ",".join(["%r"] * (T * k * 2)) + "\t%s", columns)

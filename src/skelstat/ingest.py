@@ -79,11 +79,35 @@ class DatasetBundle:
             raise DataError(f"detections have {k} keypoints, configured k={self.config.k}")
 
 
-def format_rows(template: str, columns: Sequence[Sequence]) -> str:
-    """One ``template`` line per row of equally long columns of Python
-    values, by one %-format over all cells (``%s`` of a float is its
-    shortest round-trip ``repr``): no string is built per row."""
-    return ((template + "\n") * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+# Cells per formatted slice: bounds the Python values alive at once.
+_FORMAT_CELLS = 1 << 14
+
+
+def format_rows(template: str, columns: Sequence) -> str:
+    """One ``template`` line per row of equally long columns: lists, 1-D
+    arrays, and 2-D arrays whose rows are columns. Rows are formatted one
+    slice of about ``_FORMAT_CELLS`` cells at a time, by one %-format per
+    slice, so no string is built per row and only one slice's cells are
+    Python values at once. Array cells become Python values by one
+    ``tolist()`` per slice, so no numpy scalar reaches ``%`` (``%s`` of a
+    float is its shortest round-trip ``repr``)."""
+    arrays = [isinstance(column, np.ndarray) for column in columns]
+    n_rows = columns[0].shape[-1] if arrays[0] else len(columns[0])
+    width = sum(len(column) if is_array and column.ndim == 2 else 1 for column, is_array in zip(columns, arrays))
+    step = max(1, _FORMAT_CELLS // width)
+    line = template + "\n"
+    slices = []
+    for a in range(0, n_rows, step):
+        cells = []
+        for column, is_array in zip(columns, arrays):
+            if not is_array:
+                cells.append(column[a : a + step])
+            elif column.ndim == 2:
+                cells.extend(column[:, a : a + step].tolist())
+            else:
+                cells.append(column[a : a + step].tolist())
+        slices.append((line * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
+    return "".join(slices)
 
 
 def json_text(obj) -> str:
@@ -207,8 +231,7 @@ def serialize_tracklets(detections: Detections) -> str:
     """The tracklet text of a table, one line per row in table order."""
     d = detections
     k = d.kp.shape[1]
-    track = np.array(d.track_ids, dtype=object)[d.track].tolist()
-    columns = [video_names(d).tolist(), d.frame.tolist(), track, *d.kp.reshape(-1, 3 * k).T.tolist()]
+    columns = [video_names(d), d.frame, np.array(d.track_ids, dtype=object)[d.track], d.kp.reshape(-1, 3 * k).T]
     return format_rows("%s\t%d\t%s\t" + ";".join(["%r,%r,%r"] * k), columns)
 
 
@@ -282,7 +305,7 @@ def _raise_first_fault(lines: List[str], what: str, check) -> NoReturn:
 
 
 def serialize_labels(labels: Labels) -> str:
-    return format_rows("%s,%s,%d", [video_names(labels).tolist(), labels.frame.tolist(), labels.positive.tolist()])
+    return format_rows("%s,%s,%d", [video_names(labels), labels.frame, labels.positive])
 
 
 _SPLIT_TOKENS = {split.value: code for code, split in enumerate(SPLITS)}
@@ -379,7 +402,7 @@ def parse_scores(text: str, polarity: ScorePolarity, labels: Labels) -> FrameSco
 
 
 def serialize_scores(frames: FrameScores) -> str:
-    return format_rows("%s,%s,%r", [video_names(frames).tolist(), frames.frame.tolist(), frames.score.tolist()])
+    return format_rows("%s,%s,%r", [video_names(frames), frames.frame, frames.score])
 
 
 def parse_manifest(text: str) -> Dict[str, VideoMeta]:

@@ -70,9 +70,25 @@ class Histogram:
         }
 
 
+def _quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """``np.quantile(values, qs)`` by its default linear method, bit for bit
+    on a non-empty finite series without -0.0 (no distance is -0.0; where
+    -0.0 and 0.0 tie, either may come first), from one sort: numpy 2.4's
+    quantile imports ``numpy.ma`` through ``np.unique``, which no other step
+    of a run needs."""
+    ordered = np.sort(values)
+    position = (ordered.size - 1) * np.asarray(qs, dtype=np.float64)
+    # a position at the last value takes it from both sides, as numpy's index -1 does
+    below = np.where(position >= ordered.size - 1, -1, np.floor(position)).astype(np.intp)
+    above = np.where(below < 0, -1, below + 1)
+    gamma = position - below
+    a, b = ordered[below], ordered[above]
+    return np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+
+
 def _auto_bin_count(values: np.ndarray) -> int:
     """Freedman-Diaconis bin count clamped to [10, 200]; 10 when IQR is 0."""
-    q1, q3 = np.quantile(values, [0.25, 0.75])
+    q1, q3 = _quantiles(values, [0.25, 0.75])
     iqr = q3 - q1
     if iqr == 0:
         return 10
@@ -84,6 +100,8 @@ def _auto_bin_count(values: np.ndarray) -> int:
 def histogram(series: DistanceSeries, binning: Binning = AUTO) -> Histogram:
     """Bin a distance series; right-open bins, last bin right-closed."""
     values = series.values
+    if series.split is None:
+        raise DataError("cannot histogram a distance series without a split")
     if values.size == 0:
         raise DataError("cannot histogram an empty series")
     lo, hi = float(values.min()), float(values.max())
@@ -121,7 +139,7 @@ def box_stats(series: DistanceSeries) -> BoxStats:
     values = series.values
     if values.size == 0:
         raise DataError("cannot summarize an empty series")
-    q1, median, q3 = (float(q) for q in np.quantile(values, [0.25, 0.5, 0.75]))
+    q1, median, q3 = (float(q) for q in _quantiles(values, [0.25, 0.5, 0.75]))
     iqr = q3 - q1
     lo_limit = q1 - 1.5 * iqr
     hi_limit = q3 + 1.5 * iqr

@@ -108,6 +108,22 @@ class TestParseTracklets:
         assert_same_rows(parsed, table)
         assert peak < 3 * sum(column.nbytes for column in (table.video, table.track, table.frame, table.kp))
 
+    def test_serialize_peak_is_bounded_by_the_text(self):
+        # the same 6000 x 17 table gives 5.7 MB of text. Formatted one slice of cells at
+        # a time the serializer peaked at 2.09x the text; all cells at once took 3.37x.
+        rng = np.random.default_rng(5)
+        n, k = 6000, 17
+        kp = np.concatenate([rng.uniform(0, 1000, (n, k, 2)), rng.uniform(0, 1, (n, k, 1))], axis=2)
+        table = Detections.from_columns([f"v{i % 4}" for i in range(n)], [f"t{i % 5}" for i in range(n)],
+                                        np.arange(n) // 20, kp)
+        tracemalloc.start()
+        try:
+            text = serialize_tracklets(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == n and peak < 2.5 * len(text)
+
 
 class TestParseLabels:
     def test_basic(self):

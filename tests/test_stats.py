@@ -1,6 +1,8 @@
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schema import REPORT_SCHEMA
 from skelstat.analysis import DistanceSeries
@@ -10,6 +12,7 @@ from skelstat.stats import (
     MAX_BINS,
     FixedCount,
     FixedWidth,
+    _quantiles,
     box_stats,
     difficulty_report,
     histogram,
@@ -94,6 +97,11 @@ class TestHistogram:
         with pytest.raises(DataError):
             histogram(series([]))
 
+    def test_a_series_without_a_split_is_refused(self):
+        # what distances_to_mean returns when it is given no split
+        with pytest.raises(DataError, match="^cannot histogram a distance series without a split$"):
+            histogram(DistanceSeries(np.array([1.0, 2.0]), None))
+
     def test_bin_count_at_the_cap(self):
         assert histogram(series([0.0, 1.0]), FixedCount(MAX_BINS)).counts.size == MAX_BINS
 
@@ -149,6 +157,14 @@ class TestBoxStats:
             inside = values[(values >= q1 - 1.5 * iqr) & (values <= q3 + 1.5 * iqr)]
             assert b.lower_fence == pytest.approx(min(inside.min(), q1), rel=1e-12)
             assert b.upper_fence == pytest.approx(max(inside.max(), q3), rel=1e-12)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 5e-324, 0.1, 1.0, 2.0**53, 1e308])
+                    | st.floats(0.0, allow_infinity=False).map(abs), min_size=1, max_size=40))
+    def test_quantiles_are_numpys_bit_for_bit(self, values):
+        # abs: no distance is -0.0, and numpy orders a tie of -0.0 and 0.0 either way
+        qs = [0.25, 0.5, 0.75]
+        assert _quantiles(np.array(values), qs).tobytes() == np.quantile(values, qs).tobytes()
 
     def test_outliers_excluded_from_whiskers(self):
         values = list(np.linspace(1, 2, 50)) + [100.0]
